@@ -225,14 +225,14 @@ def subdivide(structure, w):
                 raise InternalClosureFailure("affine lift does not interpolate the part")
         parts.append(Part(sub, order, (a, b), count))
     parts.sort(key=lambda p: p.sublattice)
-    total = sum(p.linearization_count for p in parts)
-    assert total == len(extensions)
+    if sum(p.linearization_count for p in parts) != len(extensions):
+        raise InternalClosureFailure("parts do not account for every linearization")
     return Subdivision(structure, values, parts)
 
 
 class ZhuComponent:
     """A part together with the presentation of its relative Hibi ideal and
-    the coordinates that vanish on it."""
+    the coordinates that vanish on it, both in positions of the base lattice."""
 
     def __init__(self, part, presentation, vanishing):
         self.part = part
@@ -247,7 +247,11 @@ def zhu_components(structure, w):
     components = []
     for part in subdivision.parts:
         part_structure = structure.with_order(part.order).unmarked()
-        presentation = ideal_presentation(part_structure, "relative")
+        to_base = [lat.position[m] for m in part_structure.lattice.masks]
+        presentation = IdealPresentation("relative", [
+            ((to_base[a], to_base[b]), (to_base[u], to_base[s]))
+            for (a, b), (u, s) in ideal_presentation(part_structure, "relative").generators
+        ])
         inside = set(part.sublattice)
         vanishing = [i for i in range(len(lat)) if i not in inside]
         components.append(ZhuComponent(part, presentation, vanishing))

@@ -92,7 +92,3 @@ class InvalidDims(PosetDegenError):
 
 class ParseError(PosetDegenError):
     pass
-
-
-class ValidationError(PosetDegenError):
-    pass

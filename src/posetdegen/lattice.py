@@ -31,10 +31,6 @@ class IdealLattice:
         return ",".join(labels)
 
     @cached_property
-    def key_to_position(self):
-        return {self.label_key(i): i for i in range(len(self.masks))}
-
-    @cached_property
     def superset_lists(self):
         """For each position, the positions of all ideals containing it (incl. itself)."""
         out = []

@@ -20,17 +20,7 @@ from .posets import (
     mask_bits,
     validate_relative_structure,
 )
-from .polytopes import indicator
-
-
-class Marking:
-    """A marked subset with integer values, given by labels."""
-
-    def __init__(self, values):
-        self.values = dict(values)
-
-    def items(self):
-        return self.values.items()
+from .polytopes import indicator, pack_bits, packed_multichains, unpack
 
 
 class FundamentalDecomposition:
@@ -45,10 +35,6 @@ class FundamentalDecomposition:
         self.terms = tuple(terms)
         self.shift = shift
         self.marked_mask = marked_mask
-
-    @property
-    def total(self):
-        return sum(alpha for _, alpha in self.terms)
 
     def chain_masks(self):
         """D(lambda): the term ideals together with the empty set and all of P*."""
@@ -100,33 +86,14 @@ class MarkedPolytope:
 def mrpp_points(structure, scale=1):
     """Integer points of R_{scale*lambda}: sums over prescribed-intersection multichains."""
     fd = fundamental_decomposition(structure, scale)
-    lat = structure.lattice
-    marked = structure.marked
     n = structure.poset.n
     reqs = [k for k, alpha in fd.terms for _ in range(alpha)]
-    top_vertex = indicator(structure.max_weak(structure.poset.full), n)
-    offset = tuple(-fd.shift * t for t in top_vertex)
-    if not reqs:
-        return [offset]
-    sups = lat.superset_lists
-    vertex_vectors = [indicator(structure.max_weak(m), n) for m in lat.masks]
-    points = set()
-    chains = 0
-
-    def rec(last, depth, acc):
-        nonlocal chains
-        if depth == len(reqs):
-            points.add(tuple(acc))
-            chains += 1
-            return
-        base = sups[last] if last is not None else range(len(lat.masks))
-        for j in base:
-            if lat.masks[j] & marked == reqs[depth]:
-                v = vertex_vectors[j]
-                rec(j, depth + 1, [a + b for a, b in zip(acc, v)])
-
-    rec(None, 0, list(offset))
-    assert chains == len(points), "prescribed multichains produced a repeated point"
+    top = structure.max_weak(structure.poset.full)
+    bits = pack_bits(len(reqs))
+    points = []
+    for code in packed_multichains(structure, structure.marked, reqs):
+        x = unpack(code, n, bits)
+        points.append(tuple(v - fd.shift if top >> i & 1 else v for i, v in enumerate(x)))
     return sorted(points)
 
 
@@ -391,7 +358,7 @@ def mcop_build(poset, marking, chain_part, order_part):
     (2) the MRPP with p <' q iff p < q and p not in P* u O.
     Their disagreement raises TheoremViolation.
     """
-    marking = dict(marking.items() if isinstance(marking, Marking) else marking)
+    marking = dict(marking)
     marked_mask = 0
     for label in marking:
         marked_mask |= 1 << poset.index(label)
@@ -453,30 +420,6 @@ def mcop_build(poset, marking, chain_part, order_part):
             "chain-order inequalities and the MRPP construction disagree"
         )
     return MarkedPolytope(structure, box_points)
-
-
-def preimage_mrpp_candidates(subdivision, part, bound=None):
-    """Experimental: search stronger orders presenting a part's theta-preimage.
-
-    The preimage of a section part under the standardization projection is
-    not known to be an MRPP; this scan over stronger orders of the base poset
-    makes no correctness claim and is guarded by the enumeration size bound.
-    """
-    from .posets import stronger_orders
-
-    std = subdivision.standardized
-    base = std.base
-    section = set(part.points)
-    preimage = {p for p in mrpp_points(base) if std.theta(p) in section}
-    matches = []
-    for order in stronger_orders(base.poset, bound):
-        candidate = base.with_order(order)
-        try:
-            if set(mrpp_points(candidate)) == preimage:
-                matches.append(order)
-        except InvalidStructure:
-            continue
-    return matches
 
 
 def mcop_recognize(structure, target):

@@ -1,31 +1,37 @@
 """Order, chain and relative poset polytopes: vertices, triangulation,
 dilation lattice points, Ehrhart counts, normality, transfer map.
 
-Dilation point sets are held in a packed integer encoding (a fixed number of
-bits per coordinate) so that set arithmetic on them stays cheap; public
-functions decode to coordinate tuples.
+Lattice points of dilations and of marked polytopes are sums of the vectors
+1_{max' J} over weakly increasing chains of ideals.  `packed_multichains`
+enumerates them in a packed integer encoding so that set arithmetic stays
+cheap; public functions decode to coordinate tuples.  A chain of k steps packs
+max(PACK_BITS, k.bit_length()) bits per coordinate.  Only `packed_dilation`
+caps m at 63, because `check_normality` compares codes across dilations and
+needs one width.
 """
 
 from fractions import Fraction
 
 from . import linalg
-from .errors import InvalidStructure, NotALatticePoint, NotInOrderPolytope
+from .errors import (
+    InternalClosureFailure,
+    InvalidStructure,
+    NotALatticePoint,
+    NotInOrderPolytope,
+)
 from .posets import RelativeStructure, linear_extension_indices, mask_bits
 
 PACK_BITS = 6  # coordinates of m-dilations stay below 2**PACK_BITS for m <= 63
-_PACK_FULL = (1 << PACK_BITS) - 1
 
 
-def pack_mask(mask, n):
-    """Packed encoding of a 0/1 vector given as a bitmask."""
-    code = 0
-    for i in mask_bits(mask):
-        code |= 1 << (PACK_BITS * i)
-    return code
+def pack_bits(steps):
+    """Bits per coordinate for sums of `steps` 0/1 vectors."""
+    return max(PACK_BITS, steps.bit_length())
 
 
-def unpack(code, n):
-    return tuple((code >> (PACK_BITS * i)) & _PACK_FULL for i in range(n))
+def unpack(code, n, bits=PACK_BITS):
+    full = (1 << bits) - 1
+    return tuple((code >> (bits * i)) & full for i in range(n))
 
 
 def indicator(mask, n):
@@ -85,13 +91,8 @@ class LatticePolytope:
     def __init__(self, structure, kind, vertices, vertex_labels):
         self.structure = structure
         self.kind = kind
-        self.ambient_dim = structure.poset.n
         self.vertices = tuple(vertices)
         self.vertex_labels = tuple(vertex_labels)
-        self._dilations = {}
-
-    def lattice_points(self, m):
-        return dilation_points(self.structure, m, cache=self._dilations)
 
 
 def build_polytope(structure, kind="relative"):
@@ -119,58 +120,66 @@ def canonical_triangulation(structure):
         vertices = [indicator(structure.max_weak(m), n) for m in chain_masks]
         positions = [lat.position[m] for m in chain_masks]
         simplex = Simplex(ext, vertices, positions)
-        assert simplex.is_unimodular(), "linearization simplex must be unimodular"
+        if not simplex.is_unimodular():
+            raise InternalClosureFailure(f"linearization simplex {ext} is not unimodular")
         simplices.append(simplex)
     return simplices
 
 
-def packed_vertex_codes(structure):
+def packed_multichains(structure, marked, reqs):
+    """Packed codes of the sums of 1_{max' J_d} over the weakly increasing
+    chains J_1 <= ... <= J_k of ideals with J_d & marked == reqs[d].
+
+    Distinct chains give distinct points; a repeat raises.
+    """
+    steps = len(reqs)
+    if not steps:
+        return {0}
     lat = structure.lattice
-    n = structure.poset.n
-    return [pack_mask(structure.max_weak(m), n) for m in lat.masks]
+    masks = lat.masks
+    bits = pack_bits(steps)
+    codes = [
+        sum(1 << (bits * i) for i in mask_bits(structure.max_weak(m))) for m in masks
+    ]
+    succ = {}
+    for req in set(reqs):
+        keep = [m & marked == req for m in masks]
+        succ[req] = lat.superset_lists if all(keep) else [
+            [j for j in sups if keep[j]] for sups in lat.superset_lists
+        ]
+    levels = [succ[req] for req in reqs]
+    points = set()
+    add = points.add
+    chains = 0
+
+    def rec(idx, depth, acc):
+        nonlocal chains
+        nxt = levels[depth][idx]
+        if depth == steps - 1:
+            chains += len(nxt)
+            for j in nxt:
+                add(acc + codes[j])
+            return
+        for j in nxt:
+            rec(j, depth + 1, acc + codes[j])
+
+    rec(0, 0, 0)  # position 0 is the empty ideal, contained in every ideal
+    if chains != len(points):
+        raise InternalClosureFailure("distinct multichains produced a repeated point")
+    return points
 
 
 def packed_dilation(structure, m):
     """Packed point codes of the m-th dilation, via weakly increasing ideal tuples."""
-    lat = structure.lattice
-    if m == 0:
-        return {0}
-    if m > _PACK_FULL:
+    if m >= 1 << PACK_BITS:
         raise ValueError(f"dilation {m} overflows the packed encoding")
-    codes = packed_vertex_codes(structure)
-    sups = lat.superset_lists
-    points = set()
-    add = points.add
-    count = 0
-
-    def rec(idx, depth, acc):
-        nonlocal count
-        if depth == m:
-            add(acc)
-            count += 1
-            return
-        for j in sups[idx]:
-            rec(j, depth + 1, acc + codes[j])
-
-    for i in range(len(lat.masks)):
-        rec(i, 1, codes[i])
-    assert count == len(points), "distinct multichains produced a repeated point"
-    return points
-
-
-def dilation_points(structure, m, cache=None):
-    """Integer points of m * R(P,<,<') as coordinate tuples."""
-    if cache is not None and m in cache:
-        return cache[m]
-    n = structure.poset.n
-    pts = frozenset(unpack(code, n) for code in packed_dilation(structure, m))
-    if cache is not None:
-        cache[m] = pts
-    return pts
+    return packed_multichains(structure, 0, [0] * m)
 
 
 def lattice_points(structure, m):
-    return dilation_points(structure, m)
+    """Integer points of m * R(P,<,<') as coordinate tuples."""
+    n = structure.poset.n
+    return frozenset(unpack(code, n) for code in packed_dilation(structure, m))
 
 
 def ehrhart_values(structure, m_max):
@@ -208,15 +217,6 @@ def decompose_point(point, m, structure):
     return chain
 
 
-def recompose(chain, structure):
-    n = structure.poset.n
-    total = [0] * n
-    for mask in chain:
-        for i in mask_bits(structure.max_weak(mask)):
-            total[i] += 1
-    return tuple(total)
-
-
 def check_normality(structure, k_max):
     """Verify each dilation k <= k_max equals the k-fold Minkowski sum of dilation 1.
 
@@ -252,15 +252,3 @@ def transfer_map(point, poset):
         over = [x[j] for j in mask_bits(poset.above[i])]
         out.append(x[i] - (max(over) if over else Fraction(0)))
     return tuple(out)
-
-
-def normalized_volume(structure):
-    """Normalized volume via the canonical triangulation (each simplex counts 1)."""
-    return len(canonical_triangulation(structure))
-
-
-def point_in_dilation(point, m, structure, simplices=None):
-    """Membership oracle: x lies in m*R iff some m*Delta contains it (exact barycentric)."""
-    if simplices is None:
-        simplices = canonical_triangulation(structure)
-    return any(s.barycentric(point, m) is not None for s in simplices)

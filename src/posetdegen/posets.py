@@ -297,9 +297,6 @@ class RelativeStructure:
                 out |= 1 << i
         return out
 
-    def marking_vector(self):
-        return tuple(self.marking[i] for i in mask_bits(self.marked))
-
     def with_order(self, poset):
         """Same weak order and marking over a stronger base order."""
         return RelativeStructure(poset, self.weak_above, self.marked, self.marking)

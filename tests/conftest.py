@@ -11,8 +11,10 @@ from itertools import permutations, product
 
 import pytest
 
-from posetdegen.posets import Poset, RelativeStructure, transitive_closure
+from posetdegen.posets import Poset, RelativeStructure, mask_bits, transitive_closure
 from posetdegen.lattice import enumerate_ideals, star_mask
+from posetdegen.marked import fundamental_decomposition
+from posetdegen.polytopes import canonical_triangulation, indicator
 
 
 def make_poset(n, above):
@@ -165,6 +167,56 @@ def gt_pattern_count(weight):
 
     rec(top)
     return count
+
+
+def point_in_dilation(point, m, structure, simplices=None):
+    """Membership oracle: x lies in m*R iff some m*Delta contains it (exact barycentric)."""
+    if simplices is None:
+        simplices = canonical_triangulation(structure)
+    return any(s.barycentric(point, m) is not None for s in simplices)
+
+
+def recompose(chain, structure):
+    """Sum of the vertices 1_{max' J} over a chain of ideal masks."""
+    n = structure.poset.n
+    total = [0] * n
+    for mask in chain:
+        for i in mask_bits(structure.max_weak(mask)):
+            total[i] += 1
+    return tuple(total)
+
+
+def naive_mrpp_points(structure, scale=1):
+    """Integer points of R_{scale*lambda} by recursion over tuple-list multichains."""
+    fd = fundamental_decomposition(structure, scale)
+    lat = structure.lattice
+    marked = structure.marked
+    n = structure.poset.n
+    reqs = [k for k, alpha in fd.terms for _ in range(alpha)]
+    top_vertex = indicator(structure.max_weak(structure.poset.full), n)
+    offset = tuple(-fd.shift * t for t in top_vertex)
+    if not reqs:
+        return [offset]
+    sups = lat.superset_lists
+    vertex_vectors = [indicator(structure.max_weak(m), n) for m in lat.masks]
+    points = set()
+    chains = 0
+
+    def rec(last, depth, acc):
+        nonlocal chains
+        if depth == len(reqs):
+            points.add(tuple(acc))
+            chains += 1
+            return
+        base = sups[last] if last is not None else range(len(lat.masks))
+        for j in base:
+            if lat.masks[j] & marked == reqs[depth]:
+                v = vertex_vectors[j]
+                rec(j, depth + 1, [a + b for a, b in zip(acc, v)])
+
+    rec(None, 0, list(offset))
+    assert chains == len(points), "prescribed multichains produced a repeated point"
+    return sorted(points)
 
 
 def nth_finite_difference(values):

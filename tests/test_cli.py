@@ -1,6 +1,9 @@
 import json
+from itertools import combinations
 
 from posetdegen.cli import main
+from posetdegen.lattice import star_mask
+from posetdegen.posets import build_poset, validate_relative_structure
 
 
 SQUARE = {
@@ -112,6 +115,38 @@ def test_components_and_ideal_gens(tmp_path, capsys):
     code, out = run(capsys, ["ideal-gens", poset, "--kind", "hibi"])
     gens = json.loads(out)["generators"]
     assert gens == [{"lead": ["a", "b"], "trail": ["a,b", ""]}]
+
+
+def test_components_generators_use_base_keys(tmp_path, capsys):
+    # w_J = |J & {a,b}|^2 splits the antichain {a,b,c} into two parts that
+    # are not simplices; every trail must be [J1 u J2, J1 * J2] of its lead
+    # pair, computed in the part's own structure
+    elements = ["a", "b", "c"]
+    poset = write(tmp_path, "p.json", {"elements": elements, "covers": []})
+    weights = {
+        ",".join(ideal): str(len(set(ideal) & {"a", "b"}) ** 2)
+        for r in range(4) for ideal in combinations(elements, r)
+    }
+    w = write(tmp_path, "w.json", {"weights": weights})
+    code, out = run(capsys, ["components", poset, "--weights", w])
+    assert code == 0
+    comps = json.loads(out)["components"]
+    assert len(comps) == 2
+    for comp in comps:
+        part = validate_relative_structure(
+            build_poset(elements, comp["order_covers"]), []
+        )
+        lat = part.lattice
+        position = {lat.label_key(i): i for i in range(len(lat))}
+        leads = set()
+        for (k1, k2), trail in comp["generators"]:
+            m1, m2 = lat.masks[position[k1]], lat.masks[position[k2]]
+            union = lat.label_key(lat.position[m1 | m2])
+            meet = lat.label_key(lat.position[star_mask(m1, m2, part)])
+            assert trail == [union, meet]
+            leads.add(frozenset((k1, k2)))
+        assert len(leads) == len(lat.incomparable_pairs)
+        assert not set(comp["vanishing"]) & set(position)
 
 
 def test_marked_polytope_and_recognize(tmp_path, capsys):

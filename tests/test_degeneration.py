@@ -31,7 +31,8 @@ def grid22():
 
 
 def key(structure, labels):
-    return structure.lattice.key_to_position[",".join(sorted(labels))]
+    lat = structure.lattice
+    return [lat.label_key(i) for i in range(len(lat))].index(",".join(sorted(labels)))
 
 
 def test_presentation_chain_empty():

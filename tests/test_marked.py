@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from posetdegen import (
     antichain_poset,
+    build_flag_poset,
     build_mrpp,
     build_poset,
     chain_poset,
@@ -22,23 +24,23 @@ from posetdegen.posets import chain_structure, mask_bits
 from posetdegen.degeneration import canonical_interior_weight
 from posetdegen.polytopes import indicator
 
-from conftest import gt_pattern_count, random_poset
+from conftest import gt_pattern_count, naive_mrpp_points, random_poset
 
 
-def marked_diamond():
+def marked_diamond(marking={"bot": 2, "top": 0}):
     poset = build_poset(
         ["bot", "x", "y", "top"], [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")]
     )
-    return validate_relative_structure(poset, [], {"bot": 2, "top": 0})
+    return validate_relative_structure(poset, [], marking)
 
 
-def marked_diamond_chain():
+def marked_diamond_chain(marking={"bot": 2, "top": 0}):
     # <' keeps the relations with unmarked sources (the FFLV-style weakening)
     poset = build_poset(
         ["bot", "x", "y", "top"], [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")]
     )
     return validate_relative_structure(
-        poset, [("x", "top"), ("y", "top")], {"bot": 2, "top": 0}
+        poset, [("x", "top"), ("y", "top")], marking
     )
 
 
@@ -145,6 +147,21 @@ def test_mrpp_dilation_is_scaled_marking():
                 tuple(a + b for a, b in zip(x, y)) for x in minkowski for y in base
             }
         assert scaled == minkowski
+
+
+def test_mrpp_points_match_naive_recursion():
+    cases = []
+    for make in (marked_diamond, marked_diamond_chain):
+        cases += [(make(), m) for m in (1, 2, 3)]
+        cases.append((make({"bot": 70, "top": 0}), 1))  # wider than PACK_BITS
+        cases.append((make({"bot": 3, "top": -2}), 2))  # negative shift
+    for n in (2, 3, 4):
+        for r in range(n):
+            for inner in combinations(range(1, n), r):
+                f = build_flag_poset(n, (0, *inner, n))
+                cases += [(f.structure(mode), m) for mode in ("gt", "fflv") for m in (1, 2)]
+    for s, m in cases:
+        assert mrpp_points(s, m) == naive_mrpp_points(s, m)
 
 
 def test_mrpp_ehrhart_independent_of_weak_order():
@@ -277,21 +294,6 @@ def test_mrpp_subdivide_canonical_counts_sections():
     for part in sub.parts:
         covered.update(part.points)
     assert covered == set(build_mrpp(std.quotient).points)
-
-
-def test_preimage_mrpp_search_identity_case():
-    # on a standard structure the preimage equals the section itself, so the
-    # recovered part order is among the matches
-    s = marked_diamond_chain()
-    std = standardize(s)
-    from posetdegen.degeneration import canonical_interior_weight
-    from posetdegen.marked import preimage_mrpp_candidates
-
-    w = canonical_interior_weight(std.quotient)
-    sub = mrpp_subdivide(s, [w.values[q] for q in std.lattice_map])
-    for part in sub.parts:
-        matches = preimage_mrpp_candidates(sub, part)
-        assert part.order in matches
 
 
 def test_mcop_marked_order_polytope_inequalities():

@@ -1,0 +1,16 @@
+import ast
+from pathlib import Path
+
+import posetdegen
+
+
+def test_no_assert_statements_in_library():
+    # python -O strips asserts, so the library's bug traps must raise
+    package = Path(posetdegen.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -18,16 +18,18 @@ from posetdegen import (
     transfer_map,
     validate_relative_structure,
 )
-from posetdegen.errors import NotALatticePoint, NotInOrderPolytope
+from posetdegen.errors import InternalClosureFailure, NotALatticePoint, NotInOrderPolytope
 from posetdegen.lattice import max_antichain
-from posetdegen.polytopes import (
-    dilation_points,
-    indicator,
+from posetdegen.polytopes import indicator, packed_dilation
+from posetdegen.posets import RelativeStructure
+
+from conftest import (
+    nth_finite_difference,
     point_in_dilation,
     recompose,
+    small_poset_corpus,
+    valid_weak_structures,
 )
-
-from conftest import nth_finite_difference, small_poset_corpus, valid_weak_structures
 
 
 def grid22():
@@ -88,7 +90,7 @@ def test_triangulation_covers_dilation_two():
     for poset in small_poset_corpus(3):
         for s in valid_weak_structures(poset):
             tri = canonical_triangulation(s)
-            for point in dilation_points(s, 2):
+            for point in lattice_points(s, 2):
                 assert any(t.barycentric(point, 2) is not None for t in tri)
 
 
@@ -157,6 +159,13 @@ def test_decompose_point_rejects():
         decompose_point((0, 1), 1, s)  # {b} is not an ideal indicator
     with pytest.raises(NotALatticePoint):
         decompose_point((5, 0), 2, s)
+
+
+def test_repeated_point_raises():
+    # an unvalidated <' above < makes {a} and {a,b} share the vertex (1, 0)
+    s = RelativeStructure(chain_poset(["a", "b"]), (0, 1))
+    with pytest.raises(InternalClosureFailure):
+        packed_dilation(s, 1)
 
 
 def test_normality_examples():
