@@ -7,6 +7,7 @@ without the denominator); nothing is ever rendered in floating point.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -37,6 +38,8 @@ VALIDATION_ERRORS = (
     KindMismatch, ModeDimsMismatch, NotALatticePoint,
 )
 
+INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+
 
 def fmt_fraction(x):
     f = Fraction(x)
@@ -60,6 +63,42 @@ def load_json(path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
+def shape_error(path, where, expected, value):
+    return ParseError(f"{path}: {where} must be {expected}, got {json.dumps(value)}")
+
+
+def parse_label_pairs(path, data, key):
+    """The optional list of [label, label] pairs under `key` (absent or null: none)."""
+    pairs = data.get(key)
+    if pairs is None:
+        return []
+    if not isinstance(pairs, list):
+        raise shape_error(path, f"'{key}'", "a list of label pairs", pairs)
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, str) for x in pair)):
+            raise shape_error(path, f"{key}[{i}]", "a pair of labels", pair)
+    return [tuple(pair) for pair in pairs]
+
+
+def parse_marking(path, data):
+    """Marking values: JSON integers or decimal integer strings; None when unmarked."""
+    marked = data.get("marked")
+    if marked is None:
+        return None
+    if not isinstance(marked, dict):
+        raise shape_error(path, "'marked'", "an object of integer markings", marked)
+    out = {}
+    for label, value in marked.items():
+        if isinstance(value, int) and not isinstance(value, bool):
+            out[label] = value
+        elif isinstance(value, str) and INTEGER_TEXT.fullmatch(value):
+            out[label] = int(value)
+        else:
+            raise shape_error(path, f"marked[{json.dumps(label)}]", "an integer", value)
+    return out
+
+
 def parse_poset_file(path):
     """Build the validated relative structure described by a poset file."""
     if path is None:
@@ -67,10 +106,16 @@ def parse_poset_file(path):
     data = load_json(path)
     if not isinstance(data, dict) or "elements" not in data:
         raise ParseError(f"{path}: expected an object with an 'elements' list")
-    poset = build_poset(data["elements"], [tuple(c) for c in data.get("covers", [])])
-    weak = [tuple(c) for c in data.get("weak_covers", [])]
-    marked = data.get("marked")
-    return validate_relative_structure(poset, weak, marked)
+    elements = data["elements"]
+    if not isinstance(elements, list):
+        raise shape_error(path, "'elements'", "a list of labels", elements)
+    for i, label in enumerate(elements):
+        if not isinstance(label, str):
+            raise shape_error(path, f"elements[{i}]", "a string", label)
+    covers = parse_label_pairs(path, data, "covers")
+    weak = parse_label_pairs(path, data, "weak_covers")
+    marked = parse_marking(path, data)
+    return validate_relative_structure(build_poset(elements, covers), weak, marked)
 
 
 def parse_weights_file(path, lattice, keys, default_zero=False):

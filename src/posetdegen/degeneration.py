@@ -19,7 +19,7 @@ always reports the literal position.
 from fractions import Fraction
 
 from .errors import InternalClosureFailure, KindMismatch, OutsideCone
-from .lattice import star, sublattice_to_order
+from .lattice import star, star_closure_failure, sublattice_to_order
 from .posets import linear_extension_indices, mask_bits
 
 
@@ -215,8 +215,10 @@ def subdivide(structure, w):
         part_lat = part_structure.lattice
         if set(part_lat.masks) != set(masks):
             raise InternalClosureFailure("part sublattice mismatch after order recovery")
-        for x, y in part_lat.incomparable_pairs:
-            star(x, y, part_structure)  # raises InternalClosureFailure if not closed
+        failure = star_closure_failure(part_structure)
+        if failure is not None:
+            x, y = (part_lat.label_key(pos) for pos in failure)
+            raise InternalClosureFailure(f"star of {x!r} and {y!r} left the lattice")
         # the affine function must reproduce the weight on the part's vertices
         for i in sub:
             vertex_mask = structure.max_weak(lat.masks[i])

@@ -121,6 +121,38 @@ def star(pos1, pos2, structure):
         ) from None
 
 
+def star_closure_failure(structure):
+    """First incomparable pair (a, b) of lattice positions, a < b in scan order,
+    whose star is not an ideal of <; None when the lattice is star-closed.
+
+    Two cases hold by construction and are decided without a scan: trivial <'
+    (the star is J1 ∩ J2) and <' = < (every <'-ideal is a <-ideal).  Otherwise
+    J1 * J2 is the <'-down-closure of gens = J1 ∩ J2 ∩ (max' J1 ∪ max' J2)
+    alone, so each distinct gens is closed once.
+    """
+    weak = structure.weak_above
+    if not any(weak) or weak == structure.poset.above:
+        return None
+    lat = structure.lattice
+    masks = lat.masks
+    if len(masks) == structure.poset.n + 1:
+        return None  # only a chain has n + 1 ideals, and they are all comparable
+    position = lat.position
+    max_weak = [structure.max_weak(m) for m in masks]
+    closed = set()
+    for a, m1 in enumerate(masks):
+        x1 = max_weak[a]
+        for b in range(a + 1, len(masks)):
+            m2 = masks[b]
+            if m1 & ~m2 and m2 & ~m1:
+                gens = m1 & m2 & (x1 | max_weak[b])
+                if gens not in closed:
+                    if structure.weak_down_closure(gens) not in position:
+                        return a, b
+                    closed.add(gens)
+    return None
+
+
 def sublattice_to_order(masks, poset):
     """Recover the unique order stronger than < whose ideal lattice is `masks`.
 

@@ -358,20 +358,16 @@ def validate_relative_structure(poset, weak_covers, marked=None):
 
     structure = RelativeStructure(poset, weak_above)
 
-    from .lattice import star_mask
+    from .lattice import star_closure_failure
 
-    lat = structure.lattice
-    for a in range(len(lat.masks)):
-        for b in range(a + 1, len(lat.masks)):
-            m1, m2 = lat.masks[a], lat.masks[b]
-            if m1 & ~m2 and m2 & ~m1:
-                s = star_mask(m1, m2, structure)
-                if s not in lat.position:
-                    raise ConditionViolated(
-                        "ii",
-                        (lat.label_key(a), lat.label_key(b)),
-                        "ideal lattice is not closed under the star operation",
-                    )
+    failure = star_closure_failure(structure)
+    if failure is not None:
+        lat = structure.lattice
+        raise ConditionViolated(
+            "ii",
+            tuple(lat.label_key(pos) for pos in failure),
+            "ideal lattice is not closed under the star operation",
+        )
 
     if marked is not None:
         marked_mask = 0

@@ -88,6 +88,16 @@ def weaker_order_rows(poset):
     return out
 
 
+def naive_star_closure_failure(structure):
+    """Pairwise oracle: the first incomparable pair of lattice positions whose
+    star is not an ideal, or None."""
+    lat = structure.lattice
+    for a, b in lat.incomparable_pairs:
+        if star_mask(lat.masks[a], lat.masks[b], structure) not in lat.position:
+            return a, b
+    return None
+
+
 def valid_weak_structures(poset, lattice=None):
     """Every relative structure on the poset whose lattice is star-closed."""
     lat = lattice if lattice is not None else enumerate_ideals(poset)
@@ -95,12 +105,7 @@ def valid_weak_structures(poset, lattice=None):
     for rows in weaker_order_rows(poset):
         s = RelativeStructure(poset, rows)
         s.__dict__["lattice"] = lat
-        ok = True
-        for a, b in lat.incomparable_pairs:
-            if star_mask(lat.masks[a], lat.masks[b], s) not in lat.position:
-                ok = False
-                break
-        if ok:
+        if naive_star_closure_failure(s) is None:
             out.append(s)
     return out
 

@@ -1,6 +1,9 @@
 import json
 from itertools import combinations
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from posetdegen.cli import main
 from posetdegen.lattice import star_mask
 from posetdegen.posets import build_poset, validate_relative_structure
@@ -69,6 +72,67 @@ def test_poset_file_errors(tmp_path, capsys):
         "elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]],
     })
     assert main(["validate", cyclic]) == 2
+
+
+MALFORMED_POSET_FILES = {
+    "cover-triple": ({"elements": ["a", "b", "c"], "covers": [["a", "b", "c"]]},
+                     "covers[0]"),
+    "covers-string": ({"elements": ["a", "b"], "covers": "ab"}, "'covers'"),
+    "nested-element": ({"elements": ["a", ["b"]]}, "elements[1]"),
+    "marking-text": ({"elements": ["a"], "marked": {"a": "x"}}, 'marked["a"]'),
+    "elements-string": ({"elements": "ab"}, "'elements'"),
+    "marking-float": ({"elements": ["a", "b"], "covers": [["a", "b"]],
+                       "marked": {"a": 1.5, "b": 0}}, 'marked["a"]'),
+}
+
+
+@pytest.mark.parametrize(
+    "payload,entry", MALFORMED_POSET_FILES.values(), ids=MALFORMED_POSET_FILES.keys()
+)
+def test_malformed_poset_file_is_one_parse_error_line(tmp_path, capsys, payload, entry):
+    poset = write(tmp_path, "bad.json", payload)
+    assert main(["validate", poset]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert entry in err
+    assert "Traceback" not in err
+
+
+def test_marking_strings_of_integers_are_accepted(tmp_path, capsys):
+    payload = dict(DIAMOND_MARKED, marked={"bot": "2", "top": "-0"})
+    code, out = run(capsys, ["validate", write(tmp_path, "p.json", payload)])
+    assert code == 0 and json.loads(out)["marked"] == ["bot", "top"]
+
+
+LABELS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3) | LABELS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(LABELS, inner, max_size=3),
+    max_leaves=6,
+)
+LABEL_PAIRS = st.lists(st.lists(LABELS, min_size=2, max_size=2), max_size=6)
+POSET_FILES = JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "elements": st.lists(LABELS, max_size=6) | JSON_VALUES,
+    "covers": LABEL_PAIRS | JSON_VALUES,
+    "weak_covers": LABEL_PAIRS | JSON_VALUES,
+    "marked": st.dictionaries(LABELS, st.integers(-2, 2) | st.integers(-2, 2).map(str))
+    | JSON_VALUES,
+})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=POSET_FILES)
+def test_arbitrary_poset_files_exit_with_a_documented_code(tmp_path, payload):
+    assert main(["validate", write(tmp_path, "fuzz.json", payload)]) in (0, 2, 4)
+
+
+def test_validate_antichain_of_twelve(tmp_path, capsys):
+    # trivial <' is star-closed by construction: 4096 ideals, no pair scan
+    poset = write(tmp_path, "p.json", {"elements": [f"a{i}" for i in range(12)]})
+    code, out = run(capsys, ["validate", poset])
+    assert code == 0 and json.loads(out)["ideal_count"] == 4096
 
 
 def test_weights_missing_key_is_parse_error(tmp_path, capsys):

@@ -11,11 +11,22 @@ from posetdegen import (
     stronger_orders,
     sublattice_to_order,
 )
-from posetdegen.errors import HeightDeficient, NotASublattice
-from posetdegen.lattice import max_antichain, star_mask
-from posetdegen.posets import linear_extension_indices
+from posetdegen import lattice as lattice_module
+from posetdegen.errors import ConditionViolated, HeightDeficient, NotASublattice
+from posetdegen.lattice import max_antichain, star_closure_failure, star_mask
+from posetdegen.posets import (
+    RelativeStructure,
+    linear_extension_indices,
+    mask_bits,
+    validate_relative_structure,
+)
 
-from conftest import small_poset_corpus, valid_weak_structures
+from conftest import (
+    naive_star_closure_failure,
+    small_poset_corpus,
+    valid_weak_structures,
+    weaker_order_rows,
+)
 
 
 def test_ideal_counts():
@@ -97,6 +108,62 @@ def test_star_indicator_identity_exhaustive():
                     for i in range(poset.n):
                         right[i] += m >> i & 1
                 assert left == right
+
+
+def test_star_closure_failure_matches_pairwise_oracle():
+    # every weaker order on every poset with at most 5 elements, valid or not
+    failures = 0
+    for poset in small_poset_corpus(5):
+        lat = enumerate_ideals(poset)
+        for rows in weaker_order_rows(poset):
+            s = RelativeStructure(poset, rows)
+            s.__dict__["lattice"] = lat
+            expected = naive_star_closure_failure(s)
+            assert star_closure_failure(s) == expected
+            weak = [
+                (poset.elements[i], poset.elements[j])
+                for i in range(poset.n) for j in mask_bits(rows[i])
+            ]
+            if expected is None:
+                validate_relative_structure(poset, weak)
+                continue
+            failures += 1
+            with pytest.raises(ConditionViolated) as info:
+                validate_relative_structure(poset, weak)
+            assert info.value.condition == "ii"
+            assert info.value.witness == tuple(lat.label_key(p) for p in expected)
+            assert str(info.value) == (
+                "condition ii violated: 'ideal lattice is not closed under the star operation'"
+            )
+    assert failures > 0
+
+
+def test_trivial_and_equal_weak_orders_validate_without_star_work(monkeypatch):
+    calls = []
+    real_star_mask = lattice_module.star_mask
+    real_closure = RelativeStructure.weak_down_closure
+
+    def counted_star_mask(*args):
+        calls.append("star_mask")
+        return real_star_mask(*args)
+
+    def counted_closure(self, mask):
+        calls.append("weak_down_closure")
+        return real_closure(self, mask)
+
+    monkeypatch.setattr(lattice_module, "star_mask", counted_star_mask)
+    monkeypatch.setattr(RelativeStructure, "weak_down_closure", counted_closure)
+    cells = [f"p{i}.{j}" for i in range(4) for j in range(4)]
+    covers = [(f"p{i}.{j}", f"p{i + 1}.{j}") for i in range(3) for j in range(4)]
+    covers += [(f"p{i}.{j}", f"p{i}.{j + 1}") for i in range(4) for j in range(3)]
+    grid = build_poset(cells, covers)
+    order_structure(grid)
+    chain_structure(grid)
+    assert calls == []
+    # a weak order strictly between the two does reach the counted closure
+    matching = build_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    validate_relative_structure(matching, [("a", "b")])
+    assert "weak_down_closure" in calls
 
 
 def test_sublattice_to_order_identity():
