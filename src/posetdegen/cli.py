@@ -1,8 +1,9 @@
 """Command line interface: JSON poset/weights files in, deterministic reports out.
 
 Exit codes: 0 success, 2 validation failure, 3 weight outside the cone,
-4 parse error.  All rationals are serialized exactly ("p/q", plain integers
-without the denominator); nothing is ever rendered in floating point.
+4 parse error, 5 internal error (a bug trap of the library fired).  All
+rationals are serialized exactly ("p/q", plain integers without the
+denominator); nothing is ever rendered in floating point.
 """
 
 import argparse
@@ -16,6 +17,7 @@ from .errors import (
     ConditionViolated,
     CycleDetected,
     DuplicateLabel,
+    InternalClosureFailure,
     InvalidDims,
     InvalidIndex,
     InvalidStructure,
@@ -28,6 +30,7 @@ from .errors import (
     OutsideCone,
     ParseError,
     PosetDegenError,
+    TheoremViolation,
     UnknownLabel,
 )
 from .posets import build_poset, mask_bits, validate_relative_structure
@@ -112,6 +115,9 @@ def parse_poset_file(path):
     for i, label in enumerate(elements):
         if not isinstance(label, str):
             raise shape_error(path, f"elements[{i}]", "a string", label)
+        if not label or "," in label:
+            # ideal keys join labels with ',' and the empty ideal's key is ''
+            raise shape_error(path, f"elements[{i}]", "a non-empty label without ','", label)
     covers = parse_label_pairs(path, data, "covers")
     weak = parse_label_pairs(path, data, "weak_covers")
     marked = parse_marking(path, data)
@@ -525,6 +531,9 @@ def main(argv=None):
     except VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+    except (InternalClosureFailure, TheoremViolation) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     emit_report(report, args.format, args.out)
     return 0
 

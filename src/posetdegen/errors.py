@@ -29,7 +29,7 @@ class ConditionViolated(PosetDegenError):
     def __init__(self, condition, witness, message=""):
         self.condition = condition
         self.witness = witness
-        super().__init__(f"condition {condition} violated: {message or witness!r}")
+        super().__init__(f"condition {condition} violated: {message or repr(witness)}")
 
 
 class InternalClosureFailure(PosetDegenError):

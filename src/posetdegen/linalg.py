@@ -3,6 +3,7 @@
 Everything runs over fractions.Fraction; no floating point is used anywhere.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -77,63 +78,69 @@ def solve(matrix, rhs):
     return [mat[i][n] for i in range(n)]
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def in_convex_hull(point, points):
     """Exact test whether `point` is a convex combination of `points`.
 
-    Phase-1 simplex with Bland's rule; terminates and never rounds.
+    A member, or the midpoint of two members, is inside; a point that the
+    sum of the directions to the members separates strictly is outside.
+    Everything else goes to Wolfe's minimum-norm-point algorithm on those
+    directions, which over the rationals is finite and never rounds.
     """
-    pts = [tuple(p) for p in points]
-    if not pts:
+    members = {tuple(p) for p in points}
+    if not members:
         return False
-    d = len(point)
-    m = d + 1
-    nvars = len(pts)
-    rows = [[Fraction(p[r]) for p in pts] for r in range(d)]
-    rows.append([Fraction(1)] * nvars)
-    rhs = [Fraction(x) for x in point] + [Fraction(1)]
-    for r in range(m):
-        if rhs[r] < 0:
-            rows[r] = [-a for a in rows[r]]
-            rhs[r] = -rhs[r]
-    # tableau columns: nvars structural + m artificial + rhs
-    tab = [rows[r] + [Fraction(1) if i == r else Fraction(0) for i in range(m)] + [rhs[r]]
-           for r in range(m)]
-    basis = [nvars + r for r in range(m)]
-    total = nvars + m
+    p = tuple(point)
+    if p in members:
+        return True
+    # tuples are built from lists: CPython grows a tuple built from a
+    # generator by resizing it, so the tuples it frees pile up unused
+    if any(tuple([2 * a - b for a, b in zip(p, q)]) in members for q in members):
+        return True
+    directions = [tuple([b - a for a, b in zip(p, q)]) for q in members]
+    total = [sum(column) for column in zip(*directions)]
+    if all(_dot(total, d) > 0 for d in directions):
+        return False
+    return _origin_in_hull(directions)
+
+
+def _origin_in_hull(directions):
+    """Wolfe (1976): walk to the point of conv(directions) nearest the origin.
+
+    The corral is an affinely independent subset of the directions and
+    `weights` the convex combination x of it; each major step adds the
+    direction least aligned with x, each minor step moves x to the nearest
+    point of the corral's affine hull, stepping back to the hull's boundary
+    (and dropping the points whose weight reaches zero) while that point lies
+    outside the corral's convex hull.
+    """
+    corral = [min(directions, key=lambda d: _dot(d, d))]
+    weights = [Fraction(1)]
     while True:
-        in_basis = set(basis)
-        # phase-1 reduced costs: cost 1 on artificials, 0 on structural columns
-        entering = None
-        for j in range(total):
-            if j in in_basis:
-                continue
-            red = (Fraction(1) if j >= nvars else Fraction(0))
-            red -= sum(tab[i][j] for i in range(m) if basis[i] >= nvars)
-            if red < 0:
-                entering = j
+        x = [sum(w * c[j] for w, c in zip(weights, corral)) for j in range(len(corral[0]))]
+        if not any(x):
+            return True
+        scale = math.lcm(*(a.denominator for a in x))
+        x = [int(a * scale) for a in x]
+        nearest = min(directions, key=lambda d: _dot(x, d))
+        if _dot(x, nearest) > 0:
+            return False  # x separates the directions from the origin
+        corral.append(nearest)
+        weights.append(Fraction(0))
+        while True:
+            k = len(corral)
+            gram = [[_dot(a, b) for b in corral] + [1] for a in corral]
+            alpha = solve(gram + [[1] * k + [0]], [0] * k + [1])[:k]
+            if all(a > 0 for a in alpha):
+                weights = alpha
                 break
-        if entering is None:
-            break
-        ratio = None
-        leaving = None
-        for i in range(m):
-            a = tab[i][entering]
-            if a > 0:
-                r = tab[i][-1] / a
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leaving]):
-                    ratio = r
-                    leaving = i
-        if leaving is None:
-            break  # unbounded cannot happen for a feasibility problem, defensive
-        piv = tab[leaving][entering]
-        tab[leaving] = [a / piv for a in tab[leaving]]
-        for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leaving])]
-        basis[leaving] = entering
-    objective = sum(tab[i][-1] for i in range(m) if basis[i] >= nvars)
-    return objective == 0
+            theta = min(w / (w - a) for w, a in zip(weights, alpha) if a <= 0)
+            weights = [(1 - theta) * w + theta * a for w, a in zip(weights, alpha)]
+            corral = [c for c, w in zip(corral, weights) if w > 0]
+            weights = [w for w in weights if w > 0]
 
 
 def extreme_points(points):

@@ -396,22 +396,25 @@ def mcop_build(poset, marking, chain_part, order_part):
             ranges.append((lam_min, lam_max))
         else:
             ranges.append((0, lam_max - lam_min))
-    constraints = _mcop_chains(poset, marked_mask | o_mask, c_mask)
+    # each chain inequality is checked as soon as its last coordinate is set
+    checks = [[] for _ in range(n)]
+    for chain in _mcop_chains(poset, marked_mask | o_mask, c_mask):
+        a, mids, b = chain
+        checks[max(a, b, *mids)].append(chain)
 
     box_points = []
     point = [0] * n
 
     def enumerate_box(i):
         if i == n:
-            for a, mids, b in constraints:
-                if sum(point[p] for p in mids) > point[a] - point[b]:
-                    return
             box_points.append(tuple(point))
             return
         lo, hi = ranges[i]
         for v in range(lo, hi + 1):
             point[i] = v
-            enumerate_box(i + 1)
+            if all(sum(point[p] for p in mids) <= point[a] - point[b]
+                   for a, mids, b in checks[i]):
+                enumerate_box(i + 1)
 
     enumerate_box(0)
 

@@ -224,6 +224,96 @@ def naive_mrpp_points(structure, scale=1):
     return sorted(points)
 
 
+def naive_in_convex_hull(point, points):
+    """Simplex oracle for `linalg.in_convex_hull`: phase 1 with Bland's rule,
+    exact over the rationals."""
+    pts = [tuple(p) for p in points]
+    if not pts:
+        return False
+    d = len(point)
+    m = d + 1
+    nvars = len(pts)
+    rows = [[Fraction(p[r]) for p in pts] for r in range(d)]
+    rows.append([Fraction(1)] * nvars)
+    rhs = [Fraction(x) for x in point] + [Fraction(1)]
+    for r in range(m):
+        if rhs[r] < 0:
+            rows[r] = [-a for a in rows[r]]
+            rhs[r] = -rhs[r]
+    # tableau columns: nvars structural + m artificial + rhs
+    tab = [rows[r] + [Fraction(1) if i == r else Fraction(0) for i in range(m)] + [rhs[r]]
+           for r in range(m)]
+    basis = [nvars + r for r in range(m)]
+    total = nvars + m
+    while True:
+        in_basis = set(basis)
+        # phase-1 reduced costs: cost 1 on artificials, 0 on structural columns
+        entering = None
+        for j in range(total):
+            if j in in_basis:
+                continue
+            red = (Fraction(1) if j >= nvars else Fraction(0))
+            red -= sum(tab[i][j] for i in range(m) if basis[i] >= nvars)
+            if red < 0:
+                entering = j
+                break
+        if entering is None:
+            break
+        ratio = None
+        leaving = None
+        for i in range(m):
+            a = tab[i][entering]
+            if a > 0:
+                r = tab[i][-1] / a
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leaving]):
+                    ratio = r
+                    leaving = i
+        if leaving is None:
+            break  # unbounded cannot happen for a feasibility problem, defensive
+        piv = tab[leaving][entering]
+        tab[leaving] = [a / piv for a in tab[leaving]]
+        for i in range(m):
+            if i != leaving and tab[i][entering] != 0:
+                f = tab[i][entering]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leaving])]
+        basis[leaving] = entering
+    objective = sum(tab[i][-1] for i in range(m) if basis[i] >= nvars)
+    return objective == 0
+
+
+def naive_mcop_box(poset, marking, chain_part, order_part):
+    """Full bounding-box scan for the marked chain-order polytope: every box
+    point, in lexicographic order, that satisfies x_{p_1} + ... + x_{p_r} <=
+    x_a - x_b on each chain a < p_1 < ... < p_r < b with a, b marked or in
+    `order_part` and every p_i in `chain_part`."""
+    values = {poset.index(k): v for k, v in marking.items()}
+    chain = {poset.index(x) for x in chain_part}
+    anchors = set(values) | {poset.index(x) for x in order_part}
+    lo, hi = min(values.values()), max(values.values())
+    ranges = [
+        [values[i]] if i in values else range(0, hi - lo + 1) if i in chain
+        else range(lo, hi + 1)
+        for i in range(poset.n)
+    ]
+    inequalities = []
+
+    def extend(a, mids):
+        last = mids[-1] if mids else a
+        for b in anchors:
+            if poset.less(last, b):
+                inequalities.append((a, tuple(mids), b))
+        for p in chain:
+            if poset.less(last, p):
+                extend(a, mids + [p])
+
+    for a in anchors:
+        extend(a, [])
+    return [
+        x for x in product(*ranges)
+        if all(sum(x[p] for p in mids) <= x[a] - x[b] for a, mids, b in inequalities)
+    ]
+
+
 def nth_finite_difference(values):
     """values = p(0..n) for a degree-n polynomial; returns n! * leading coeff."""
     seq = list(values)

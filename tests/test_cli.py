@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from posetdegen import degeneration, marked
 from posetdegen.cli import main
 from posetdegen.lattice import star_mask
 from posetdegen.posets import build_poset, validate_relative_structure
@@ -83,6 +84,9 @@ MALFORMED_POSET_FILES = {
     "elements-string": ({"elements": "ab"}, "'elements'"),
     "marking-float": ({"elements": ["a", "b"], "covers": [["a", "b"]],
                        "marked": {"a": 1.5, "b": 0}}, 'marked["a"]'),
+    # ideal keys join labels with ',' and the empty ideal's key is ''
+    "empty-label": ({"elements": ["", "a"]}, "elements[0]"),
+    "comma-label": ({"elements": ["a", "a,b", "b"]}, "elements[1]"),
 }
 
 
@@ -96,6 +100,12 @@ def test_malformed_poset_file_is_one_parse_error_line(tmp_path, capsys, payload,
     assert err.startswith("parse error:") and err.count("\n") == 1
     assert entry in err
     assert "Traceback" not in err
+
+
+def test_flag_and_standardized_labels_are_accepted(tmp_path, capsys):
+    poset = write(tmp_path, "p.json", {"elements": ["p1.2", "a|b"], "covers": [["p1.2", "a|b"]]})
+    code, out = run(capsys, ["ideals", poset])
+    assert code == 0 and json.loads(out)["ideals"] == ["", "p1.2", "a|b,p1.2"]
 
 
 def test_marking_strings_of_integers_are_accepted(tmp_path, capsys):
@@ -223,6 +233,33 @@ def test_marked_polytope_and_recognize(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["found"] is True
+
+
+def test_internal_closure_failure_exits_5(tmp_path, capsys, monkeypatch):
+    # a part whose lattice the star leaves trips subdivide's bug trap
+    monkeypatch.setattr(degeneration, "star_closure_failure", lambda structure: (0, 1))
+    poset = write(tmp_path, "p.json", SQUARE)
+    weights = write(tmp_path, "w.json", {"weights": {"": "4", "a": "1", "b": "1", "a,b": "0"}})
+    assert main(["subdivide", poset, "--weights", weights]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: InternalClosureFailure:") and err.count("\n") == 1
+
+
+def test_theorem_violation_exits_5(tmp_path, capsys, monkeypatch):
+    # an empty MRPP disagrees with the chain-order box in mcop_build
+    monkeypatch.setattr(marked, "mrpp_points", lambda structure, scale=1: [])
+    poset = write(tmp_path, "p.json", DIAMOND_MARKED)
+    assert main(["polytope", poset, "--kind", "mcop", "--chain-set", "x,y"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: TheoremViolation:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,vertices", [("gt", 40), ("fflv", 42)])
+def test_full_flag_vertex_counts(capsys, kind, vertices):
+    code, out = run(capsys, ["polytope", "--kind", kind, "--n", "4", "--dims", "0,1,2,3,4"])
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["lattice_points"]) == 64 and len(report["vertices"]) == vertices
 
 
 def test_flag_command(tmp_path, capsys):

@@ -133,7 +133,7 @@ def test_star_closure_failure_matches_pairwise_oracle():
             assert info.value.condition == "ii"
             assert info.value.witness == tuple(lat.label_key(p) for p in expected)
             assert str(info.value) == (
-                "condition ii violated: 'ideal lattice is not closed under the star operation'"
+                "condition ii violated: ideal lattice is not closed under the star operation"
             )
     assert failures > 0
 

@@ -1,0 +1,126 @@
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
+
+from posetdegen import build_flag_poset
+from posetdegen.linalg import extreme_points, in_convex_hull
+from posetdegen.marked import mrpp_points
+from posetdegen.posets import mask_bits, validate_relative_structure
+
+from conftest import naive_in_convex_hull, posets_up_to_iso
+
+
+def oracle_vertices(points):
+    """The simplex filter; it drops the coordinates that are constant on the
+    set (the marked ones), which changes no hull membership."""
+    pts = [tuple(p) for p in points]
+    free = [j for j in range(len(pts[0])) if len({p[j] for p in pts}) > 1]
+    proj = [tuple(p[j] for j in free) for p in pts]
+    return [p for i, p in enumerate(pts)
+            if not naive_in_convex_hull(proj[i], proj[:i] + proj[i + 1:])]
+
+
+COORDS = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def hull_problems(draw):
+    """A probe and at most 9 points in dimension at most 4: general sets, sets
+    on a line or plane through a base point, with repeated points, and probes
+    that are members, convex combinations, near them or arbitrary."""
+    d = draw(st.integers(1, 4))
+    vec = st.tuples(*[COORDS] * d)
+    k = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        points = draw(st.lists(vec, min_size=k, max_size=k))
+    else:
+        base = draw(vec)
+        gens = draw(st.lists(vec, min_size=1, max_size=max(1, d - 1)))
+        points = []
+        for _ in range(k):
+            steps = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+            points.append(tuple(b + sum(s * g[j] for s, g in zip(steps, gens))
+                                for j, b in enumerate(base)))
+    if points and draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    probe = draw(st.sampled_from(("member", "combination", "near", "any")))
+    if probe == "member" and points:
+        return draw(st.sampled_from(points)), points
+    if probe in ("combination", "near") and points:
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)))
+        total = sum(weights) or 1
+        point = tuple(sum(Fraction(w, total) * q[j] for w, q in zip(weights, points))
+                      for j in range(d))
+        if probe == "near":
+            point = tuple(a + Fraction(draw(COORDS)) / 8 for a in point)
+        return point, points
+    return draw(vec), points
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=hull_problems())
+def test_in_convex_hull_matches_simplex_oracle(problem):
+    point, points = problem
+    assert in_convex_hull(point, points) == naive_in_convex_hull(point, points)
+
+
+def test_in_convex_hull_decided_by_wolfe():
+    # no midpoint certificate and the directions sum to zero: inside
+    triangle = [(-1, -1), (1, 0), (0, 1)]
+    assert in_convex_hull((0, 0), triangle)
+    # outside, although the sum of the directions, (7, 3), does not
+    # separate them: it meets (-2, 1) at -11
+    fan = [(10, 1), (-1, 1), (-2, 1)]
+    assert not in_convex_hull((0, 0), fan)
+    assert in_convex_hull((0, 1), fan)
+    # on an edge, not at its midpoint: the first iterate (0, 1) is
+    # orthogonal to both edge directions, so it must not count as separating
+    assert in_convex_hull((0, 0), [(3, 0), (-2, 0), (0, 1)])
+
+
+def test_in_convex_hull_edge_cases():
+    assert not in_convex_hull((0, 0), [])
+    assert in_convex_hull((1, 1), [(1, 1)])
+    assert in_convex_hull((Fraction(1, 2),), [(0,), (1,)])
+    assert not in_convex_hull((2,), [(0,), (1,)])
+    # a repeated point is inside the rest, so neither copy is a vertex
+    assert extreme_points([(0,), (1,), (1,)]) == [(0,)]
+
+
+def marked_corpus_point_sets():
+    """The distinct MRPP point sets of criterion 7's exhaustive marked corpus,
+    with marking values in 0..2 (every chain/order split gives one of them)."""
+    seen = set()
+    for n in range(1, 5):
+        for poset in posets_up_to_iso(n):
+            marked = poset.minimals | poset.maximals
+            free = [i for i in range(n) if not marked >> i & 1]
+            midx = mask_bits(marked)
+            for values in product(range(3), repeat=len(midx)):
+                lam = dict(zip(midx, values))
+                if any(lam[i] < lam[j] for i in midx for j in mask_bits(poset.above[i] & marked)):
+                    continue
+                marking = {poset.elements[i]: lam[i] for i in midx}
+                for obits in range(1 << len(free)):
+                    weak = [(poset.elements[i], poset.elements[j])
+                            for k, i in enumerate(free) if not obits >> k & 1
+                            for j in mask_bits(poset.above[i])]
+                    structure = validate_relative_structure(poset, weak, marking)
+                    seen.add(tuple(mrpp_points(structure)))
+    return sorted(seen)
+
+
+def test_extreme_points_match_oracle_on_marked_corpus():
+    point_sets = marked_corpus_point_sets()
+    assert len(point_sets) > 50
+    for points in point_sets:
+        assert extreme_points(points) == oracle_vertices(points)
+
+
+def test_extreme_points_match_oracle_on_flags():
+    for n in range(1, 5):
+        f = build_flag_poset(n, tuple(range(n + 1)))
+        for mode in ("gt", "fflv"):
+            points = mrpp_points(f.structure(mode))
+            assert extreme_points(points) == oracle_vertices(points), (n, mode)

@@ -24,7 +24,7 @@ from posetdegen.posets import chain_structure, mask_bits
 from posetdegen.degeneration import canonical_interior_weight
 from posetdegen.polytopes import indicator
 
-from conftest import gt_pattern_count, naive_mrpp_points, random_poset
+from conftest import gt_pattern_count, naive_mcop_box, naive_mrpp_points, random_poset
 
 
 def marked_diamond(marking={"bot": 2, "top": 0}):
@@ -356,3 +356,29 @@ def test_mcop_recognize_order_and_chain():
     s_chain = validate_relative_structure(poset, chain_pairs, marking)
     chain_poly = mcop_build(poset, marking, ["b", "c"], [])
     assert mcop_recognize(s_chain, chain_poly) is not None
+
+
+def test_mcop_pruned_box_matches_full_scan():
+    # every chain/order split of the marked posets above and of the partial
+    # flag posets with n <= 4 (the full n = 4 flag scans a 4^6 box per split)
+    diamond = marked_diamond().poset
+    square = build_poset(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    cases = [
+        (diamond, {"bot": 2, "top": 0}),
+        (diamond, {"bot": 3, "top": -2}),
+        (square, {"a": 2, "d": 0}),
+        (build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")]), {"a": 2, "c": 0}),
+    ]
+    for n, dims in ((2, (0, 1, 2)), (3, (0, 1, 3)), (3, (0, 2, 3)), (3, (0, 1, 2, 3)),
+                    (4, (0, 2, 4)), (4, (0, 1, 2, 4)), (4, (0, 1, 3, 4))):
+        f = build_flag_poset(n, dims)
+        cases.append((f.poset, f.marking))
+    for poset, marking in cases:
+        free = [x for x in poset.elements if x not in marking]
+        for r in range(len(free) + 1):
+            for order_part in combinations(free, r):
+                chain_part = [x for x in free if x not in order_part]
+                poly = mcop_build(poset, marking, chain_part, order_part)
+                assert poly.points == tuple(
+                    naive_mcop_box(poset, marking, chain_part, order_part)
+                )
