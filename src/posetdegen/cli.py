@@ -132,6 +132,8 @@ def parse_weights_file(path, lattice, keys, default_zero=False):
     if not isinstance(data, dict) or "weights" not in data:
         raise ParseError(f"{path}: expected an object with a 'weights' map")
     table = data["weights"]
+    if not isinstance(table, dict):
+        raise shape_error(path, "'weights'", "an object of rationals keyed by ideal", table)
     values = []
     for key in keys:
         if key in table:
@@ -307,6 +309,9 @@ def cmd_ehrhart(args):
 
 
 def cmd_normality(args):
+    limit = (1 << polytopes.PACK_BITS) - 1  # check_normality packs codes of one width
+    if args.max_dilation > limit:
+        raise ParseError(f"--max-dilation {args.max_dilation} exceeds {limit} for normality")
     structure = parse_poset_file(args.file)
     ok, failure = polytopes.check_normality(structure, args.max_dilation)
     report = {"normal": ok, "max_dilation": args.max_dilation}

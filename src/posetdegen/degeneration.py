@@ -157,23 +157,27 @@ def affine_lift_on_chain(structure, extension, values):
 
     Walking the chain, adding element p turns 1_{max' J} into itself plus
     e_p minus the indicators knocked below p by <'; that triangular structure
-    determines the affine function (a, b) by forward substitution.
+    determines the affine function (a, b) by forward substitution.  Returns
+    (a, b) and the lattice positions of the chain's ideals.
     """
-    lat = structure.lattice
+    position = structure.lattice.position
     n = structure.poset.n
     a = [Fraction(0)] * n
     cur_mask = 0
     cur_max = 0
-    prev_value = values[lat.position[0]]
+    chain = [position[0]]
+    prev_value = values[chain[0]]
     b = prev_value
     for p in extension:
         cur_mask |= 1 << p
         knocked = cur_max & structure.weak_below[p]
         cur_max = (cur_max & ~knocked) | (1 << p)
-        value = values[lat.position[cur_mask]]
+        pos = position[cur_mask]
+        chain.append(pos)
+        value = values[pos]
         a[p] = value - prev_value + sum(a[q] for q in mask_bits(knocked))
         prev_value = value
-    return tuple(a), b
+    return (tuple(a), b), chain
 
 
 def subdivide(structure, w):
@@ -181,43 +185,32 @@ def subdivide(structure, w):
 
     Linearizations are grouped by exact equality of their affine lifts; each
     group's chain ideals form the part's sublattice, whose recovered order is
-    the part's <''.  Raises OutsideCone when neither w nor -w is admissible.
+    the part's <''.  Raises OutsideCone when neither w nor -w is admissible:
+    -w lies in the closed cone exactly when no inequality is strict for w.
     """
     values = as_weight(structure, w)
     pos = cone_position(structure, values)
-    if pos.position == "outside":
-        neg = cone_position(structure, tuple(-v for v in values))
-        if neg.position == "outside":
-            lat = structure.lattice
-            raise OutsideCone(
-                [(lat.label_key(a), lat.label_key(b)) for a, b in pos.violated]
-            )
     lat = structure.lattice
+    if (pos.position == "outside"
+            and len(pos.violated) + len(pos.tight) < len(lat.incomparable_pairs)):
+        raise OutsideCone(
+            [(lat.label_key(a), lat.label_key(b)) for a, b in pos.violated]
+        )
     groups = {}
     extensions = linear_extension_indices(structure.poset)
     for ext in extensions:
-        key = affine_lift_on_chain(structure, ext, values)
-        chain_positions = set()
-        cur = 0
-        chain_positions.add(lat.position[0])
-        for p in ext:
-            cur |= 1 << p
-            chain_positions.add(lat.position[cur])
+        key, chain = affine_lift_on_chain(structure, ext, values)
         entry = groups.setdefault(key, [set(), 0])
-        entry[0] |= chain_positions
+        entry[0].update(chain)
         entry[1] += 1
     parts = []
     for (a, b), (positions, count) in groups.items():
         sub = tuple(sorted(positions))
-        masks = [lat.masks[i] for i in sub]
-        order = sublattice_to_order(masks, structure.poset)
+        order = sublattice_to_order([lat.masks[i] for i in sub], structure.poset)
         part_structure = structure.with_order(order)
-        part_lat = part_structure.lattice
-        if set(part_lat.masks) != set(masks):
-            raise InternalClosureFailure("part sublattice mismatch after order recovery")
         failure = star_closure_failure(part_structure)
         if failure is not None:
-            x, y = (part_lat.label_key(pos) for pos in failure)
+            x, y = (part_structure.lattice.label_key(pos) for pos in failure)
             raise InternalClosureFailure(f"star of {x!r} and {y!r} left the lattice")
         # the affine function must reproduce the weight on the part's vertices
         for i in sub:

@@ -8,7 +8,7 @@ canonical key used by weight vectors downstream.
 from functools import cached_property
 
 from .errors import HeightDeficient, InternalClosureFailure, NotASublattice
-from .posets import Poset, mask_bits, transitive_closure
+from .posets import Poset, mask_bits
 
 
 class IdealLattice:
@@ -125,18 +125,21 @@ def star_closure_failure(structure):
     """First incomparable pair (a, b) of lattice positions, a < b in scan order,
     whose star is not an ideal of <; None when the lattice is star-closed.
 
-    Two cases hold by construction and are decided without a scan: trivial <'
-    (the star is J1 ∩ J2) and <' = < (every <'-ideal is a <-ideal).  Otherwise
+    Three cases hold by construction and are decided without a scan or the
+    lattice: trivial <' (the star is J1 ∩ J2), <' = < (every <'-ideal is a
+    <-ideal) and < a chain (n(n-1)/2 relations; no incomparable pair).  Otherwise
     J1 * J2 is the <'-down-closure of gens = J1 ∩ J2 ∩ (max' J1 ∪ max' J2)
     alone, so each distinct gens is closed once.
     """
     weak = structure.weak_above
-    if not any(weak) or weak == structure.poset.above:
+    above = structure.poset.above
+    if not any(weak) or weak == above:
         return None
+    n = structure.poset.n
+    if sum(bin(row).count("1") for row in above) == n * (n - 1) // 2:
+        return None  # < is a chain, so its ideals are all comparable
     lat = structure.lattice
     masks = lat.masks
-    if len(masks) == structure.poset.n + 1:
-        return None  # only a chain has n + 1 ideals, and they are all comparable
     position = lat.position
     max_weak = [structure.max_weak(m) for m in masks]
     closed = set()
@@ -156,34 +159,36 @@ def star_closure_failure(structure):
 def sublattice_to_order(masks, poset):
     """Recover the unique order stronger than < whose ideal lattice is `masks`.
 
-    Defined by p ≺ q iff every member containing q also contains p; the input
-    must be union/intersection closed and contain a maximal chain.
+    Defined by p ≺ q iff every member containing q also contains p; that
+    relation is transitive except on a cycle, whose elements enter no ideal.
+    So with the full set a member, one certificate (the recovered order's
+    ideals are the members) decides closure and acyclicity; the pairwise
+    scan runs only to name a failure.
     """
     members = set(masks)
-    for a in members:
-        for b in members:
-            if a | b not in members or a & b not in members:
-                raise NotASublattice("set is not closed under union/intersection")
-    sizes = {bin(m).count("1") for m in members}
-    if sizes != set(range(poset.n + 1)):
-        raise HeightDeficient(
-            f"sublattice has height {len(sizes)}, expected {poset.n + 1}"
-        )
+
+    def fail(error, message):
+        for a in members:
+            for b in members:
+                if a | b not in members or a & b not in members:
+                    raise NotASublattice("set is not closed under union/intersection")
+        raise error(message)
+
     n = poset.n
+    sizes = {bin(m).count("1") for m in members}
+    if sizes != set(range(n + 1)):
+        fail(HeightDeficient, f"sublattice has height {len(sizes)}, expected {n + 1}")
     above = [0] * n
     for q in range(n):
-        containing = [m for m in members if m >> q & 1]
         meet = poset.full
-        for m in containing:
-            meet &= m
+        for m in members:
+            if m >> q & 1:
+                meet &= m
         for p in mask_bits(meet & ~(1 << q)):
             above[p] |= 1 << q
-    closed = transitive_closure(above, n)
-    if closed != tuple(above):
-        raise NotASublattice("recovered relation failed to be transitive")
-    stronger = Poset(poset.elements, closed)
+    stronger = Poset(poset.elements, above)
     if not poset.is_weaker_than(stronger):
-        raise NotASublattice("recovered order is not stronger than the base order")
+        fail(NotASublattice, "recovered order is not stronger than the base order")
     if set(enumerate_ideals(stronger).masks) != members:
-        raise NotASublattice("recovered order does not reproduce the sublattice")
+        fail(NotASublattice, "recovered order does not reproduce the sublattice")
     return stronger

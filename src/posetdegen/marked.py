@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .degeneration import subdivide
+from .degeneration import Part, subdivide
 from .errors import (
     InternalClosureFailure,
     InvalidStructure,
@@ -255,12 +255,7 @@ class MarkedPart:
     def vertices(self):
         return tuple(sorted(linalg.extreme_points(self.points)))
 
-    def added_covers(self, base_poset):
-        return [
-            (self.order.elements[i], self.order.elements[j])
-            for i, j in self.order.covers()
-            if not base_poset.less(i, j)
-        ]
+    added_covers = Part.added_covers
 
 
 class MarkedSubdivision:

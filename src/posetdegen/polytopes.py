@@ -184,7 +184,7 @@ def lattice_points(structure, m):
 
 def ehrhart_values(structure, m_max):
     """Counts of lattice points of the dilations m = 0..m_max."""
-    return [len(packed_dilation(structure, m)) for m in range(m_max + 1)]
+    return [len(packed_multichains(structure, 0, [0] * m)) for m in range(m_max + 1)]
 
 
 def decompose_point(point, m, structure):

@@ -92,12 +92,9 @@ class Poset:
 
     def covers(self):
         """Cover pairs (i, j) with i < j and nothing strictly between."""
-        out = []
-        for i in range(self.n):
-            for j in mask_bits(self.above[i]):
-                if not any(self.less(i, k) and self.less(k, j) for k in range(self.n)):
-                    out.append((i, j))
-        return out
+        below = self.below
+        return [(i, j) for i in range(self.n) for j in mask_bits(self.above[i])
+                if not self.above[i] & below[j]]
 
     def cover_labels(self):
         return [(self.elements[i], self.elements[j]) for i, j in self.covers()]

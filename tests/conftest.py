@@ -119,6 +119,16 @@ def random_poset(rng, n, density=0.35):
     return make_poset(n, transitive_closure(above, n))
 
 
+def naive_covers(poset):
+    """Triple-loop oracle for cover pairs: i < j with no k strictly between."""
+    out = []
+    for i in range(poset.n):
+        for j in mask_bits(poset.above[i]):
+            if not any(poset.less(i, k) and poset.less(k, j) for k in range(poset.n)):
+                out.append((i, j))
+    return out
+
+
 def brute_force_extensions(poset):
     """Permutation filter oracle for linear extensions."""
     n = poset.n

@@ -156,6 +156,16 @@ def test_weights_missing_key_is_parse_error(tmp_path, capsys):
     assert json.loads(out)["position"] == "outside"
 
 
+@pytest.mark.parametrize("table", ["x", None], ids=["weights-string", "weights-null"])
+def test_malformed_weights_file_is_one_parse_error_line(tmp_path, capsys, table):
+    poset = write(tmp_path, "p.json", SQUARE)
+    weights = write(tmp_path, "w.json", {"weights": table})
+    assert main(["subdivide", poset, "--weights", weights]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert "'weights'" in err
+
+
 def test_subdivide_schema_and_exit_codes(tmp_path, capsys):
     poset = write(tmp_path, "p.json", SQUARE)
     canonical = write(tmp_path, "w.json", {
@@ -295,6 +305,17 @@ def test_normality_command(tmp_path, capsys):
     code, out = run(capsys, ["normality", poset, "--max-dilation", "3"])
     assert code == 0
     assert json.loads(out)["normal"] is True
+
+
+def test_max_dilation_of_64_and_more(tmp_path, capsys):
+    # normality compares packed codes of one width; the Ehrhart count adapts it
+    poset = write(tmp_path, "p.json", {"elements": ["a"]})
+    assert main(["normality", poset, "--max-dilation", "64"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    code, out = run(capsys, ["ehrhart", poset, "--max-dilation", "70"])
+    assert code == 0
+    assert json.loads(out)["ehrhart"] == {str(m): m + 1 for m in range(71)}
 
 
 def test_mcop_polytope_command(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from posetdegen import degeneration, lattice as lattice_module
 from posetdegen import (
     antichain_poset,
     canonical_interior_weight,
@@ -122,8 +123,56 @@ def test_subdivide_outside_raises():
     # incomparable singletons makes w and -w both fail some inequality
     w[key(s, ["a"])] = 5
     w[key(s, ["b"])] = -5
-    with pytest.raises(OutsideCone):
+    with pytest.raises(OutsideCone) as info:
         subdivide(s, w)
+    assert info.value.witnesses == (("a", "c"), ("a", "b,c"), ("a,b", "b,c"))
+
+
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def grid33():
+    cells = [f"p{i}{j}" for i in range(3) for j in range(3)]
+    covers = [(f"p{i}{j}", f"p{i + 1}{j}") for i in range(2) for j in range(3)]
+    covers += [(f"p{i}{j}", f"p{i}{j + 1}") for i in range(3) for j in range(2)]
+    return build_poset(cells, covers)
+
+
+def test_subdivide_enumerates_each_parts_ideals_once(monkeypatch):
+    # the base lattice once, then one enumeration per part inside
+    # sublattice_to_order; each part is a chain, so its star check needs none
+    calls = counted(monkeypatch, lattice_module, "enumerate_ideals")
+    for s in (order_structure(grid33()), chain_structure(grid33())):
+        calls.clear()
+        sub = subdivide(s, canonical_interior_weight(s))
+        assert len(sub.parts) == 42
+        assert len(calls) == 1 + len(sub.parts)
+
+
+def test_subdivide_negated_weight_evaluates_the_cone_once(monkeypatch):
+    calls = counted(monkeypatch, degeneration, "cone_position")
+    for s in (order_structure(grid33()), chain_structure(grid22())):
+        w = canonical_interior_weight(s)
+        plus = subdivide(s, w)
+        calls.clear()
+        minus = subdivide(s, -w)
+        assert len(calls) == 1
+        assert [(p.sublattice, p.order, p.linearization_count) for p in minus.parts] == [
+            (p.sublattice, p.order, p.linearization_count) for p in plus.parts
+        ]
+        assert [p.affine for p in minus.parts] == [
+            (tuple(-x for x in p.affine[0]), -p.affine[1]) for p in plus.parts
+        ]
 
 
 def test_subdivide_soundness_sampled():

@@ -206,6 +206,37 @@ def test_sublattice_errors():
         sublattice_to_order([0b00, 0b11], poset)
 
 
+ABC = antichain_poset(["a", "b", "c"])
+A_B_C = chain_poset(["a", "b", "c"])
+SUBLATTICE_CASES = {
+    # {a} | {b} is missing although every height is present
+    "not-closed": (ABC, [0b000, 0b001, 0b010, 0b101, 0b111], NotASublattice,
+                   "not closed under union/intersection"),
+    "closed-but-short": (ABC, [0b000, 0b111], HeightDeficient, "height 2, expected 4"),
+    # b and c enter together: the recovered relation has the cycle b < c < b
+    "cycle": (ABC, [0b000, 0b001, 0b110, 0b111], NotASublattice,
+              "does not reproduce the sublattice"),
+    # c before b before a: a chain of sets, but not of ideals of a < b < c
+    "not-ideals": (A_B_C, [0b000, 0b100, 0b110, 0b111], NotASublattice,
+                   "not stronger than the base order"),
+    "whole-lattice": (ABC, enumerate_ideals(ABC).masks, ABC, None),
+    "maximal-chain": (ABC, [0b000, 0b010, 0b011, 0b111],
+                      build_poset(["a", "b", "c"], [("b", "a"), ("a", "c")]), None),
+}
+
+
+@pytest.mark.parametrize(
+    "poset,masks,expected,message", SUBLATTICE_CASES.values(), ids=SUBLATTICE_CASES.keys()
+)
+def test_sublattice_to_order_outcomes(poset, masks, expected, message):
+    if message is None:
+        assert sublattice_to_order(masks, poset) == expected
+        return
+    with pytest.raises(expected, match=message) as info:
+        sublattice_to_order(masks, poset)
+    assert type(info.value) is expected
+
+
 def test_maximal_chain_count_equals_extensions():
     for poset in small_poset_corpus(5):
         lat = enumerate_ideals(poset)

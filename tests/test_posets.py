@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from posetdegen import (
@@ -19,7 +21,7 @@ from posetdegen.errors import (
 )
 from posetdegen.posets import mask_bits
 
-from conftest import brute_force_extensions, small_poset_corpus
+from conftest import brute_force_extensions, naive_covers, random_poset, small_poset_corpus
 
 
 def grid(rows, cols):
@@ -169,3 +171,11 @@ def test_validate_marked_antichain():
     p = antichain_poset(["a", "b"])
     s = validate_relative_structure(p, [], {"a": 2, "b": 1})
     assert sorted(mask_bits(s.marked)) == [0, 1]
+
+
+def test_covers_match_triple_loop_oracle():
+    rng = random.Random(8)
+    posets = small_poset_corpus(5) + [random_poset(rng, 8, density) for density in
+                                      (0.2, 0.35, 0.5) for _ in range(30)]
+    for poset in posets:
+        assert poset.covers() == naive_covers(poset)
