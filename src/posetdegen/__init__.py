@@ -10,7 +10,6 @@ from .posets import (
     chain_structure,
     linear_extensions,
     order_structure,
-    stronger_orders,
     validate_relative_structure,
 )
 from .lattice import enumerate_ideals, max_antichain, star, sublattice_to_order

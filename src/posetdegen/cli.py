@@ -295,7 +295,13 @@ def cmd_polytope(args):
     }
 
 
+def reject_negative_dilation(args):
+    if args.max_dilation < 0:
+        raise ParseError(f"--max-dilation must not be negative, got {args.max_dilation}")
+
+
 def cmd_ehrhart(args):
+    reject_negative_dilation(args)
     structure = parse_poset_file(args.file)
     if structure.marked:
         counts = {
@@ -309,6 +315,7 @@ def cmd_ehrhart(args):
 
 
 def cmd_normality(args):
+    reject_negative_dilation(args)
     limit = (1 << polytopes.PACK_BITS) - 1  # check_normality packs codes of one width
     if args.max_dilation > limit:
         raise ParseError(f"--max-dilation {args.max_dilation} exceeds {limit} for normality")
@@ -360,7 +367,7 @@ def cmd_subdivide(args):
     parts = []
     for part in sub.parts:
         inside = set(part.sublattice)
-        vanishing = [lat.label_key(i) for i in range(len(lat)) if i not in inside]
+        vanishing = [keys[i] for i in range(len(lat)) if i not in inside]
         parts.append(
             part_report(structure, part, len(part.sublattice), len(part.sublattice),
                         vanishing)

@@ -8,19 +8,24 @@ in the closed cone cut out by
     w_{J1} + w_{J2} <= w_{J1 u J2} + w_{J1 * J2}
 
 over incomparable pairs.  The subdivision itself is computed without convex
-hulls: the linearization simplices triangulate every part, so grouping
-simplices by exact equality of the interpolated affine lift is correct, and
-that grouping is invariant under negating the weight.  Worked examples in
-the literature appear in both lifting conventions, so `subdivide` accepts a
-weight whenever it or its negation lies in the closed cone; `cone_position`
-always reports the literal position.
+hulls: the linearization simplices triangulate every part, and the part of
+a simplex is the set of ideals J on which its affine lift f meets the
+weight, f(J) = w_J.  Strictly inside the cone every simplex is its own
+part; on the boundary the parts are found by walking across their walls,
+so the work grows with the number of parts rather than with e(P), and a
+walk that would lift more than e(P) linearizations lifts each one once
+instead.  The parts do not change when the weight is negated.  Worked
+examples in the literature appear in both lifting conventions, so
+`subdivide` accepts a weight whenever it or its negation lies in the
+closed cone; `cone_position` always reports the literal position.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InternalClosureFailure, KindMismatch, OutsideCone
-from .lattice import star, star_closure_failure, sublattice_to_order
-from .posets import linear_extension_indices, mask_bits
+from .lattice import IdealLattice, star, star_closure_failure, sublattice_to_order
+from .posets import Poset, linear_extension_indices, mask_bits
 
 
 class WeightVector:
@@ -153,21 +158,20 @@ class Subdivision:
 
 
 def affine_lift_on_chain(structure, extension, values):
-    """Interpolate the weight on the simplex of one linearization.
+    """Interpolate integer weights on the simplex of one linearization.
 
     Walking the chain, adding element p turns 1_{max' J} into itself plus
     e_p minus the indicators knocked below p by <'; that triangular structure
-    determines the affine function (a, b) by forward substitution.  Returns
-    (a, b) and the lattice positions of the chain's ideals.
+    determines the affine function (a, b) by forward substitution, in ints
+    when the values are ints.  Returns (a, b) and the lattice positions of
+    the chain's ideals.
     """
     position = structure.lattice.position
-    n = structure.poset.n
-    a = [Fraction(0)] * n
+    a = [0] * structure.poset.n
     cur_mask = 0
     cur_max = 0
-    chain = [position[0]]
-    prev_value = values[chain[0]]
-    b = prev_value
+    chain = [0]  # the empty ideal sorts first
+    prev_value = b = values[0]
     for p in extension:
         cur_mask |= 1 << p
         knocked = cur_max & structure.weak_below[p]
@@ -180,47 +184,162 @@ def affine_lift_on_chain(structure, extension, values):
     return (tuple(a), b), chain
 
 
+def first_linearization(poset):
+    """A linearization of (P,<): each element after everything below it."""
+    out = []
+    placed = 0
+    while placed != poset.full:
+        i = next(i for i in mask_bits(poset.full & ~placed) if poset.below[i] & ~placed == 0)
+        out.append(i)
+        placed |= 1 << i
+    return out
+
+
+def wall_crossings(ext, order, base):
+    """One linearization of the base order beyond each wall of a part.
+
+    `ext` is a linearization of the part's order <''.  For each cover
+    p ⋖'' q that the base order leaves incomparable, the elements between p
+    and q in `ext` that lie above p move to just after q: nothing lies
+    between p and q, so this is a linearization of <'' with q right after p.
+    Swapping p and q gives a linearization of < whose simplex lies across
+    that wall.
+    """
+    index = {x: k for k, x in enumerate(ext)}
+    for p, q in order.covers():
+        if base.less(p, q):
+            continue
+        i, j = index[p], index[q]
+        above = order.above[p]
+        between = ext[i + 1:j]
+        yield (ext[:i] + [x for x in between if not above >> x & 1] + [q, p]
+               + [x for x in between if above >> x & 1] + ext[j + 1:])
+
+
+def check_part_star(part_structure):
+    failure = star_closure_failure(part_structure)
+    if failure is not None:
+        x, y = (part_structure.lattice.label_key(pos) for pos in failure)
+        raise InternalClosureFailure(f"star of {x!r} and {y!r} left the lattice")
+
+
+def triangulation_parts(structure, values, vertex_bits):
+    """One part per linearization, for weights strictly inside the cone (or
+    its negation): the part's order is the linearization itself."""
+    poset = structure.poset
+    parts = []
+    lifts = set()
+    for ext in linear_extension_indices(poset):
+        affine, chain = affine_lift_on_chain(structure, ext, values)
+        if affine in lifts:
+            raise InternalClosureFailure("two linearizations share an affine lift")
+        lifts.add(affine)
+        a, b = affine
+        for i in chain:
+            if b + sum(a[p] for p in vertex_bits[i]) != values[i]:
+                raise InternalClosureFailure("affine lift does not interpolate the part")
+        above = [0] * poset.n
+        later = 0
+        for p in reversed(ext):
+            above[p] = later
+            later |= 1 << p
+        order = Poset(poset.elements, above)
+        check_part_star(structure.with_order(order))
+        parts.append((chain, order, affine, 1))
+    return parts
+
+
+def walk_parts(structure, values, vertex_bits, linearizations):
+    """The parts of a coarse subdivision, walked from part to part.
+
+    A part's lift f is read off any of its linearizations; its members are
+    the ideals J with f(J) = w_J, and each wall to a neighbouring part is
+    crossed by `wall_crossings`.  A walk across a fine subdivision lifts
+    each part once per wall; once it has made as many lifts as there are
+    linearizations, every linearization is lifted once instead, so the walk
+    never costs more than twice the lifts of `triangulation_parts`.  The
+    weight must lie on one side of every part's lift (w - f >= 0
+    throughout, or <= 0 throughout): that one-sided lift certifies the
+    subdivision as regular.
+    """
+    poset = structure.poset
+    masks = structure.lattice.masks
+    parts = []
+    lifts = set()
+    signs = set()
+
+    def visit(ext):
+        """The order of the part that `ext` lies in, or None if already found."""
+        affine, _ = affine_lift_on_chain(structure, ext, values)
+        if affine in lifts:
+            return None
+        lifts.add(affine)
+        a, b = affine
+        members = []
+        for i, bits in enumerate(vertex_bits):
+            gap = values[i] - b - sum(a[p] for p in bits)
+            if gap:
+                signs.add(gap > 0)
+            else:
+                members.append(i)
+        if len(signs) > 1:
+            raise InternalClosureFailure("the weight lies on both sides of a part's lift")
+        member_masks = [masks[i] for i in members]
+        order = sublattice_to_order(member_masks, poset)
+        # sublattice_to_order certified member_masks as exactly J(<''), in lattice order
+        part_lattice = IdealLattice(order, member_masks)
+        check_part_star(structure.with_order(order, part_lattice))
+        parts.append((members, order, affine, part_lattice.maximal_chain_count()))
+        return order
+
+    queue = [first_linearization(poset)]
+    budget = linearizations
+    while queue and budget:
+        ext = queue.pop()
+        budget -= 1
+        order = visit(ext)
+        if order is not None:
+            queue.extend(wall_crossings(ext, order, poset))
+    if queue:
+        for ext in linear_extension_indices(poset):
+            visit(ext)
+    return parts
+
+
 def subdivide(structure, w):
     """Regular subdivision of R(P,<,<') induced by a weight in the closed cone.
 
-    Linearizations are grouped by exact equality of their affine lifts; each
-    group's chain ideals form the part's sublattice, whose recovered order is
-    the part's <''.  Raises OutsideCone when neither w nor -w is admissible:
-    -w lies in the closed cone exactly when no inequality is strict for w.
+    Raises OutsideCone when neither w nor -w is admissible: -w lies in the
+    closed cone exactly when no inequality is strict for w.  When every
+    inequality is strict for w or for -w, each linearization simplex is a
+    part (`triangulation_parts`); otherwise the parts are walked
+    (`walk_parts`), at a cost that grows with their number, not with e(P),
+    and is at most that of lifting every linearization twice.
+    The weight is scaled once to integers, and each affine lift is divided
+    back.  Either way the parts' linearization counts must add up to e(P).
     """
     values = as_weight(structure, w)
     pos = cone_position(structure, values)
     lat = structure.lattice
-    if (pos.position == "outside"
-            and len(pos.violated) + len(pos.tight) < len(lat.incomparable_pairs)):
+    pairs = len(lat.incomparable_pairs)
+    if pos.position == "outside" and len(pos.violated) + len(pos.tight) < pairs:
         raise OutsideCone(
             [(lat.label_key(a), lat.label_key(b)) for a, b in pos.violated]
         )
-    groups = {}
-    extensions = linear_extension_indices(structure.poset)
-    for ext in extensions:
-        key, chain = affine_lift_on_chain(structure, ext, values)
-        entry = groups.setdefault(key, [set(), 0])
-        entry[0].update(chain)
-        entry[1] += 1
-    parts = []
-    for (a, b), (positions, count) in groups.items():
-        sub = tuple(sorted(positions))
-        order = sublattice_to_order([lat.masks[i] for i in sub], structure.poset)
-        part_structure = structure.with_order(order)
-        failure = star_closure_failure(part_structure)
-        if failure is not None:
-            x, y = (part_structure.lattice.label_key(pos) for pos in failure)
-            raise InternalClosureFailure(f"star of {x!r} and {y!r} left the lattice")
-        # the affine function must reproduce the weight on the part's vertices
-        for i in sub:
-            vertex_mask = structure.max_weak(lat.masks[i])
-            value = b + sum(a[p] for p in mask_bits(vertex_mask))
-            if value != values[i]:
-                raise InternalClosureFailure("affine lift does not interpolate the part")
-        parts.append(Part(sub, order, (a, b), count))
-    parts.sort(key=lambda p: p.sublattice)
-    if sum(p.linearization_count for p in parts) != len(extensions):
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    vertex_bits = [mask_bits(structure.max_weak(m)) for m in lat.masks]
+    linearizations = lat.maximal_chain_count()
+    if not pos.tight and len(pos.violated) in (0, pairs):
+        found = triangulation_parts(structure, ints, vertex_bits)
+    else:
+        found = walk_parts(structure, ints, vertex_bits, linearizations)
+    parts = sorted(
+        (Part(sub, order, (tuple(Fraction(x, scale) for x in a), Fraction(b, scale)), count)
+         for sub, order, (a, b), count in found),
+        key=lambda p: p.sublattice,
+    )
+    if sum(p.linearization_count for p in parts) != linearizations:
         raise InternalClosureFailure("parts do not account for every linearization")
     return Subdivision(structure, values, parts)
 

@@ -19,10 +19,6 @@ class CycleDetected(PosetDegenError):
         super().__init__("cycle: " + " < ".join(self.cycle + (self.cycle[0],)))
 
 
-class SizeBoundExceeded(PosetDegenError):
-    pass
-
-
 class ConditionViolated(PosetDegenError):
     """A relative-structure condition failed; carries the condition name and a witness."""
 

@@ -8,23 +8,9 @@ indexing.  The strict order itself is stored as one bitmask per element:
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 
-from .errors import (
-    ConditionViolated,
-    CycleDetected,
-    DuplicateLabel,
-    SizeBoundExceeded,
-    UnknownLabel,
-)
-
-DEFAULT_SIZE_BOUND = 7
-
-
-def size_bound():
-    """Guard for exhaustive enumerations; POSETDEGEN_SIZE_BOUND overrides it."""
-    return int(os.environ.get("POSETDEGEN_SIZE_BOUND", DEFAULT_SIZE_BOUND))
+from .errors import ConditionViolated, CycleDetected, DuplicateLabel, UnknownLabel
 
 
 def transitive_closure(above, n):
@@ -223,35 +209,6 @@ def linear_extension_indices(poset):
     return out
 
 
-def stronger_orders(poset, bound=None):
-    """All partial orders on the same elements whose relation contains the given one.
-
-    Exhaustive BFS adding one pair at a time and closing; memoized by the
-    closed relation, guarded by the size bound (exponential blow-up beyond).
-    """
-    limit = size_bound() if bound is None else bound
-    if poset.n > limit:
-        raise SizeBoundExceeded(
-            f"stronger_orders on {poset.n} elements exceeds bound {limit}"
-        )
-    n = poset.n
-    seen = {poset.above}
-    queue = [poset.above]
-    while queue:
-        above = queue.pop()
-        for i in range(n):
-            for j in range(n):
-                if i == j or above[i] >> j & 1 or above[j] >> i & 1:
-                    continue
-                rows = list(above)
-                rows[i] |= 1 << j
-                closed = transitive_closure(rows, n)
-                if closed not in seen:
-                    seen.add(closed)
-                    queue.append(closed)
-    return [Poset(poset.elements, above) for above in sorted(seen)]
-
-
 class RelativeStructure:
     """A validated triple (P, <, <') with an optional marking.
 
@@ -294,9 +251,15 @@ class RelativeStructure:
                 out |= 1 << i
         return out
 
-    def with_order(self, poset):
-        """Same weak order and marking over a stronger base order."""
-        return RelativeStructure(poset, self.weak_above, self.marked, self.marking)
+    def with_order(self, poset, lattice=None):
+        """Same weak order and marking over a stronger base order.
+
+        `lattice`, when given, must be J(poset); it spares the enumeration.
+        """
+        out = RelativeStructure(poset, self.weak_above, self.marked, self.marking)
+        if lattice is not None:
+            out.__dict__["lattice"] = lattice
+        return out
 
     def unmarked(self):
         return RelativeStructure(self.poset, self.weak_above)

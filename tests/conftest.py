@@ -11,8 +11,14 @@ from itertools import permutations, product
 
 import pytest
 
-from posetdegen.posets import Poset, RelativeStructure, mask_bits, transitive_closure
-from posetdegen.lattice import enumerate_ideals, star_mask
+from posetdegen.posets import (
+    Poset,
+    RelativeStructure,
+    linear_extension_indices,
+    mask_bits,
+    transitive_closure,
+)
+from posetdegen.lattice import enumerate_ideals, star_mask, sublattice_to_order
 from posetdegen.marked import fundamental_decomposition
 from posetdegen.polytopes import canonical_triangulation, indicator
 
@@ -108,6 +114,72 @@ def valid_weak_structures(poset, lattice=None):
         if naive_star_closure_failure(s) is None:
             out.append(s)
     return out
+
+
+def stronger_orders(poset):
+    """All partial orders on the same elements whose relation contains the given one.
+
+    Exhaustive BFS adding one pair at a time and closing; memoized by the
+    closed relation.  Exponential: meant for the small test corpus.
+    """
+    n = poset.n
+    seen = {poset.above}
+    queue = [poset.above]
+    while queue:
+        above = queue.pop()
+        for i in range(n):
+            for j in range(n):
+                if i == j or above[i] >> j & 1 or above[j] >> i & 1:
+                    continue
+                rows = list(above)
+                rows[i] |= 1 << j
+                closed = transitive_closure(rows, n)
+                if closed not in seen:
+                    seen.add(closed)
+                    queue.append(closed)
+    return [Poset(poset.elements, above) for above in sorted(seen)]
+
+
+def naive_affine_lift(structure, extension, values):
+    """Interpolate the weight on the simplex of one linearization, in Fractions."""
+    position = structure.lattice.position
+    n = structure.poset.n
+    a = [Fraction(0)] * n
+    cur_mask = 0
+    cur_max = 0
+    chain = [position[0]]
+    prev_value = values[chain[0]]
+    b = prev_value
+    for p in extension:
+        cur_mask |= 1 << p
+        knocked = cur_max & structure.weak_below[p]
+        cur_max = (cur_max & ~knocked) | (1 << p)
+        pos = position[cur_mask]
+        chain.append(pos)
+        value = values[pos]
+        a[p] = value - prev_value + sum(a[q] for q in mask_bits(knocked))
+        prev_value = value
+    return (tuple(a), b), chain
+
+
+def naive_subdivide(structure, values):
+    """Grouping oracle for `subdivide`: lift every linearization and group the
+    simplices by exact equality of their affine lifts.  Returns the parts as
+    (sublattice, order, affine, linearization count), sorted by sublattice."""
+    lat = structure.lattice
+    values = [Fraction(v) for v in values]
+    groups = {}
+    for ext in linear_extension_indices(structure.poset):
+        key, chain = naive_affine_lift(structure, ext, values)
+        entry = groups.setdefault(key, [set(), 0])
+        entry[0].update(chain)
+        entry[1] += 1
+    parts = []
+    for affine, (positions, count) in groups.items():
+        sub = tuple(sorted(positions))
+        order = sublattice_to_order([lat.masks[i] for i in sub], structure.poset)
+        parts.append((sub, order, affine, count))
+    return sorted(parts, key=lambda part: part[0])
 
 
 def random_poset(rng, n, density=0.35):

@@ -318,6 +318,15 @@ def test_max_dilation_of_64_and_more(tmp_path, capsys):
     assert json.loads(out)["ehrhart"] == {str(m): m + 1 for m in range(71)}
 
 
+@pytest.mark.parametrize("command", ["ehrhart", "normality"])
+def test_negative_max_dilation_is_a_parse_error(tmp_path, capsys, command):
+    poset = write(tmp_path, "p.json", {"elements": ["a", "b"]})
+    assert main([command, poset, "--max-dilation", "-2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:") and captured.err.count("\n") == 1
+
+
 def test_mcop_polytope_command(tmp_path, capsys):
     poset = write(tmp_path, "p.json", DIAMOND_MARKED)
     code, out = run(

@@ -18,11 +18,16 @@ from posetdegen import (
     subdivide,
     zhu_components,
 )
-from posetdegen.degeneration import WeightVector, minimal_cone_shift
-from posetdegen.errors import KindMismatch, OutsideCone
+from posetdegen.degeneration import ConePosition, WeightVector, minimal_cone_shift
+from posetdegen.errors import InternalClosureFailure, KindMismatch, OutsideCone
 from posetdegen.posets import build_poset, linear_extension_indices
 
-from conftest import small_poset_corpus, valid_weak_structures
+from conftest import (
+    naive_subdivide,
+    posets_up_to_iso,
+    small_poset_corpus,
+    valid_weak_structures,
+)
 
 
 def grid22():
@@ -148,15 +153,135 @@ def grid33():
     return build_poset(cells, covers)
 
 
+def square_weight(structure, labels):
+    """w_J = |J ∩ A|^2 for the elements A with the given labels."""
+    a_mask = sum(1 << structure.poset.index(x) for x in labels)
+    return [bin(m & a_mask).count("1") ** 2 for m in structure.lattice.masks]
+
+
 def test_subdivide_enumerates_each_parts_ideals_once(monkeypatch):
-    # the base lattice once, then one enumeration per part inside
-    # sublattice_to_order; each part is a chain, so its star check needs none
+    # interior weights: every part is a chain and needs no enumeration beyond
+    # the base lattice; walked parts: one enumeration each, inside
+    # sublattice_to_order, whose certified lattice the star scan reuses
     calls = counted(monkeypatch, lattice_module, "enumerate_ideals")
     for s in (order_structure(grid33()), chain_structure(grid33())):
         calls.clear()
         sub = subdivide(s, canonical_interior_weight(s))
         assert len(sub.parts) == 42
-        assert len(calls) == 1 + len(sub.parts)
+        assert len(calls) == 1
+    s = chain_structure(grid33())
+    s.lattice  # the base lattice, enumerated before counting
+    calls.clear()
+    sub = subdivide(s, square_weight(s, ["p00", "p11"]))
+    assert len(sub.parts) == 8
+    assert len(calls) == 8
+
+
+def test_subdivide_zero_weight_walks_without_linearizations(monkeypatch):
+    def refuse(poset):
+        raise AssertionError("linear_extension_indices called")
+
+    monkeypatch.setattr(degeneration, "linear_extension_indices", refuse)
+    cells = [f"x{i}{j}" for i in range(4) for j in range(4)]
+    covers = [(f"x{i}{j}", f"x{i + 1}{j}") for i in range(3) for j in range(4)]
+    covers += [(f"x{i}{j}", f"x{i}{j + 1}") for i in range(4) for j in range(3)]
+    s = order_structure(build_poset(cells, covers))
+    sub = subdivide(s, [0] * len(s.lattice))
+    assert len(sub.parts) == 1
+    assert sub.parts[0].linearization_count == 24024
+
+
+def part_table(sub):
+    return [(p.sublattice, p.order, p.affine, p.linearization_count) for p in sub.parts]
+
+
+def test_subdivide_matches_grouping_oracle():
+    # every valid structure with at most 4 elements and a seeded sample with
+    # 5; least-shift weights (many on the boundary, where the parts are
+    # walked), their negations and the canonical weight
+    rng = random.Random(7)
+    structures = [s for poset in small_poset_corpus(4) for s in valid_weak_structures(poset)]
+    for poset in rng.sample(posets_up_to_iso(5), 10):
+        valid = valid_weak_structures(poset)
+        structures += rng.sample(valid, min(2, len(valid)))
+    walked = 0
+    for s in structures:
+        canonical = canonical_interior_weight(s).values
+        a_mask = rng.randrange(1 << s.poset.n)
+        raw = [bin(m & a_mask).count("1") ** 2 for m in s.lattice.masks]
+        t = minimal_cone_shift(s, raw)
+        weights = [[r + t * c for r, c in zip(raw, canonical)]]
+        weights += [list(sample_cone_weight(s, rng, spread).values) for spread in (1, 2)]
+        weights += [[-v for v in w] for w in weights] + [list(canonical)]
+        for w in weights:
+            sub = subdivide(s, w)
+            assert part_table(sub) == naive_subdivide(s, w)
+            walked += bool(cone_position(s, w).tight)
+    assert walked > 600
+
+
+def walk_case():
+    # |J ∩ {a, b}|^2 on three free elements: two parts, a before b or after,
+    # each with one wall
+    s = order_structure(antichain_poset(["a", "b", "c"]))
+    return s, square_weight(s, ["a", "b"])
+
+
+def test_walk_case_has_two_parts_across_one_wall():
+    s, w = walk_case()
+    assert cone_position(s, w).position == "boundary"
+    sub = subdivide(s, w)
+    assert [p.linearization_count for p in sub.parts] == [3, 3]
+    for part in sub.parts:
+        ext = degeneration.first_linearization(part.order)
+        assert len(list(degeneration.wall_crossings(ext, part.order, s.poset))) == 1
+
+
+def test_fine_boundary_walk_lifts_every_linearization_instead(monkeypatch):
+    # one tight pair on three free elements: five parts with two walls
+    # each, so the walk would lift more than the six linearizations
+    s = order_structure(antichain_poset(["a", "b", "c"]))
+    w = [bin(m).count("1") ** 2 for m in s.lattice.masks]
+    w[key(s, ["a", "b"])] = 2
+    assert len(cone_position(s, w).tight) == 1
+    lifts = counted(monkeypatch, degeneration, "affine_lift_on_chain")
+    enumerations = counted(monkeypatch, degeneration, "linear_extension_indices")
+    sub = subdivide(s, w)
+    assert [p.linearization_count for p in sub.parts] == [2, 1, 1, 1, 1]
+    assert part_table(sub) == naive_subdivide(s, w)
+    assert len(enumerations) == 1
+    assert len(lifts) == 2 * 6
+
+
+def test_missed_part_trips_the_count(monkeypatch):
+    real = degeneration.wall_crossings
+    monkeypatch.setattr(degeneration, "wall_crossings",
+                        lambda ext, order, base: list(real(ext, order, base))[1:])
+    s, w = walk_case()
+    with pytest.raises(InternalClosureFailure, match="account for every linearization"):
+        subdivide(s, w)
+
+
+def test_equal_interior_lifts_trip_the_distinctness_check(monkeypatch):
+    real = degeneration.linear_extension_indices
+    monkeypatch.setattr(degeneration, "linear_extension_indices",
+                        lambda poset: [ext for ext in real(poset) for _ in (0, 1)])
+    s = order_structure(antichain_poset(["a", "b"]))
+    with pytest.raises(InternalClosureFailure, match="share an affine lift"):
+        subdivide(s, canonical_interior_weight(s))
+
+
+def test_two_sided_lift_trips_the_regularity_check(monkeypatch):
+    # a weight outside both cones, let past the cone test as a boundary one
+    s = order_structure(antichain_poset(["a", "b", "c"]))
+    w = [0] * len(s.lattice)
+    w[key(s, ["a"])] = 5
+    w[key(s, ["b"])] = -5
+    tight = s.lattice.incomparable_pairs[:1]
+    monkeypatch.setattr(degeneration, "cone_position",
+                        lambda structure, values: ConePosition("boundary", (), tight))
+    with pytest.raises(InternalClosureFailure, match="both sides"):
+        subdivide(s, w)
 
 
 def test_subdivide_negated_weight_evaluates_the_cone_once(monkeypatch):

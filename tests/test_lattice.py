@@ -8,7 +8,6 @@ from posetdegen import (
     enumerate_ideals,
     order_structure,
     star,
-    stronger_orders,
     sublattice_to_order,
 )
 from posetdegen import lattice as lattice_module
@@ -24,6 +23,7 @@ from posetdegen.posets import (
 from conftest import (
     naive_star_closure_failure,
     small_poset_corpus,
+    stronger_orders,
     valid_weak_structures,
     weaker_order_rows,
 )

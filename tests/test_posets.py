@@ -9,19 +9,18 @@ from posetdegen import (
     chain_structure,
     linear_extensions,
     order_structure,
-    stronger_orders,
     validate_relative_structure,
 )
-from posetdegen.errors import (
-    ConditionViolated,
-    CycleDetected,
-    DuplicateLabel,
-    SizeBoundExceeded,
-    UnknownLabel,
-)
+from posetdegen.errors import ConditionViolated, CycleDetected, DuplicateLabel, UnknownLabel
 from posetdegen.posets import mask_bits
 
-from conftest import brute_force_extensions, naive_covers, random_poset, small_poset_corpus
+from conftest import (
+    brute_force_extensions,
+    naive_covers,
+    random_poset,
+    small_poset_corpus,
+    stronger_orders,
+)
 
 
 def grid(rows, cols):
@@ -106,17 +105,6 @@ def test_linear_extensions_are_the_total_stronger_orders():
     ]
     exts = linear_extensions(p)
     assert len(totals) == len(exts) == 6
-
-
-def test_stronger_orders_size_bound(monkeypatch):
-    with pytest.raises(SizeBoundExceeded):
-        stronger_orders(antichain_poset([f"x{i}" for i in range(8)]))
-    small = antichain_poset(["a", "b", "c"])
-    monkeypatch.setenv("POSETDEGEN_SIZE_BOUND", "2")
-    with pytest.raises(SizeBoundExceeded):
-        stronger_orders(small)
-    monkeypatch.setenv("POSETDEGEN_SIZE_BOUND", "3")
-    assert len(stronger_orders(small)) == 19
 
 
 def test_validate_order_and_chain_cases_everywhere():
