@@ -20,7 +20,6 @@ from .polytopes import (
     decompose_point,
     ehrhart_values,
     lattice_points,
-    transfer_map,
 )
 from .degeneration import (
     WeightVector,

@@ -221,9 +221,11 @@ def point_list(points):
 
 
 def part_report(structure, part, vertices, lattice_points, vanishing_keys):
+    covers = part.order.covers()
+    labels = part.order.elements
     return {
-        "added_covers": [list(c) for c in sorted(part.added_covers(structure.poset))],
-        "order_covers": [list(c) for c in sorted(part.order.cover_labels())],
+        "added_covers": [list(c) for c in sorted(part.added_covers(structure.poset, covers))],
+        "order_covers": sorted([labels[i], labels[j]] for i, j in covers),
         "vertices": vertices,
         "lattice_points": lattice_points,
         "vanishing_variables": sorted(vanishing_keys),
@@ -303,15 +305,8 @@ def reject_negative_dilation(args):
 def cmd_ehrhart(args):
     reject_negative_dilation(args)
     structure = parse_poset_file(args.file)
-    if structure.marked:
-        counts = {
-            str(m): len(marked.mrpp_points(structure, m))
-            for m in range(args.max_dilation + 1)
-        }
-    else:
-        values = polytopes.ehrhart_values(structure, args.max_dilation)
-        counts = {str(m): c for m, c in enumerate(values)}
-    return {"ehrhart": counts}
+    values = polytopes.ehrhart_values(structure, args.max_dilation)
+    return {"ehrhart": {str(m): c for m, c in enumerate(values)}}
 
 
 def cmd_normality(args):

@@ -138,13 +138,26 @@ class Part:
         self.affine = affine  # (a: tuple of Fractions over P, b: Fraction)
         self.linearization_count = linearization_count
 
-    def added_covers(self, base_poset):
-        """Cover pairs of the recovered order that are not relations of the base."""
+    def added_covers(self, base_poset, covers=None):
+        """Cover pairs of the recovered order that are not relations of the base.
+
+        `covers`, when given, must be `self.order.covers()`; it spares the scan.
+        """
+        if covers is None:
+            covers = self.order.covers()
         return [
             (self.order.elements[i], self.order.elements[j])
-            for i, j in self.order.covers()
+            for i, j in covers
             if not base_poset.less(i, j)
         ]
+
+
+def structure_of_part(structure, part):
+    """The structure over a part's order <'', with the lattice J(<'') that
+    `subdivide` certified: the part's members, in base lattice order."""
+    masks = structure.lattice.masks
+    lattice = IdealLattice(part.order, [masks[i] for i in part.sublattice])
+    return structure.with_order(part.order, lattice)
 
 
 class Subdivision:
@@ -360,8 +373,8 @@ def zhu_components(structure, w):
     lat = structure.lattice
     components = []
     for part in subdivision.parts:
-        part_structure = structure.with_order(part.order).unmarked()
-        to_base = [lat.position[m] for m in part_structure.lattice.masks]
+        to_base = part.sublattice
+        part_structure = structure_of_part(structure, part).unmarked()
         presentation = IdealPresentation("relative", [
             ((to_base[a], to_base[b]), (to_base[u], to_base[s]))
             for (a, b), (u, s) in ideal_presentation(part_structure, "relative").generators

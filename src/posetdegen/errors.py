@@ -48,10 +48,6 @@ class NotALatticePoint(PosetDegenError):
     pass
 
 
-class NotInOrderPolytope(PosetDegenError):
-    pass
-
-
 class KindMismatch(PosetDegenError):
     pass
 

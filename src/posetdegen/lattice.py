@@ -50,15 +50,29 @@ class IdealLattice:
 
     def multichain_count(self, m):
         """Number of weakly increasing m-tuples of ideals."""
-        if m == 0:
+        return self.prescribed_multichain_count(0, [0] * m)
+
+    def prescribed_multichain_count(self, marked, reqs):
+        """Number of weakly increasing chains J_1 <= ... <= J_k of ideals with
+        J_d & marked == reqs[d], the chains that `packed_multichains` sums.
+
+        One DP over `superset_lists`: counts[j] is the number of chains so
+        far that end in ideal j; a step pushes each count to every superset
+        and keeps those that meet the step's requirement.
+        """
+        if not reqs:
             return 1
-        counts = [1] * len(self.masks)
-        for _ in range(m - 1):
-            nxt = [0] * len(self.masks)
-            for i in range(len(self.masks)):
-                ci = counts[i]
-                for j in self.superset_lists[i]:
-                    nxt[j] += ci
+        masks = self.masks
+        supersets = self.superset_lists
+        counts = [1 if mask & marked == reqs[0] else 0 for mask in masks]
+        for req in reqs[1:]:
+            nxt = [0] * len(masks)
+            for i, ci in enumerate(counts):
+                if ci:
+                    for j in supersets[i]:
+                        nxt[j] += ci
+            if marked:
+                nxt = [c if mask & marked == req else 0 for c, mask in zip(nxt, masks)]
             counts = nxt
         return sum(counts)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .degeneration import Part, subdivide
+from .degeneration import Part, structure_of_part, subdivide
 from .errors import (
     InternalClosureFailure,
     InvalidStructure,
@@ -41,6 +41,11 @@ class FundamentalDecomposition:
         masks = {0, self.marked_mask}
         masks.update(k for k, _ in self.terms)
         return tuple(sorted(masks, key=lambda m: bin(m).count("1")))
+
+    def steps(self):
+        """J_d & P* for each step of the multichains summed to the lattice
+        points: every term ideal, repeated by its multiplicity."""
+        return [k for k, alpha in self.terms for _ in range(alpha)]
 
 
 def fundamental_decomposition(structure, scale=1):
@@ -87,7 +92,7 @@ def mrpp_points(structure, scale=1):
     """Integer points of R_{scale*lambda}: sums over prescribed-intersection multichains."""
     fd = fundamental_decomposition(structure, scale)
     n = structure.poset.n
-    reqs = [k for k, alpha in fd.terms for _ in range(alpha)]
+    reqs = fd.steps()
     top = structure.max_weak(structure.poset.full)
     bits = pack_bits(len(reqs))
     points = []
@@ -306,7 +311,7 @@ def mrpp_subdivide(structure, w):
     seen_affines = set()
     covered = set()
     for part in big.parts:
-        section_structure = quotient.with_order(part.order)
+        section_structure = structure_of_part(quotient, part)
         pts = mrpp_points(section_structure)
         if linalg.affine_dimension(pts) != whole.dimension:
             dropped += 1

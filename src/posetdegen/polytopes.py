@@ -1,13 +1,16 @@
 """Order, chain and relative poset polytopes: vertices, triangulation,
-dilation lattice points, Ehrhart counts, normality, transfer map.
+dilation lattice points, Ehrhart counts and normality.
 
 Lattice points of dilations and of marked polytopes are sums of the vectors
-1_{max' J} over weakly increasing chains of ideals.  `packed_multichains`
-enumerates them in a packed integer encoding so that set arithmetic stays
-cheap; public functions decode to coordinate tuples.  A chain of k steps packs
-max(PACK_BITS, k.bit_length()) bits per coordinate.  Only `packed_dilation`
-caps m at 63, because `check_normality` compares codes across dilations and
-needs one width.
+1_{max' J} over weakly increasing chains of ideals.  `check_peeling` certifies
+once per structure that distinct chains give distinct points, so Ehrhart
+counts are counts of chains (`IdealLattice.prescribed_multichain_count`) and
+normality compares sizes; no point is built for either.  Commands that print
+points enumerate them with `packed_multichains`, in a packed integer encoding
+so that set arithmetic stays cheap; public functions decode to coordinate
+tuples.  A chain of k steps packs max(PACK_BITS, k.bit_length()) bits per
+coordinate.  Only `packed_dilation` caps m at 63, because `check_normality`
+compares codes across dilations and needs one width.
 """
 
 from fractions import Fraction
@@ -17,7 +20,6 @@ from .errors import (
     InternalClosureFailure,
     InvalidStructure,
     NotALatticePoint,
-    NotInOrderPolytope,
 )
 from .posets import RelativeStructure, linear_extension_indices, mask_bits
 
@@ -182,9 +184,44 @@ def lattice_points(structure, m):
     return frozenset(unpack(code, n) for code in packed_dilation(structure, m))
 
 
+def check_peeling(structure):
+    """Certify once that the multichain -> point map is injective, for every m.
+
+    The certificate is down_<(max_<' J) = J for every ideal J; raises
+    InternalClosureFailure otherwise.  It suffices: in x = sum of 1_{max' J_d}
+    over J_1 <= ... <= J_m the support lies in J_m and contains max' J_m, so
+    its down-closure is J_m.  Subtracting 1_{max' J_m} leaves the sum over the
+    shorter chain, so greedy peeling (`decompose_point`) recovers the whole
+    chain from x, and distinct chains give distinct points.  Marked points
+    are these sums translated by one fixed vector, so they stay distinct; a
+    count of chains is then a count of lattice points.
+    """
+    lat = structure.lattice
+    down_closure = structure.poset.down_closure
+    for pos, mask in enumerate(lat.masks):
+        if down_closure(structure.max_weak(mask)) != mask:
+            raise InternalClosureFailure(
+                f"ideal {lat.label_key(pos)!r} is not generated by its <'-maximal elements"
+            )
+
+
 def ehrhart_values(structure, m_max):
-    """Counts of lattice points of the dilations m = 0..m_max."""
-    return [len(packed_multichains(structure, 0, [0] * m)) for m in range(m_max + 1)]
+    """Counts of lattice points of the dilations m = 0..m_max, by one DP.
+
+    Unmarked, dilation m is m * R(P,<,<') and counts every m-multichain of
+    ideals; marked, it is R_{m*lambda} and counts the multichains whose
+    steps meet the fundamental decomposition of m*lambda.  No point is built:
+    `check_peeling` makes the chain count the point count.
+    """
+    check_peeling(structure)
+    if structure.marked:
+        from .marked import fundamental_decomposition  # marked builds on this module
+
+        reqs = [fundamental_decomposition(structure, m).steps() for m in range(m_max + 1)]
+    else:
+        reqs = [[0] * m for m in range(m_max + 1)]
+    lat = structure.lattice
+    return [lat.prescribed_multichain_count(structure.marked, r) for r in reqs]
 
 
 def decompose_point(point, m, structure):
@@ -220,35 +257,27 @@ def decompose_point(point, m, structure):
 def check_normality(structure, k_max):
     """Verify each dilation k <= k_max equals the k-fold Minkowski sum of dilation 1.
 
+    Each point of dilation k is a chain sum, so a sum of k points of
+    dilation 1: dilation k lies inside the k-fold sums.  With `check_peeling`
+    the multichain count is the size of dilation k, so the two sets are equal
+    exactly when the sums are as many.  Dilation k is built only when they
+    are not, to name the smallest code in which the sets differ.
+
     Returns (True, None) or (False, (k, failing_point)).
     """
     n = structure.poset.n
+    check_peeling(structure)
+    lat = structure.lattice
     base = packed_dilation(structure, 1)
-    current = set(base)
+    current = base
     for k in range(2, k_max + 1):
         sums = {a + b for a in current for b in base}
-        target = packed_dilation(structure, k)
-        if sums != target:
-            bad = sorted(target.symmetric_difference(sums))[0]
-            return False, (k, unpack(bad, n))
+        if len(sums) != lat.multichain_count(k):
+            diff = packed_dilation(structure, k).symmetric_difference(sums)
+            if not diff:
+                raise InternalClosureFailure(
+                    f"dilation {k} has {len(sums)} points, not its multichain count"
+                )
+            return False, (k, unpack(min(diff), n))
         current = sums
     return True, None
-
-
-def transfer_map(point, poset):
-    """The piecewise-linear transfer x_p -> x_p - max_{q > p} x_q on the order polytope."""
-    n = poset.n
-    x = [Fraction(v) for v in point]
-    for i in range(n):
-        if x[i] < 0 or x[i] > 1:
-            raise NotInOrderPolytope(f"coordinate {poset.elements[i]} out of [0,1]")
-        for j in mask_bits(poset.above[i]):
-            if x[i] < x[j]:
-                raise NotInOrderPolytope(
-                    f"x[{poset.elements[i]}] < x[{poset.elements[j]}] violates the order polytope"
-                )
-    out = []
-    for i in range(n):
-        over = [x[j] for j in mask_bits(poset.above[i])]
-        out.append(x[i] - (max(over) if over else Fraction(0)))
-    return tuple(out)

@@ -262,7 +262,10 @@ class RelativeStructure:
         return out
 
     def unmarked(self):
-        return RelativeStructure(self.poset, self.weak_above)
+        """The structure without its marking; a lattice already built is kept."""
+        return RelativeStructure(self.poset, self.weak_above).with_order(
+            self.poset, self.__dict__.get("lattice")
+        )
 
     def key(self):
         return (self.poset.key(), self.weak_above, self.marked,
@@ -359,5 +362,7 @@ def validate_relative_structure(poset, weak_covers, marked=None):
                         (poset.elements[i], poset.elements[j]),
                         f"marking increases along {poset.elements[i]} < {poset.elements[j]}",
                     )
-        structure = RelativeStructure(poset, weak_above, marked_mask, marking)
+        # the same structure, marked: the lattice of the star check is kept
+        structure.marked = marked_mask
+        structure.marking = marking
     return structure

@@ -17,10 +17,12 @@ from posetdegen.posets import (
     linear_extension_indices,
     mask_bits,
     transitive_closure,
+    validate_relative_structure,
 )
 from posetdegen.lattice import enumerate_ideals, star_mask, sublattice_to_order
 from posetdegen.marked import fundamental_decomposition
-from posetdegen.polytopes import canonical_triangulation, indicator
+from posetdegen import polytopes
+from posetdegen.polytopes import canonical_triangulation, indicator, unpack
 
 
 def make_poset(n, above):
@@ -306,6 +308,46 @@ def naive_mrpp_points(structure, scale=1):
     return sorted(points)
 
 
+def marked_corpus_structures(max_n=4):
+    """Criterion 7's exhaustive marked corpus: every poset with at most
+    `max_n` elements, its minimal and maximal elements marked with dominant
+    values in 0..2, under each <' that keeps either all or none of the
+    relations above each free element (one per chain/order split)."""
+    out = []
+    for n in range(1, max_n + 1):
+        for poset in posets_up_to_iso(n):
+            marked = poset.minimals | poset.maximals
+            free = [i for i in range(n) if not marked >> i & 1]
+            midx = mask_bits(marked)
+            for values in product(range(3), repeat=len(midx)):
+                lam = dict(zip(midx, values))
+                if any(lam[i] < lam[j] for i in midx for j in mask_bits(poset.above[i] & marked)):
+                    continue
+                marking = {poset.elements[i]: lam[i] for i in midx}
+                for obits in range(1 << len(free)):
+                    weak = [(poset.elements[i], poset.elements[j])
+                            for k, i in enumerate(free) if not obits >> k & 1
+                            for j in mask_bits(poset.above[i])]
+                    out.append(validate_relative_structure(poset, weak, marking))
+    return out
+
+
+def naive_check_normality(structure, k_max):
+    """Set-equality oracle for `check_normality`: builds every dilation and
+    names the smallest packed code in which it differs from the k-fold sums."""
+    n = structure.poset.n
+    base = polytopes.packed_dilation(structure, 1)
+    current = set(base)
+    for k in range(2, k_max + 1):
+        sums = {a + b for a in current for b in base}
+        target = polytopes.packed_dilation(structure, k)
+        if sums != target:
+            bad = sorted(target.symmetric_difference(sums))[0]
+            return False, (k, unpack(bad, n))
+        current = sums
+    return True, None
+
+
 def naive_in_convex_hull(point, points):
     """Simplex oracle for `linalg.in_convex_hull`: phase 1 with Bland's rule,
     exact over the rationals."""
@@ -394,6 +436,26 @@ def naive_mcop_box(poset, marking, chain_part, order_part):
         x for x in product(*ranges)
         if all(sum(x[p] for p in mids) <= x[a] - x[b] for a, mids, b in inequalities)
     ]
+
+
+def transfer_map(point, poset):
+    """The piecewise-linear transfer x_p -> x_p - max_{q > p} x_q on the order
+    polytope, in Fractions; raises ValueError outside the order polytope."""
+    n = poset.n
+    x = [Fraction(v) for v in point]
+    for i in range(n):
+        if x[i] < 0 or x[i] > 1:
+            raise ValueError(f"coordinate {poset.elements[i]} out of [0,1]")
+        for j in mask_bits(poset.above[i]):
+            if x[i] < x[j]:
+                raise ValueError(
+                    f"x[{poset.elements[i]}] < x[{poset.elements[j]}] violates the order polytope"
+                )
+    out = []
+    for i in range(n):
+        over = [x[j] for j in mask_bits(poset.above[i])]
+        out.append(x[i] - (max(over) if over else Fraction(0)))
+    return tuple(out)
 
 
 def nth_finite_difference(values):

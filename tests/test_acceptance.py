@@ -20,6 +20,7 @@ from posetdegen import (
     chain_structure,
     check_normality,
     cone_position,
+    ehrhart_values,
     linear_extensions,
     mcop_build,
     mcop_recognize,
@@ -105,6 +106,7 @@ def test_criterion_1_ehrhart_equivalence(exhaustive_structures, random_eight_pos
         reference = None
         for s in structures:
             values = [len(packed_dilation(s, m)) for m in range(5)]
+            assert ehrhart_values(s, 4) == values  # the multichain DP, against enumeration
             if reference is None:
                 reference = values
             assert values == reference, f"Ehrhart mismatch on {poset!r}"
@@ -113,6 +115,7 @@ def test_criterion_1_ehrhart_equivalence(exhaustive_structures, random_eight_pos
         reference = None
         for s in sampled_weak_structures(poset, rng):
             values = [len(packed_dilation(s, m)) for m in range(4)]
+            assert ehrhart_values(s, 3) == values
             if reference is None:
                 reference = values
             assert values == reference, f"Ehrhart mismatch on {poset!r}"

@@ -4,10 +4,19 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from posetdegen import degeneration, marked
+from posetdegen import cli, degeneration, marked, polytopes
 from posetdegen.cli import main
 from posetdegen.lattice import star_mask
-from posetdegen.posets import build_poset, validate_relative_structure
+from posetdegen.posets import (
+    Poset,
+    RelativeStructure,
+    build_poset,
+    chain_structure,
+    linear_extension_indices,
+    validate_relative_structure,
+)
+
+from conftest import nth_finite_difference
 
 
 SQUARE = {
@@ -55,6 +64,71 @@ def test_polytope_and_ehrhart(tmp_path, capsys):
     ]
     code, out = run(capsys, ["ehrhart", poset, "--max-dilation", "3"])
     assert json.loads(out)["ehrhart"] == {"0": 1, "1": 4, "2": 9, "3": 16}
+
+
+def grid_file(rows, cols):
+    cells = [f"x{i}{j}" for i in range(rows) for j in range(cols)]
+    covers = [[f"x{i}{j}", f"x{i + 1}{j}"] for i in range(rows - 1) for j in range(cols)]
+    covers += [[f"x{i}{j}", f"x{i}{j + 1}"] for i in range(rows) for j in range(cols - 1)]
+    return {"elements": cells, "covers": covers}
+
+
+def test_ehrhart_counts_without_enumerating_points(tmp_path, capsys, monkeypatch):
+    structure = cli.parse_poset_file(write(tmp_path, "m.json", DIAMOND_MARKED))
+    marked_counts = {str(m): len(marked.mrpp_points(structure, m)) for m in range(4)}
+
+    def refuse(*args):
+        raise AssertionError("packed_multichains called")
+
+    monkeypatch.setattr(polytopes, "packed_multichains", refuse)
+    monkeypatch.setattr(marked, "packed_multichains", refuse)
+    code, out = run(capsys, ["ehrhart", write(tmp_path, "p.json", SQUARE)])
+    assert code == 0
+    assert json.loads(out)["ehrhart"] == {"0": 1, "1": 4, "2": 9, "3": 16}
+    code, out = run(capsys, ["ehrhart", write(tmp_path, "m.json", DIAMOND_MARKED)])
+    assert code == 0
+    assert json.loads(out)["ehrhart"] == marked_counts
+
+
+def test_ehrhart_of_the_4x4_grid_up_to_dilation_20(tmp_path, capsys):
+    # its Ehrhart polynomial has degree 16 and leading term e(P)/16!, so each
+    # 16th finite difference is e(P); enumerating these points could not finish
+    poset = write(tmp_path, "p.json", grid_file(4, 4))
+    code, out = run(capsys, ["ehrhart", poset, "--max-dilation", "20"])
+    assert code == 0
+    values = [json.loads(out)["ehrhart"][str(m)] for m in range(21)]
+    linearizations = len(linear_extension_indices(cli.parse_poset_file(poset).poset))
+    assert linearizations == 24024
+    for start in range(5):
+        assert nth_finite_difference(values[start:start + 17]) == linearizations
+
+
+@pytest.mark.parametrize("command", ["ehrhart", "normality"])
+@pytest.mark.parametrize("payload", [SQUARE, DIAMOND_MARKED])
+def test_peeling_certificate_failure_exits_5(tmp_path, capsys, monkeypatch, command, payload):
+    # a max_weak that loses element 0 leaves the ideal {e0} without a vertex
+    poset = write(tmp_path, "p.json", payload)
+    real = RelativeStructure.max_weak
+    monkeypatch.setattr(RelativeStructure, "max_weak", lambda self, mask: real(self, mask) & ~1)
+    assert main([command, poset]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: InternalClosureFailure: ideal ")
+    assert "not generated by its <'-maximal elements" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_part_report_computes_the_covers_once(monkeypatch):
+    s = chain_structure(build_poset(
+        ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]))
+    sub = degeneration.subdivide(s, [0] * len(s.lattice))
+    calls = []
+    real = Poset.covers
+    monkeypatch.setattr(Poset, "covers", lambda self: calls.append(self) or real(self))
+    report = cli.part_report(s, sub.parts[0], 6, 6, [])
+    assert len(calls) == 1
+    assert report["order_covers"] == [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]
+    assert report["added_covers"] == []
 
 
 def test_deterministic_output(tmp_path, capsys):

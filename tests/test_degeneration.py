@@ -177,6 +177,25 @@ def test_subdivide_enumerates_each_parts_ideals_once(monkeypatch):
     assert len(calls) == 8
 
 
+def test_zhu_components_reuse_each_parts_lattice(monkeypatch):
+    # the parts' ideals are enumerated once, by subdivide's certificate, and
+    # each component's presentation runs over that lattice
+    calls = counted(monkeypatch, lattice_module, "enumerate_ideals")
+    s = chain_structure(grid33())
+    s.lattice  # the base lattice, enumerated before counting
+    calls.clear()
+    sub, comps = zhu_components(s, square_weight(s, ["p00", "p11"]))
+    assert len(comps) == 8
+    assert len(calls) == 8
+    for comp in comps:
+        oracle = s.with_order(comp.part.order).unmarked()
+        to_base = [s.lattice.position[m] for m in oracle.lattice.masks]
+        assert comp.presentation.generators == tuple(
+            ((to_base[a], to_base[b]), (to_base[u], to_base[t]))
+            for (a, b), (u, t) in ideal_presentation(oracle, "relative").generators
+        )
+
+
 def test_subdivide_zero_weight_walks_without_linearizations(monkeypatch):
     def refuse(poset):
         raise AssertionError("linear_extension_indices called")

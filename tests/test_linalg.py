@@ -1,14 +1,12 @@
 from fractions import Fraction
-from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from posetdegen import build_flag_poset
 from posetdegen.linalg import extreme_points, in_convex_hull
 from posetdegen.marked import mrpp_points
-from posetdegen.posets import mask_bits, validate_relative_structure
 
-from conftest import naive_in_convex_hull, posets_up_to_iso
+from conftest import marked_corpus_structures, naive_in_convex_hull
 
 
 def oracle_vertices(points):
@@ -89,26 +87,9 @@ def test_in_convex_hull_edge_cases():
 
 
 def marked_corpus_point_sets():
-    """The distinct MRPP point sets of criterion 7's exhaustive marked corpus,
-    with marking values in 0..2 (every chain/order split gives one of them)."""
-    seen = set()
-    for n in range(1, 5):
-        for poset in posets_up_to_iso(n):
-            marked = poset.minimals | poset.maximals
-            free = [i for i in range(n) if not marked >> i & 1]
-            midx = mask_bits(marked)
-            for values in product(range(3), repeat=len(midx)):
-                lam = dict(zip(midx, values))
-                if any(lam[i] < lam[j] for i in midx for j in mask_bits(poset.above[i] & marked)):
-                    continue
-                marking = {poset.elements[i]: lam[i] for i in midx}
-                for obits in range(1 << len(free)):
-                    weak = [(poset.elements[i], poset.elements[j])
-                            for k, i in enumerate(free) if not obits >> k & 1
-                            for j in mask_bits(poset.above[i])]
-                    structure = validate_relative_structure(poset, weak, marking)
-                    seen.add(tuple(mrpp_points(structure)))
-    return sorted(seen)
+    """The distinct MRPP point sets of criterion 7's exhaustive marked corpus
+    (every chain/order split gives one of them)."""
+    return sorted({tuple(mrpp_points(s)) for s in marked_corpus_structures()})
 
 
 def test_extreme_points_match_oracle_on_marked_corpus():

@@ -9,6 +9,7 @@ from posetdegen import (
     build_mrpp,
     build_poset,
     chain_poset,
+    ehrhart_values,
     fundamental_decomposition,
     fundamental_mrpp,
     lattice_points,
@@ -18,13 +19,20 @@ from posetdegen import (
     standardize,
     validate_relative_structure,
 )
+from posetdegen import lattice as lattice_module
 from posetdegen.errors import NotAPartition, NotDominant
 from posetdegen.marked import mrpp_points
 from posetdegen.posets import chain_structure, mask_bits
 from posetdegen.degeneration import canonical_interior_weight
 from posetdegen.polytopes import indicator
 
-from conftest import gt_pattern_count, naive_mcop_box, naive_mrpp_points, random_poset
+from conftest import (
+    gt_pattern_count,
+    marked_corpus_structures,
+    naive_mcop_box,
+    naive_mrpp_points,
+    random_poset,
+)
 
 
 def marked_diamond(marking={"bot": 2, "top": 0}):
@@ -164,6 +172,19 @@ def test_mrpp_points_match_naive_recursion():
         assert mrpp_points(s, m) == naive_mrpp_points(s, m)
 
 
+def test_marked_ehrhart_counts_match_naive_points():
+    # the filtered multichain DP against the tuple-list recursion at scales
+    # 0-2, on the marked corpus and on every flag with n <= 4
+    cases = marked_corpus_structures()
+    for n in range(1, 5):
+        for r in range(n):
+            for inner in combinations(range(1, n), r):
+                f = build_flag_poset(n, (0, *inner, n))
+                cases += [f.structure(mode) for mode in ("gt", "fflv")]
+    for s in cases:
+        assert ehrhart_values(s, 2) == [len(naive_mrpp_points(s, m)) for m in range(3)]
+
+
 def test_mrpp_ehrhart_independent_of_weak_order():
     # marked structures over the same poset and marking have equal counts
     rng = random.Random(31)
@@ -274,6 +295,26 @@ def test_fundexample_embedding_and_collapse():
     assert sorted(std.theta(p) for p in mp.points) == sorted(
         build_mrpp(std.quotient).points
     )
+
+
+def test_mrpp_subdivide_enumerates_each_order_once(monkeypatch):
+    # the quotient's ideals once, each walked part's once (by subdivide's
+    # certificate); the sections reuse those lattices
+    f = build_flag_poset(5, (0, 2, 5))
+    s = f.structure("fflv")
+    std = standardize(s)
+    fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
+    notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
+    canonical = canonical_interior_weight(std.quotient).values
+    interior = [canonical[q] for q in std.lattice_map]
+    real = lattice_module.enumerate_ideals
+    calls = []
+    monkeypatch.setattr(lattice_module, "enumerate_ideals",
+                        lambda poset: calls.append(poset) or real(poset))
+    for w, parts, enumerations in ((notmcop, 2, 3), (interior, 5, 1)):
+        calls.clear()
+        assert len(mrpp_subdivide(s, w).parts) == parts
+        assert len(calls) == len(set(calls)) == enumerations
 
 
 def test_mrpp_subdivide_zero_single_part():

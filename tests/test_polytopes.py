@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from posetdegen import polytopes
 from posetdegen import (
     antichain_poset,
     build_polytope,
@@ -15,19 +16,20 @@ from posetdegen import (
     ehrhart_values,
     lattice_points,
     order_structure,
-    transfer_map,
     validate_relative_structure,
 )
-from posetdegen.errors import InternalClosureFailure, NotALatticePoint, NotInOrderPolytope
-from posetdegen.lattice import max_antichain
-from posetdegen.polytopes import indicator, packed_dilation
+from posetdegen.errors import InternalClosureFailure, NotALatticePoint
+from posetdegen.lattice import IdealLattice, max_antichain
+from posetdegen.polytopes import indicator, pack_bits, packed_dilation
 from posetdegen.posets import RelativeStructure
 
 from conftest import (
+    naive_check_normality,
     nth_finite_difference,
     point_in_dilation,
     recompose,
     small_poset_corpus,
+    transfer_map,
     valid_weak_structures,
 )
 
@@ -129,6 +131,57 @@ def test_ehrhart_examples():
     assert ehrhart_values(p2, 1)[1] == 6  # binomial(4, 2)
 
 
+def drop_first_element(monkeypatch):
+    """Patch max_weak to lose element 0, so the vertex of {e0} is the origin."""
+    real = RelativeStructure.max_weak
+    monkeypatch.setattr(RelativeStructure, "max_weak", lambda self, mask: real(self, mask) & ~1)
+
+
+@pytest.mark.parametrize("count", [
+    lambda s: ehrhart_values(s, 2),
+    lambda s: check_normality(s, 2),
+])
+def test_peeling_certificate_trips_on_a_lost_maximal_element(monkeypatch, count):
+    s = order_structure(grid22())
+    drop_first_element(monkeypatch)
+    with pytest.raises(InternalClosureFailure, match="not generated by its <'-maximal"):
+        count(s)
+
+
+def add_stray_points(monkeypatch, k, points):
+    """Patch packed_dilation so that dilation k also holds `points`."""
+    real = polytopes.packed_dilation
+    codes = {sum(v << (pack_bits(k) * i) for i, v in enumerate(p)) for p in points}
+
+    def patched(structure, m):
+        found = real(structure, m)
+        return found | codes if m == k else found
+
+    monkeypatch.setattr(polytopes, "packed_dilation", patched)
+
+
+def count_one_too_high(monkeypatch):
+    real = IdealLattice.multichain_count
+    monkeypatch.setattr(IdealLattice, "multichain_count", lambda self, m: real(self, m) + 1)
+
+
+def test_normality_failure_names_the_same_point_as_the_set_oracle(monkeypatch):
+    # a dilation with points that no sum reaches: the count is higher than
+    # the sums, and the failure path names the smallest code, as the oracle
+    s = chain_structure(grid22())
+    add_stray_points(monkeypatch, 2, [(0, 0, 0, 3), (3, 0, 0, 0)])
+    expected = naive_check_normality(s, 3)
+    assert expected == (False, (2, (3, 0, 0, 0)))
+    count_one_too_high(monkeypatch)
+    assert check_normality(s, 3) == expected
+
+
+def test_normality_count_disagreeing_with_enumeration_raises(monkeypatch):
+    count_one_too_high(monkeypatch)
+    with pytest.raises(InternalClosureFailure, match="not its multichain count"):
+        check_normality(chain_structure(grid22()), 2)
+
+
 def test_decompose_point_vertices_and_roundtrip():
     for poset in small_poset_corpus(3):
         for s in valid_weak_structures(poset):
@@ -203,7 +256,7 @@ def test_transfer_map_affine_on_linearization_simplices():
 
 def test_transfer_map_membership_check():
     chain = chain_poset(["a", "b"])
-    with pytest.raises(NotInOrderPolytope):
+    with pytest.raises(ValueError, match="violates the order polytope"):
         transfer_map((0, 1), chain)  # increases along the order
-    with pytest.raises(NotInOrderPolytope):
+    with pytest.raises(ValueError, match="out of"):
         transfer_map((2, 0), chain)
