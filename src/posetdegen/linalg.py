@@ -1,33 +1,11 @@
-"""Exact rational linear algebra: rank, determinant, convex-combination tests.
+"""Exact linear algebra: affine dimension, determinant, convex-combination tests.
 
-Everything runs over fractions.Fraction; no floating point is used anywhere.
+Everything runs over the integers or fractions.Fraction; no floating point
+is used anywhere.
 """
 
 import math
 from fractions import Fraction
-
-
-def rank(rows):
-    """Rank of a list of rational vectors."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
 
 
 def determinant(rows):
@@ -52,12 +30,35 @@ def determinant(rows):
 
 
 def affine_dimension(points):
-    """Dimension of the affine hull of a point set (-1 for the empty set)."""
+    """Dimension of the affine hull of a point set (-1 for the empty set).
+
+    Fraction-free: the differences to the first point, scaled once to
+    integers by the lcm of the denominators, are reduced into an echelon
+    form of primitive integer rows, one per lead column.  A difference is
+    reduced against the rows in increasing lead column; what is left, if
+    anything, becomes a new row.  The count stops at the ambient dimension.
+    """
     pts = list(points)
     if not pts:
         return -1
     base = pts[0]
-    return rank([[Fraction(x) - Fraction(y) for x, y in zip(p, base)] for p in pts[1:]])
+    ambient = len(base)
+    scale = math.lcm(*(x.denominator for p in pts for x in p))
+    rows = {}  # lead column -> primitive row
+    for p in pts[1:]:
+        if len(rows) == ambient:
+            break
+        v = [int((x - y) * scale) for x, y in zip(p, base)]
+        for lead in sorted(rows):
+            if v[lead]:
+                row = rows[lead]
+                f, g = row[lead], v[lead]
+                v = [f * x - g * y for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            d = math.gcd(*v)
+            rows[lead] = [x // d for x in v]
+    return len(rows)
 
 
 def solve(matrix, rhs):

@@ -4,6 +4,7 @@ chain-order polytope comparison."""
 
 from fractions import Fraction
 from functools import cached_property
+from operator import add, le
 
 from . import linalg
 from .degeneration import Part, structure_of_part, subdivide
@@ -20,7 +21,7 @@ from .posets import (
     mask_bits,
     validate_relative_structure,
 )
-from .polytopes import indicator, pack_bits, packed_multichains, unpack
+from .polytopes import ehrhart_values, indicator, pack_bits, packed_multichains, unpack
 
 
 class FundamentalDecomposition:
@@ -351,6 +352,29 @@ def _mcop_chains(poset, anchors, middle):
     return out
 
 
+def _mcop_inequalities(poset, values, anchors, middle):
+    """The inequalities of a marked chain-order polytope among the elements
+    of `anchors | middle`.
+
+    `values` is the marking by element index, `anchors` holds the marked
+    elements and those of O, `middle` those of C.  Returns the ranges, a
+    dict element -> (lo, hi) bounding its coordinate, and the chains
+    (a, mids, b) of `_mcop_chains`, each standing for
+    sum(x[p] for p in mids) <= x[a] - x[b].
+    """
+    lam_min = min(values.values())
+    lam_max = max(values.values())
+    ranges = {}
+    for i in mask_bits(anchors | middle):
+        if i in values:
+            ranges[i] = (values[i], values[i])
+        elif anchors >> i & 1:
+            ranges[i] = (lam_min, lam_max)
+        else:
+            ranges[i] = (0, lam_max - lam_min)
+    return ranges, _mcop_chains(poset, anchors, middle)
+
+
 def mcop_build(poset, marking, chain_part, order_part):
     """Marked chain-order polytope via two constructions that must agree.
 
@@ -362,8 +386,11 @@ def mcop_build(poset, marking, chain_part, order_part):
     marked_mask = 0
     for label in marking:
         marked_mask |= 1 << poset.index(label)
-    c_mask = sum(1 << poset.index(x) for x in chain_part)
-    o_mask = sum(1 << poset.index(x) for x in order_part)
+    c_mask = o_mask = 0
+    for x in chain_part:
+        c_mask |= 1 << poset.index(x)
+    for x in order_part:
+        o_mask |= 1 << poset.index(x)
     free = poset.full & ~marked_mask
     if c_mask & o_mask or (c_mask | o_mask) != free:
         raise NotAPartition("C and O must partition the unmarked elements")
@@ -385,20 +412,11 @@ def mcop_build(poset, marking, chain_part, order_part):
     mrpp = mrpp_points(structure)
 
     # construction (1): box enumeration against the chain-order inequalities
-    lam_min = min(values.values())
-    lam_max = max(values.values())
     n = poset.n
-    ranges = []
-    for i in range(n):
-        if marked_mask >> i & 1:
-            ranges.append((values[i], values[i]))
-        elif o_mask >> i & 1:
-            ranges.append((lam_min, lam_max))
-        else:
-            ranges.append((0, lam_max - lam_min))
+    ranges, chains = _mcop_inequalities(poset, values, marked_mask | o_mask, c_mask)
     # each chain inequality is checked as soon as its last coordinate is set
     checks = [[] for _ in range(n)]
-    for chain in _mcop_chains(poset, marked_mask | o_mask, c_mask):
+    for chain in chains:
         a, mids, b = chain
         checks[max(a, b, *mids)].append(chain)
 
@@ -426,19 +444,80 @@ def mcop_build(poset, marking, chain_part, order_part):
 
 
 def mcop_recognize(structure, target):
-    """Search all chain/order partitions for one whose MCOP equals `target`.
+    """The first chain/order split (C, O), in bit order, whose MCOP equals
+    `target`, a lattice point set; None when there is none.
 
-    Point-set equality is used: for lattice polytopes presented by their full
-    integer point sets it is equivalent to vertex-set equality.
+    Split k puts the i-th free element in O when bit i of k is set, and the
+    splits are ranked by k.  By the pairwise Ehrhart-equivalence of relative
+    poset polytopes every MCOP of the marking has as many lattice points as
+    the structure's MRPP, a count the multichain DP gives without building a
+    point.  So the target is MCOP(C, O) exactly when it has that many points
+    and each of them satisfies the split's ranges and chain inequalities
+    (`_mcop_inequalities`, the ones `mcop_build`'s box search applies).  A
+    backtracking search decides the free elements from the highest bit down,
+    C before O, so its first complete split is the smallest k; each range and
+    chain inequality is tested on every target point once its elements are
+    decided, and a failure prunes the subtree.  Only the winning split's MCOP
+    is built (with `mcop_build`'s cross-check); a target that differs from it
+    raises TheoremViolation.
     """
+    if structure.marked == 0:
+        raise InvalidStructure("structure carries no marking")
     poset = structure.poset
-    marking = {poset.elements[i]: structure.marking[i] for i in mask_bits(structure.marked)}
-    free = mask_bits(poset.full & ~structure.marked)
-    target_points = set(target.points if isinstance(target, MarkedPolytope) else target)
-    for bits in range(1 << len(free)):
-        o_part = [poset.elements[free[k]] for k in range(len(free)) if bits >> k & 1]
-        c_part = [poset.elements[free[k]] for k in range(len(free)) if not bits >> k & 1]
-        candidate = mcop_build(poset, marking, c_part, o_part)
-        if set(candidate.points) == target_points:
-            return tuple(sorted(c_part)), tuple(sorted(o_part))
-    return None
+    n = poset.n
+    marked = structure.marked
+    values = {i: structure.marking[i] for i in mask_bits(marked)}
+    count = ehrhart_values(structure, 1)[1]
+    points = {
+        tuple(x) for x in (target.points if isinstance(target, MarkedPolytope) else target)
+    }
+    if len(points) != count or any(
+        len(x) != n or any(v != int(v) for v in x) for x in points
+    ):
+        return None
+    free = mask_bits(poset.full & ~marked)
+    columns = list(zip(*points))
+
+    def satisfied(anchors, middle, new):
+        """Whether every target point meets the ranges of the elements in
+        `new` and the chain inequalities among `anchors | middle` that
+        involve one of them."""
+        ranges, chains = _mcop_inequalities(poset, values, anchors, middle)
+        for i in mask_bits(new):
+            lo, hi = ranges[i]
+            if not lo <= min(columns[i]) <= max(columns[i]) <= hi:
+                return False
+        for a, mids, b in chains:
+            if new >> a & 1 or new >> b & 1 or any(new >> p & 1 for p in mids):
+                total = columns[b]
+                for p in mids:
+                    total = map(add, total, columns[p])
+                if not all(map(le, total, columns[a])):
+                    return False
+        return True
+
+    def search(k, o_mask, c_mask):
+        if k < 0:
+            return o_mask, c_mask
+        bit = 1 << free[k]
+        for o, c in ((o_mask, c_mask | bit), (o_mask | bit, c_mask)):
+            if satisfied(marked | o, c, bit):
+                found = search(k - 1, o, c)
+                if found is not None:
+                    return found
+        return None
+
+    found = search(len(free) - 1, 0, 0) if satisfied(marked, 0, marked) else None
+    if found is None:
+        return None
+    labels = lambda mask: tuple(sorted(poset.elements[i] for i in mask_bits(mask)))
+    o_part, c_part = labels(found[0]), labels(found[1])
+    marking = {poset.elements[i]: v for i, v in values.items()}
+    built = mcop_build(poset, marking, c_part, o_part)
+    if set(built.points) != points:
+        raise TheoremViolation(
+            f"the inequalities of MCOP(C={list(c_part)}, O={list(o_part)}) hold on all"
+            f" {count} target points but it has {len(built.points)}: the MCOPs of one"
+            " marking are not Ehrhart-equivalent"
+        )
+    return c_part, o_part

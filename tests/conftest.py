@@ -20,7 +20,7 @@ from posetdegen.posets import (
     validate_relative_structure,
 )
 from posetdegen.lattice import enumerate_ideals, star_mask, sublattice_to_order
-from posetdegen.marked import fundamental_decomposition
+from posetdegen.marked import fundamental_decomposition, mcop_build
 from posetdegen import polytopes
 from posetdegen.polytopes import canonical_triangulation, indicator, unpack
 
@@ -330,6 +330,87 @@ def marked_corpus_structures(max_n=4):
                             for j in mask_bits(poset.above[i])]
                     out.append(validate_relative_structure(poset, weak, marking))
     return out
+
+
+def criterion_7_markings(max_n=5):
+    """Criterion 7's marked corpus: every poset with at most `max_n`
+    elements, its minimal and maximal elements marked and any others
+    optionally, with dominant values in 0..2.  Yields (poset, marking,
+    splits), the splits (C, O) of the free elements in bit order (bit k of
+    the split's number set when the k-th free element is in O)."""
+    for n in range(1, max_n + 1):
+        for poset in posets_up_to_iso(n):
+            required = poset.minimals | poset.maximals
+            optional = [i for i in range(n) if not required >> i & 1]
+            for extra in range(1 << len(optional)):
+                marked = required
+                for k, i in enumerate(optional):
+                    if extra >> k & 1:
+                        marked |= 1 << i
+                midx = mask_bits(marked)
+                free = [poset.elements[i] for i in range(n) if not marked >> i & 1]
+                for values in product(range(3), repeat=len(midx)):
+                    lam = dict(zip(midx, values))
+                    if any(lam[i] < lam[j]
+                           for i in midx for j in mask_bits(poset.above[i] & marked)):
+                        continue
+                    marking = {poset.elements[i]: lam[i] for i in midx}
+                    yield poset, marking, mcop_splits(free)
+
+
+def mcop_splits(free):
+    """The chain/order splits of the labels `free`, in bit order."""
+    return [
+        ([x for k, x in enumerate(free) if not bits >> k & 1],
+         [x for k, x in enumerate(free) if bits >> k & 1])
+        for bits in range(1 << len(free))
+    ]
+
+
+def naive_mcop_recognize(structure, target):
+    """Bit-order oracle for `mcop_recognize`: build the MCOP of every
+    chain/order split in turn and return the first whose point set equals
+    the target's, as (sorted C labels, sorted O labels); None otherwise."""
+    poset = structure.poset
+    marking = {poset.elements[i]: structure.marking[i] for i in mask_bits(structure.marked)}
+    free = [poset.elements[i] for i in mask_bits(poset.full & ~structure.marked)]
+    target_points = set(target.points if hasattr(target, "points") else target)
+    for c_part, o_part in mcop_splits(free):
+        if set(mcop_build(poset, marking, c_part, o_part).points) == target_points:
+            return tuple(sorted(c_part)), tuple(sorted(o_part))
+    return None
+
+
+def naive_rank(rows):
+    """Rank of a list of rational vectors, by Gauss-Jordan over Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c] / inv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return r
+
+
+def naive_affine_dimension(points):
+    """Affine dimension as the Fraction rank of the differences to the first point."""
+    pts = list(points)
+    if not pts:
+        return -1
+    return naive_rank([[Fraction(x) - Fraction(y) for x, y in zip(p, pts[0])]
+                       for p in pts[1:]])
 
 
 def naive_check_normality(structure, k_max):

@@ -7,7 +7,7 @@ tolerances anywhere.  Each test prints a PASS line when its criterion holds.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -40,8 +40,8 @@ from posetdegen.posets import linear_extension_indices, mask_bits
 
 from conftest import (
     brute_force_extensions,
+    criterion_7_markings,
     flag_weight,
-    posets_up_to_iso,
     random_poset,
     small_poset_corpus,
     valid_weak_structures,
@@ -242,40 +242,16 @@ def test_criterion_6_notmcop_exact_reproduction():
 
 
 def test_criterion_7_mcop_equals_mrpp():
+    # every split of one marking has the marked count of the DP: the
+    # Ehrhart-equivalence that mcop_recognize's single count rests on
     cases = 0
-    for n in range(1, 6):
-        for poset in posets_up_to_iso(n):
-            required = poset.minimals | poset.maximals
-            optional = [i for i in range(n) if not required >> i & 1]
-            for extra in range(1 << len(optional)):
-                marked = required
-                for k, i in enumerate(optional):
-                    if extra >> k & 1:
-                        marked |= 1 << i
-                midx = mask_bits(marked)
-                free = [i for i in range(n) if not marked >> i & 1]
-                for values in product(range(3), repeat=len(midx)):
-                    lam = dict(zip(midx, values))
-                    if any(
-                        lam[i] < lam[j]
-                        for i in midx
-                        for j in mask_bits(poset.above[i] & marked)
-                    ):
-                        continue
-                    marking = {poset.elements[i]: lam[i] for i in midx}
-                    for obits in range(1 << len(free)):
-                        o_part = [
-                            poset.elements[free[k]]
-                            for k in range(len(free)) if obits >> k & 1
-                        ]
-                        c_part = [
-                            poset.elements[free[k]]
-                            for k in range(len(free)) if not obits >> k & 1
-                        ]
-                        # mcop_build raises TheoremViolation on any mismatch
-                        mcop_build(poset, marking, c_part, o_part)
-                        cases += 1
-    print(f"PASS criterion 7: MCOP = MRPP on {cases} exhaustive cases")
+    for poset, marking, splits in criterion_7_markings(5):
+        count = ehrhart_values(validate_relative_structure(poset, [], marking), 1)[1]
+        for c_part, o_part in splits:
+            # mcop_build raises TheoremViolation on any mismatch
+            assert len(mcop_build(poset, marking, c_part, o_part).points) == count
+            cases += 1
+    print(f"PASS criterion 7: MCOP = MRPP with one point count on {cases} exhaustive cases")
 
 
 def test_criterion_8_flag_dimension_counts():

@@ -1,11 +1,13 @@
 import json
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from posetdegen import cli, degeneration, marked, polytopes
+from posetdegen import build_flag_poset, cli, degeneration, marked, polytopes
 from posetdegen.cli import main
+from posetdegen.errors import TheoremViolation
 from posetdegen.lattice import star_mask
 from posetdegen.posets import (
     Poset,
@@ -13,6 +15,7 @@ from posetdegen.posets import (
     build_poset,
     chain_structure,
     linear_extension_indices,
+    mask_bits,
     validate_relative_structure,
 )
 
@@ -442,3 +445,111 @@ def test_roundtrip_poset_file(tmp_path, capsys):
     again = write(tmp_path, "p2.json", rebuilt)
     code, out2 = run(capsys, ["validate", again])
     assert json.loads(out2) == report
+
+
+def test_mcop_recognize_trap_when_the_winning_build_misses_a_point(
+        tmp_path, capsys, monkeypatch):
+    # the one build must hold exactly the target: a missing point means the
+    # MCOPs of one marking were not Ehrhart-equivalent
+    real = marked.mcop_build
+
+    def short(*args):
+        poly = real(*args)
+        return marked.MarkedPolytope(poly.structure, poly.points[1:])
+
+    monkeypatch.setattr(marked, "mcop_build", short)
+    structure = cli.parse_poset_file(write(tmp_path, "p.json", DIAMOND_MARKED))
+    with pytest.raises(TheoremViolation):
+        marked.mcop_recognize(structure, marked.build_mrpp(structure))
+    assert main(["mcop-recognize", write(tmp_path, "p.json", DIAMOND_MARKED)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: TheoremViolation:") and err.count("\n") == 1
+
+
+def flag_poset_file(tmp_path, n, mode):
+    """The full flag's GT or FFLV structure as a poset file, in library order."""
+    f = build_flag_poset(n, tuple(range(n + 1)))
+    poset = f.poset
+    relations = [[poset.elements[i], poset.elements[j]]
+                 for i in range(poset.n) for j in mask_bits(poset.above[i])]
+    weak = [pair for pair in relations if pair[0] not in f.marking] if mode == "fflv" else []
+    payload = {"elements": list(poset.elements), "covers": relations,
+               "weak_covers": weak, "marked": f.marking}
+    free = sorted(x for x in poset.elements if x not in f.marking)
+    return write(tmp_path, f"flag{n}{mode}.json", payload), free
+
+
+@pytest.mark.parametrize("n,mode", [(4, "gt"), (4, "fflv"), (5, "gt")])
+def test_mcop_recognize_on_full_flags(tmp_path, capsys, n, mode):
+    # GT is the last split in bit order: all free elements in O; FFLV the
+    # first, all in C.  The n = 5 GT file took more than 5 minutes when every
+    # split was built in turn
+    poset, free = flag_poset_file(tmp_path, n, mode)
+    start = time.perf_counter()
+    code, out = run(capsys, ["mcop-recognize", poset])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    split = {"chain": [], "order": free} if mode == "gt" else {"chain": free, "order": []}
+    assert json.loads(out) == dict(found=True, **split)
+
+
+def test_mcop_chain_set_with_a_repeated_label_is_no_partition(tmp_path, capsys):
+    # a label listed three times once added up to the bit of the next element
+    poset = write(tmp_path, "p.json", DIAMOND_MARKED)
+    assert main(["polytope", poset, "--kind", "mcop", "--chain-set", "x,x,x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1
+    code, out = run(capsys, ["polytope", poset, "--kind", "mcop", "--chain-set", "x,y,x"])
+    assert code == 0 and len(json.loads(out)["lattice_points"]) == 9
+
+
+OPTION_TEXT = st.text(st.sampled_from("0123456789,-+ x_"), max_size=12)
+DIAMOND_LABELS = st.lists(st.sampled_from(["bot", "x", "y", "top", "z", ""]), max_size=4)
+
+
+@st.composite
+def flag_options(draw):
+    """--n and --dims: the dims of the flags of C^n (most of them valid),
+    any integer lists, or any text."""
+    n = draw(st.integers(-1, 4))
+    inner = sorted(draw(st.sets(st.integers(1, 3), max_size=3)))
+    dims = draw(st.sampled_from([[0] + inner + [n], [0] + inner + [n], [0, n], inner])
+                | st.lists(st.integers(-1, 5), max_size=6))
+    return n, draw(st.just(",".join(map(str, dims))) | OPTION_TEXT)
+
+
+@st.composite
+def split_options(draw):
+    """--chain-set and --order-set on the marked diamond (free: x, y): a
+    split, either side with repeats, stray or empty labels, or any text."""
+    chain = draw(DIAMOND_LABELS)
+    order = [x for x in ("x", "y") if x not in chain]
+    order = draw(st.just(order) | DIAMOND_LABELS)
+    return tuple(draw(st.just(",".join(side)) | OPTION_TEXT) for side in (chain, order))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=flag_options(), split=split_options(),
+       command=st.sampled_from(["gt", "fflv", "mcop", "flag-gt", "flag-fflv", "flag-ideals"]))
+def test_polytope_and_flag_options_exit_with_a_documented_code(
+        tmp_path, capsys, flag, split, command):
+    # n <= 4 keeps every accepted draw small; '=' keeps a leading '-' a value
+    (n, dims), (chain, order) = flag, split
+    if command == "mcop":
+        poset = write(tmp_path, "p.json", DIAMOND_MARKED)
+        argv = ["polytope", poset, "--kind", "mcop",
+                f"--chain-set={chain}", f"--order-set={order}"]
+    elif command.startswith("flag"):
+        mode, action = ("gt", "ideals") if command == "flag-ideals" else (command[5:], "polytope")
+        argv = ["flag", f"--n={n}", f"--dims={dims}", "--mode", mode, "--action", action]
+    else:
+        argv = ["polytope", "--kind", command, f"--n={n}", f"--dims={dims}"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 4)
+    if code:
+        assert err.count("\n") == 1 and "Traceback" not in err
+    elif command == "mcop":
+        labels = [x for x in chain.split(",") + order.split(",") if x]
+        assert set(labels) == {"x", "y"}

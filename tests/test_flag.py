@@ -15,7 +15,7 @@ from posetdegen import (
 from posetdegen.errors import InvalidDims, ModeDimsMismatch
 from posetdegen.marked import build_mrpp, mrpp_points, standardize, mrpp_subdivide
 
-from conftest import flag_weight, weyl_dimension
+from conftest import flag_weight, naive_mcop_recognize, weyl_dimension
 
 
 def all_dims(n):
@@ -277,3 +277,25 @@ def test_flag_degeneration_canonical_components_are_chains():
     # every kept component is a section of a linearization simplex
     for part in report.parts:
         assert part["vertices"] == part["lattice_points"]
+
+
+def test_mcop_recognize_matches_bit_order_oracle_on_flags():
+    # GT is all of the free elements in O, FFLV all in C (the first split);
+    # the notmcop part of criterion 6 is no MCOP
+    for n in range(1, 5):
+        for dims in all_dims(n):
+            f = build_flag_poset(n, dims)
+            free = tuple(sorted(x for x in f.poset.elements if x not in f.marking))
+            for mode, split in (("gt", ((), free)), ("fflv", (free, ()))):
+                s = f.structure(mode)
+                target = build_mrpp(s)
+                assert mcop_recognize(s, target) == naive_mcop_recognize(s, target)
+                if n == 4 and len(dims) == 5:
+                    assert mcop_recognize(s, target) == split
+    s = build_flag_poset(5, (0, 2, 5)).structure("fflv")
+    std, w = notmcop_weight(s)
+    big = max(mrpp_subdivide(s, w).parts, key=lambda p: len(p.vertices))
+    part_structure = std.quotient.with_order(big.order)
+    target = build_mrpp(part_structure)
+    assert naive_mcop_recognize(part_structure, target) is None
+    assert mcop_recognize(part_structure, target) is None

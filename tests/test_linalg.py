@@ -3,10 +3,14 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from posetdegen import build_flag_poset
-from posetdegen.linalg import extreme_points, in_convex_hull
+from posetdegen.linalg import affine_dimension, extreme_points, in_convex_hull
 from posetdegen.marked import mrpp_points
 
-from conftest import marked_corpus_structures, naive_in_convex_hull
+from conftest import (
+    marked_corpus_structures,
+    naive_affine_dimension,
+    naive_in_convex_hull,
+)
 
 
 def oracle_vertices(points):
@@ -105,3 +109,40 @@ def test_extreme_points_match_oracle_on_flags():
         for mode in ("gt", "fflv"):
             points = mrpp_points(f.structure(mode))
             assert extreme_points(points) == oracle_vertices(points), (n, mode)
+
+
+@st.composite
+def point_sets(draw):
+    """At most 9 points in dimension at most 5 with small integer and
+    rational coordinates, half of them in an affine subspace through a base
+    point."""
+    d = draw(st.integers(1, 5))
+    vec = st.tuples(*[COORDS] * d)
+    k = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        return draw(st.lists(vec, min_size=k, max_size=k))
+    base = draw(vec)
+    gens = draw(st.lists(vec, min_size=1, max_size=d))
+    points = []
+    for _ in range(k):
+        steps = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+        points.append(tuple(b + sum(s * g[j] for s, g in zip(steps, gens))
+                            for j, b in enumerate(base)))
+    return points
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=point_sets())
+def test_affine_dimension_matches_fraction_rank(points):
+    assert affine_dimension(points) == naive_affine_dimension(points)
+
+
+def test_affine_dimension_matches_fraction_rank_on_marked_polytopes():
+    point_sets = marked_corpus_point_sets()
+    for n in range(1, 5):
+        f = build_flag_poset(n, tuple(range(n + 1)))
+        point_sets += [mrpp_points(f.structure(mode)) for mode in ("gt", "fflv")]
+    for points in point_sets:
+        assert affine_dimension(points) == naive_affine_dimension(points)
+    assert affine_dimension([(0, 0), (1, 0), (0, 1), (1, 1)]) == 2
+    assert affine_dimension([(Fraction(1, 2), 0), (0, Fraction(1, 3))]) == 1

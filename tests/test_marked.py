@@ -27,9 +27,11 @@ from posetdegen.degeneration import canonical_interior_weight
 from posetdegen.polytopes import indicator
 
 from conftest import (
+    criterion_7_markings,
     gt_pattern_count,
     marked_corpus_structures,
     naive_mcop_box,
+    naive_mcop_recognize,
     naive_mrpp_points,
     random_poset,
 )
@@ -423,3 +425,24 @@ def test_mcop_pruned_box_matches_full_scan():
                 assert poly.points == tuple(
                     naive_mcop_box(poset, marking, chain_part, order_part)
                 )
+
+
+def test_mcop_recognize_matches_bit_order_oracle():
+    # every split's MCOP as the target, on criterion 7's corpus with n <= 4;
+    # without one point, or with one marked coordinate moved, nothing matches
+    cases = 0
+    for poset, marking, splits in criterion_7_markings(4):
+        for c_part, o_part in splits:
+            built = mcop_build(poset, marking, c_part, o_part)
+            found = mcop_recognize(built.structure, built)
+            assert found is not None
+            assert found == naive_mcop_recognize(built.structure, built)
+            points = list(built.points)
+            marked = poset.index(next(iter(marking)))
+            moved = list(points[-1])
+            moved[marked] += 1
+            for target in (points[1:], points[:-1] + [tuple(moved)]):
+                assert mcop_recognize(built.structure, target) is None
+                assert naive_mcop_recognize(built.structure, target) is None
+            cases += 1
+    assert cases == 928
