@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 validation failure, 3 weight outside the cone,
 4 parse error, 5 internal error (a bug trap of the library fired).  All
 rationals are serialized exactly ("p/q", plain integers without the
-denominator); nothing is ever rendered in floating point.
+denominator); a report holds only strings, integers, booleans and None in
+dicts and lists, and the writer refuses anything else, floats included.
 """
 
 import argparse
@@ -11,6 +12,8 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from . import degeneration, flag as flagmod, marked, polytopes
 from .errors import (
@@ -44,9 +47,10 @@ VALIDATION_ERRORS = (
 INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
-def fmt_fraction(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def fmt_ratio(x, scale):
+    """The rational x/scale (scale > 0) as "p/q", or "p" when it is an integer."""
+    g = gcd(x, scale)
+    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
 
 
 def parse_fraction(text):
@@ -203,9 +207,55 @@ def render_text(report):
     return "\n".join(out) + "\n"
 
 
+def report_json(report):
+    """The text of json.dumps(report, sort_keys=True, indent=2), written
+    directly: dicts with str keys, lists and tuples, str, int, bool and None.
+    Anything else, floats and Fractions included, raises TypeError."""
+    out = []
+
+    def write(obj, newline):
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                out.append("[]")
+                return
+            inner = newline + "  "
+            kinds = set(map(type, obj))
+            leaf = (encode_basestring_ascii if kinds == {str}
+                    else int.__repr__ if kinds == {int} else None)
+            if leaf is not None:
+                out.append(f"[{inner}{(',' + inner).join(map(leaf, obj))}{newline}]")
+                return
+            for k, x in enumerate(obj):
+                out.append(("[" if k == 0 else ",") + inner)
+                write(x, inner)
+            out.append(newline + "]")
+        elif isinstance(obj, dict):
+            if not obj:
+                out.append("{}")
+                return
+            inner = newline + "  "
+            for k, key in enumerate(sorted(obj)):
+                if not isinstance(key, str):
+                    raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+                out.append(f"{'{' if k == 0 else ','}{inner}{encode_basestring_ascii(key)}: ")
+                write(obj[key], inner)
+            out.append(newline + "}")
+        elif isinstance(obj, str):
+            out.append(encode_basestring_ascii(obj))
+        elif obj is None or obj is True or obj is False:
+            out.append("null" if obj is None else "true" if obj else "false")
+        elif isinstance(obj, int):
+            out.append(int.__repr__(obj))
+        else:
+            raise TypeError(f"a report cannot hold {type(obj).__name__}")
+
+    write(report, "\n")
+    return "".join(out)
+
+
 def emit_report(report, fmt="json", out=None):
     if fmt == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        payload = report_json(report) + "\n"
     else:
         payload = render_text(report)
     data = payload.encode("utf-8")
@@ -220,18 +270,31 @@ def point_list(points):
     return [list(p) for p in sorted(points)]
 
 
-def part_report(structure, part, vertices, lattice_points, vanishing_keys):
-    covers = part.order.covers()
+def keys_in_order(keys):
+    """(key, position) pairs of a lattice's ideal keys, sorted by key."""
+    return sorted(zip(keys, range(len(keys))))
+
+
+def vanishing_keys(ordered, part):
+    """Keys of the ideals outside a part, in key order (`ordered` is
+    `keys_in_order` of its lattice): no sort per part."""
+    inside = set(part.sublattice)
+    return [key for key, pos in ordered if pos not in inside]
+
+
+def part_report(structure, part, vertices, lattice_points, vanishing):
+    """One part of a `subdivide` report; `vanishing` is already in key order."""
     labels = part.order.elements
+    a, b = part.lift
     return {
-        "added_covers": [list(c) for c in sorted(part.added_covers(structure.poset, covers))],
-        "order_covers": sorted([labels[i], labels[j]] for i, j in covers),
+        "added_covers": [list(c) for c in sorted(part.added_covers(structure.poset))],
+        "order_covers": sorted([labels[i], labels[j]] for i, j in part.covers),
         "vertices": vertices,
         "lattice_points": lattice_points,
-        "vanishing_variables": sorted(vanishing_keys),
+        "vanishing_variables": vanishing,
         "affine": {
-            "normal": [fmt_fraction(a) for a in part.affine[0]],
-            "constant": fmt_fraction(part.affine[1]),
+            "normal": [fmt_ratio(x, part.scale) for x in a],
+            "constant": fmt_ratio(b, part.scale),
         },
     }
 
@@ -344,29 +407,23 @@ def cmd_subdivide(args):
         std, keys = jlambda_keys(structure)
         w = parse_weights_file(args.weights, lat, keys, args.default_zero)
         sub = marked.mrpp_subdivide(structure, w)
-        qlat = sub.standardized.quotient.lattice
-        parts = []
-        for part in sub.parts:
-            inside = set(part.big_sublattice)
-            vanishing = [
-                qlat.label_key(i) for i in range(len(qlat)) if i not in inside
-            ]
-            parts.append(
-                part_report(sub.standardized.quotient, part, len(part.vertices),
-                            len(part.points), vanishing)
-            )
+        quotient = sub.standardized.quotient
+        ordered = keys_in_order(structure_keys(quotient))
+        parts = [
+            part_report(quotient, part, len(part.vertices), len(part.points),
+                        vanishing_keys(ordered, part))
+            for part in sub.parts
+        ]
         return {"parts": parts, "dropped_lower_dimensional": sub.dropped}
     keys = structure_keys(structure)
     w = parse_weights_file(args.weights, lat, keys, args.default_zero)
     sub = degeneration.subdivide(structure, w)
-    parts = []
-    for part in sub.parts:
-        inside = set(part.sublattice)
-        vanishing = [keys[i] for i in range(len(lat)) if i not in inside]
-        parts.append(
-            part_report(structure, part, len(part.sublattice), len(part.sublattice),
-                        vanishing)
-        )
+    ordered = keys_in_order(keys)
+    parts = [
+        part_report(structure, part, len(part.sublattice), len(part.sublattice),
+                    vanishing_keys(ordered, part))
+        for part in sub.parts
+    ]
     return {"parts": parts}
 
 

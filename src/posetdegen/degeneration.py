@@ -21,6 +21,7 @@ closed cone; `cone_position` always reports the literal position.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import InternalClosureFailure, KindMismatch, OutsideCone
@@ -130,24 +131,31 @@ def canonical_interior_weight(structure):
 
 
 class Part:
-    """One part of a regular subdivision of the relative poset polytope."""
+    """One part of a regular subdivision of the relative poset polytope.
 
-    def __init__(self, sublattice, order, affine, linearization_count):
+    Its affine function is `lift / scale`: `lift` is (a: tuple of ints over
+    P, b: int) and `scale` the one denominator shared by every part.
+    """
+
+    def __init__(self, sublattice, order, covers, lift, scale, linearization_count):
         self.sublattice = tuple(sublattice)  # lattice positions, ascending
         self.order = order  # recovered <'' as a Poset
-        self.affine = affine  # (a: tuple of Fractions over P, b: Fraction)
+        self.covers = covers  # order.covers(), as that lists them
+        self.lift = lift
+        self.scale = scale
         self.linearization_count = linearization_count
 
-    def added_covers(self, base_poset, covers=None):
-        """Cover pairs of the recovered order that are not relations of the base.
+    @cached_property
+    def affine(self):
+        """The affine function as (a: tuple of Fractions over P, b: Fraction)."""
+        a, b = self.lift
+        return tuple(Fraction(x, self.scale) for x in a), Fraction(b, self.scale)
 
-        `covers`, when given, must be `self.order.covers()`; it spares the scan.
-        """
-        if covers is None:
-            covers = self.order.covers()
+    def added_covers(self, base_poset):
+        """Cover pairs of the recovered order that are not relations of the base."""
         return [
             (self.order.elements[i], self.order.elements[j])
-            for i, j in covers
+            for i, j in self.covers
             if not base_poset.less(i, j)
         ]
 
@@ -208,18 +216,19 @@ def first_linearization(poset):
     return out
 
 
-def wall_crossings(ext, order, base):
+def wall_crossings(ext, order, covers, base):
     """One linearization of the base order beyond each wall of a part.
 
-    `ext` is a linearization of the part's order <''.  For each cover
-    p ⋖'' q that the base order leaves incomparable, the elements between p
-    and q in `ext` that lie above p move to just after q: nothing lies
-    between p and q, so this is a linearization of <'' with q right after p.
+    `ext` is a linearization of the part's order <'' and `covers` its cover
+    pairs.  For each cover p ⋖'' q that the base order leaves incomparable,
+    the elements between p and q in `ext` that lie above p move to just
+    after q: nothing lies between p and q, so this is a linearization of
+    <'' with q right after p.
     Swapping p and q gives a linearization of < whose simplex lies across
     that wall.
     """
     index = {x: k for k, x in enumerate(ext)}
-    for p, q in order.covers():
+    for p, q in covers:
         if base.less(p, q):
             continue
         i, j = index[p], index[q]
@@ -238,7 +247,8 @@ def check_part_star(part_structure):
 
 def triangulation_parts(structure, values, vertex_bits):
     """One part per linearization, for weights strictly inside the cone (or
-    its negation): the part's order is the linearization itself."""
+    its negation): the part's order is the linearization itself, whose
+    covers are its consecutive pairs."""
     poset = structure.poset
     parts = []
     lifts = set()
@@ -258,7 +268,7 @@ def triangulation_parts(structure, values, vertex_bits):
             later |= 1 << p
         order = Poset(poset.elements, above)
         check_part_star(structure.with_order(order))
-        parts.append((chain, order, affine, 1))
+        parts.append((chain, order, sorted(zip(ext, ext[1:])), affine, 1))
     return parts
 
 
@@ -282,7 +292,8 @@ def walk_parts(structure, values, vertex_bits, linearizations):
     signs = set()
 
     def visit(ext):
-        """The order of the part that `ext` lies in, or None if already found."""
+        """The order and covers of the part that `ext` lies in, or None if
+        already found."""
         affine, _ = affine_lift_on_chain(structure, ext, values)
         if affine in lifts:
             return None
@@ -302,17 +313,18 @@ def walk_parts(structure, values, vertex_bits, linearizations):
         # sublattice_to_order certified member_masks as exactly J(<''), in lattice order
         part_lattice = IdealLattice(order, member_masks)
         check_part_star(structure.with_order(order, part_lattice))
-        parts.append((members, order, affine, part_lattice.maximal_chain_count()))
-        return order
+        covers = order.covers()
+        parts.append((members, order, covers, affine, part_lattice.maximal_chain_count()))
+        return order, covers
 
     queue = [first_linearization(poset)]
     budget = linearizations
     while queue and budget:
         ext = queue.pop()
         budget -= 1
-        order = visit(ext)
-        if order is not None:
-            queue.extend(wall_crossings(ext, order, poset))
+        found = visit(ext)
+        if found is not None:
+            queue.extend(wall_crossings(ext, *found, poset))
     if queue:
         for ext in linear_extension_indices(poset):
             visit(ext)
@@ -328,8 +340,9 @@ def subdivide(structure, w):
     part (`triangulation_parts`); otherwise the parts are walked
     (`walk_parts`), at a cost that grows with their number, not with e(P),
     and is at most that of lifting every linearization twice.
-    The weight is scaled once to integers, and each affine lift is divided
-    back.  Either way the parts' linearization counts must add up to e(P).
+    The weight is scaled once to integers, and each part keeps its integer
+    lift with that scale.  Either way the parts' linearization counts must
+    add up to e(P).
     """
     values = as_weight(structure, w)
     pos = cone_position(structure, values)
@@ -348,8 +361,8 @@ def subdivide(structure, w):
     else:
         found = walk_parts(structure, ints, vertex_bits, linearizations)
     parts = sorted(
-        (Part(sub, order, (tuple(Fraction(x, scale) for x in a), Fraction(b, scale)), count)
-         for sub, order, (a, b), count in found),
+        (Part(sub, order, covers, lift, scale, count)
+         for sub, order, covers, lift, count in found),
         key=lambda p: p.sublattice,
     )
     if sum(p.linearization_count for p in parts) != linearizations:

@@ -304,7 +304,7 @@ def flag_degeneration(flag, mode, w):
     lat = std.quotient.lattice
     parts = []
     for part in sub.parts:
-        inside = set(part.big_sublattice)
+        inside = set(part.sublattice)
         vanishing = []
         for pos in range(len(lat)):
             if pos not in inside:

@@ -32,7 +32,10 @@ class IdealLattice:
 
     @cached_property
     def superset_lists(self):
-        """For each position, the positions of all ideals containing it (incl. itself)."""
+        """For each position, the positions of all ideals containing it (incl. itself).
+
+        Quadratic in the number of ideals; only the multichain enumerators read it.
+        """
         out = []
         for i, m in enumerate(self.masks):
             out.append([j for j, mm in enumerate(self.masks) if mm & m == m])
@@ -48,6 +51,21 @@ class IdealLattice:
                     out.append((a, b))
         return out
 
+    @cached_property
+    def zeta_steps(self):
+        """For each element p, in a linear extension of the order, the pairs
+        (J - p, J) of positions of the ideals J in which p is maximal."""
+        above = self.poset.above
+        position = self.position
+        steps = [[] for _ in range(self.poset.n)]
+        for j, mask in enumerate(self.masks):
+            for p in mask_bits(mask):
+                if not above[p] & mask:
+                    steps[p].append((position[mask ^ 1 << p], j))
+        below = self.poset.below
+        return [steps[p] for p in sorted(range(self.poset.n),
+                                         key=lambda p: bin(below[p]).count("1"))]
+
     def multichain_count(self, m):
         """Number of weakly increasing m-tuples of ideals."""
         return self.prescribed_multichain_count(0, [0] * m)
@@ -56,24 +74,28 @@ class IdealLattice:
         """Number of weakly increasing chains J_1 <= ... <= J_k of ideals with
         J_d & marked == reqs[d], the chains that `packed_multichains` sums.
 
-        One DP over `superset_lists`: counts[j] is the number of chains so
-        far that end in ideal j; a step pushes each count to every superset
-        and keeps those that meet the step's requirement.
+        One DP: counts[j] is the number of chains so far that end in ideal j.
+        A step turns each count into the sum of the counts of the ideals
+        inside j, then keeps the ideals that meet the step's requirement.
+        The sum is a zeta transform along `zeta_steps`: once the elements
+        before p are done, counts[J] sums the ideals I inside J with J - I
+        among them; an I without p that lies inside J makes p maximal in J
+        (an element of J above p would be in J - I, hence done before p), and
+        those I are the ones inside J - p.  So adding counts[J - p] to
+        counts[J] for each J in which p is maximal brings p in, at a cost of
+        at most n additions per ideal.
         """
         if not reqs:
             return 1
         masks = self.masks
-        supersets = self.superset_lists
+        steps = self.zeta_steps
         counts = [1 if mask & marked == reqs[0] else 0 for mask in masks]
         for req in reqs[1:]:
-            nxt = [0] * len(masks)
-            for i, ci in enumerate(counts):
-                if ci:
-                    for j in supersets[i]:
-                        nxt[j] += ci
+            for pairs in steps:
+                for low, high in pairs:
+                    counts[high] += counts[low]
             if marked:
-                nxt = [c if mask & marked == req else 0 for c, mask in zip(nxt, masks)]
-            counts = nxt
+                counts = [c if mask & marked == req else 0 for c, mask in zip(counts, masks)]
         return sum(counts)
 
     def maximal_chain_count(self):

@@ -245,23 +245,19 @@ def standardize(structure):
     )
 
 
-class MarkedPart:
-    """A part of the MRPP subdivision at the standardized level."""
+class MarkedPart(Part):
+    """A part of the quotient's subdivision, at the standardized level, with
+    the lattice points of its marked section."""
 
-    def __init__(self, order, big_sublattice, affine, restricted_affine, points,
-                 linearization_count):
-        self.order = order
-        self.big_sublattice = tuple(big_sublattice)
-        self.affine = affine
+    def __init__(self, part, restricted_affine, points):
+        super().__init__(part.sublattice, part.order, part.covers, part.lift, part.scale,
+                         part.linearization_count)
         self.restricted_affine = restricted_affine
         self.points = tuple(sorted(points))
-        self.linearization_count = linearization_count
 
     @cached_property
     def vertices(self):
         return tuple(sorted(linalg.extreme_points(self.points)))
-
-    added_covers = Part.added_covers
 
 
 class MarkedSubdivision:
@@ -322,10 +318,7 @@ def mrpp_subdivide(structure, w):
             raise InternalClosureFailure("two section parts share an affine lift")
         seen_affines.add(raff)
         covered.update(pts)
-        keep.append(
-            MarkedPart(part.order, part.sublattice, part.affine, raff, pts,
-                       part.linearization_count)
-        )
+        keep.append(MarkedPart(part, raff, pts))
     if covered != set(whole.points):
         raise InternalClosureFailure("section parts do not cover the marked polytope")
     return MarkedSubdivision(std, keep, dropped)
@@ -414,11 +407,20 @@ def mcop_build(poset, marking, chain_part, order_part):
     # construction (1): box enumeration against the chain-order inequalities
     n = poset.n
     ranges, chains = _mcop_inequalities(poset, values, marked_mask | o_mask, c_mask)
-    # each chain inequality is checked as soon as its last coordinate is set
-    checks = [[] for _ in range(n)]
+    # each chain inequality is checked as soon as its last coordinate is set,
+    # unless a longer chain with the same anchors, checked at the same node,
+    # takes all its middle elements: C coordinates are >= 0, so the longer
+    # one implies it
+    nodes = [[] for _ in range(n)]
     for chain in chains:
         a, mids, b = chain
-        checks[max(a, b, *mids)].append(chain)
+        nodes[max(a, b, *mids)].append((a, b, sum(1 << p for p in mids), chain))
+    checks = [
+        [chain for a, b, mids, chain in node
+         if not any(a == a2 and b == b2 and mids != mids2 and mids & mids2 == mids
+                    for a2, b2, mids2, _ in node)]
+        for node in nodes
+    ]
 
     box_points = []
     point = [0] * n

@@ -25,14 +25,12 @@ def transitive_closure(above, n):
 
 
 def mask_bits(mask):
-    """Indices of the set bits of a mask, ascending."""
+    """Indices of the set bits of a mask, ascending; one step per set bit."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -77,10 +75,16 @@ class Poset:
         return sum(1 << i for i in range(self.n) if self.above[i] == 0)
 
     def covers(self):
-        """Cover pairs (i, j) with i < j and nothing strictly between."""
-        below = self.below
-        return [(i, j) for i in range(self.n) for j in mask_bits(self.above[i])
-                if not self.above[i] & below[j]]
+        """Cover pairs (i, j) with i < j and nothing strictly between: the
+        j of row i are above[i] minus everything above an element of it."""
+        above = self.above
+        out = []
+        for i, row in enumerate(above):
+            reach = 0
+            for k in mask_bits(row):
+                reach |= above[k]
+            out.extend((i, j) for j in mask_bits(row & ~reach))
+        return out
 
     def cover_labels(self):
         return [(self.elements[i], self.elements[j]) for i, j in self.covers()]

@@ -5,12 +5,14 @@ enumeration, finite differences, Weyl products) so they stay independent of
 the library code paths they are used to check.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
+from posetdegen.degeneration import subdivide
 from posetdegen.posets import (
     Poset,
     RelativeStructure,
@@ -20,9 +22,21 @@ from posetdegen.posets import (
     validate_relative_structure,
 )
 from posetdegen.lattice import enumerate_ideals, star_mask, sublattice_to_order
-from posetdegen.marked import fundamental_decomposition, mcop_build
+from posetdegen.marked import fundamental_decomposition, mcop_build, mrpp_subdivide
 from posetdegen import polytopes
 from posetdegen.polytopes import canonical_triangulation, indicator, unpack
+
+
+def naive_mask_bits(mask):
+    """Shift-loop oracle for `mask_bits`: one step per bit up to the highest."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
 
 
 def make_poset(n, above):
@@ -191,6 +205,71 @@ def random_poset(rng, n, density=0.35):
             if rng.random() < density:
                 above[i] |= 1 << j
     return make_poset(n, transitive_closure(above, n))
+
+
+def naive_prescribed_multichain_count(lattice, marked, reqs):
+    """Superset-list oracle for `IdealLattice.prescribed_multichain_count`:
+    each step pushes every count to all the ideals containing its own."""
+    if not reqs:
+        return 1
+    masks = lattice.masks
+    counts = [1 if mask & marked == reqs[0] else 0 for mask in masks]
+    for req in reqs[1:]:
+        nxt = [0] * len(masks)
+        for i, ci in enumerate(counts):
+            for j in lattice.superset_lists[i]:
+                nxt[j] += ci
+        if marked:
+            nxt = [c if mask & marked == req else 0 for c, mask in zip(nxt, masks)]
+        counts = nxt
+    return sum(counts)
+
+
+def naive_part_report(structure, part, vertices, lattice_points, vanishing_keys):
+    """One part of a `subdivide` report the long way: covers by the triple
+    loop, the affine function in Fractions, the vanishing keys sorted here."""
+    labels = part.order.elements
+    covers = naive_covers(part.order)
+    fmt = lambda x: str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    added = [(labels[i], labels[j]) for i, j in covers if not structure.poset.less(i, j)]
+    return {
+        "added_covers": [list(c) for c in sorted(added)],
+        "order_covers": sorted([labels[i], labels[j]] for i, j in covers),
+        "vertices": vertices,
+        "lattice_points": lattice_points,
+        "vanishing_variables": sorted(vanishing_keys),
+        "affine": {
+            "normal": [fmt(a) for a in part.affine[0]],
+            "constant": fmt(part.affine[1]),
+        },
+    }
+
+
+def naive_subdivide_report(structure, values):
+    """The bytes `posetdegen subdivide` prints for a parsed weight, built
+    with `naive_part_report`, one `label_key` call per vanishing ideal and
+    `json.dumps`."""
+    if structure.marked:
+        sub = mrpp_subdivide(structure, values)
+        quotient = sub.standardized.quotient
+        qlat = quotient.lattice
+        parts = [
+            naive_part_report(quotient, part, len(part.vertices), len(part.points),
+                              [qlat.label_key(i) for i in range(len(qlat))
+                               if i not in part.sublattice])
+            for part in sub.parts
+        ]
+        report = {"parts": parts, "dropped_lower_dimensional": sub.dropped}
+    else:
+        lat = structure.lattice
+        parts = [
+            naive_part_report(structure, part, len(part.sublattice), len(part.sublattice),
+                              [lat.label_key(i) for i in range(len(lat))
+                               if i not in part.sublattice])
+            for part in subdivide(structure, values).parts
+        ]
+        report = {"parts": parts}
+    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def naive_covers(poset):

@@ -1,9 +1,11 @@
 import json
+import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from posetdegen import build_flag_poset, cli, degeneration, marked, polytopes
 from posetdegen.cli import main
@@ -16,10 +18,11 @@ from posetdegen.posets import (
     chain_structure,
     linear_extension_indices,
     mask_bits,
+    order_structure,
     validate_relative_structure,
 )
 
-from conftest import nth_finite_difference
+from conftest import naive_subdivide_report, nth_finite_difference
 
 
 SQUARE = {
@@ -121,7 +124,7 @@ def test_peeling_certificate_failure_exits_5(tmp_path, capsys, monkeypatch, comm
     assert captured.err.count("\n") == 1
 
 
-def test_part_report_computes_the_covers_once(monkeypatch):
+def test_part_report_reads_the_carried_covers(monkeypatch):
     s = chain_structure(build_poset(
         ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]))
     sub = degeneration.subdivide(s, [0] * len(s.lattice))
@@ -129,9 +132,95 @@ def test_part_report_computes_the_covers_once(monkeypatch):
     real = Poset.covers
     monkeypatch.setattr(Poset, "covers", lambda self: calls.append(self) or real(self))
     report = cli.part_report(s, sub.parts[0], 6, 6, [])
-    assert len(calls) == 1
+    assert calls == []
     assert report["order_covers"] == [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]
     assert report["added_covers"] == []
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report=JSON_VALUES)
+@example(report={"é\x00\u2028\U0001f600": ["\x1f\"\\", "\ud800"], "": {}, "a": []})
+@example(report=[[True, 1, 0, False], [1, 2], ["x", "y"], ["x", 1], [None], (), [[]]])
+@example(report={"b": {"c": [1, {"d": (2, 3)}]}, "a": -10 ** 30})
+def test_report_writer_equals_json_dumps(report):
+    assert cli.report_json(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("report", [
+    1.5, [0, 2.0], {"a": {"b": [float("nan")]}}, Fraction(1, 2), [Fraction(2)],
+    {1: "a"}, {"a": b"bytes"}, {"a": {"x"}},
+])
+def test_report_writer_refuses_other_types(report):
+    # json.dumps would render a float, a non-str key or nothing at all
+    with pytest.raises(TypeError):
+        cli.report_json(report)
+
+
+def structure_file(tmp_path, structure):
+    """A poset file describing a validated structure."""
+    poset = structure.poset
+    pairs = lambda rows: [[poset.elements[i], poset.elements[j]]
+                          for i in range(poset.n) for j in mask_bits(rows[i])]
+    payload = {"elements": list(poset.elements), "covers": pairs(poset.above),
+               "weak_covers": pairs(structure.weak_above)}
+    if structure.marked:
+        payload["marked"] = {poset.elements[i]: v for i, v in structure.marking.items()}
+    return write(tmp_path, "p.json", payload)
+
+
+def test_subdivide_report_bytes_match_the_old_report_path(tmp_path):
+    # interior weights (one part per linearization), boundary weights (parts
+    # walked across walls, or every linearization lifted) and marked weights,
+    # against the report built with Fractions, a sort per part and json.dumps
+    rng = random.Random(9)
+    grid = build_poset(["a", "b", "c", "d", "e", "f"],
+                       [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f"),
+                        ("a", "d"), ("b", "e"), ("c", "f")])
+    order, chain = order_structure(grid), chain_structure(grid)
+    three = order_structure(Poset(["a", "b", "c"], (0, 0, 0)))
+    size = lambda m: bin(m).count("1")
+    least_shift = [size(m) ** 2 for m in three.lattice.masks]
+    least_shift[three.lattice.position[0b011]] = 2
+    flag = build_flag_poset(5, (0, 2, 5)).structure("fflv")
+    std = marked.standardize(flag)
+    canonical = degeneration.canonical_interior_weight(std.quotient).values
+    notmcop = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
+    cases = [
+        (order, [Fraction(v, 6) for v in degeneration.canonical_interior_weight(order).values]),
+        (order, [0] * len(order.lattice)),
+        (chain, degeneration.sample_cone_weight(chain, rng).values),
+        (three, [size(m & 0b011) ** 2 for m in three.lattice.masks]),
+        (three, least_shift),
+        (flag, [int(flag.lattice.label_key(pos) == notmcop) for pos in std.jlambda]),
+        (flag, [canonical[q] / 2 for q in std.lattice_map]),
+    ]
+    for structure, values in cases:
+        poset = structure_file(tmp_path, structure)
+        parsed = cli.parse_poset_file(poset)
+        keys = cli.jlambda_keys(parsed)[1] if parsed.marked else cli.structure_keys(parsed)
+        weights = write(tmp_path, "w.json",
+                        {"weights": {k: str(v) for k, v in zip(keys, values)}})
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "subdivide", poset, "--weights", weights]) == 0
+        assert out.read_bytes() == naive_subdivide_report(parsed, [Fraction(v) for v in values])
+
+
+def test_ehrhart_of_the_12_antichain_runs_well_under_a_second(tmp_path, capsys):
+    # 4,096 ideals; the all-pairs superset lists alone took over a second
+    poset = write(tmp_path, "p.json", {"elements": [f"a{i}" for i in range(12)]})
+    start = time.perf_counter()
+    code, out = run(capsys, ["ehrhart", poset, "--max-dilation", "4"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert json.loads(out)["ehrhart"] == {str(m): (m + 1) ** 12 for m in range(5)}
 
 
 def test_deterministic_output(tmp_path, capsys):

@@ -23,6 +23,7 @@ from posetdegen.errors import InternalClosureFailure, KindMismatch, OutsideCone
 from posetdegen.posets import build_poset, linear_extension_indices
 
 from conftest import (
+    naive_covers,
     naive_subdivide,
     posets_up_to_iso,
     small_poset_corpus,
@@ -235,6 +236,8 @@ def test_subdivide_matches_grouping_oracle():
         for w in weights:
             sub = subdivide(s, w)
             assert part_table(sub) == naive_subdivide(s, w)
+            for part in sub.parts:  # carried on both paths
+                assert part.covers == part.order.covers() == naive_covers(part.order)
             walked += bool(cone_position(s, w).tight)
     assert walked > 600
 
@@ -253,7 +256,8 @@ def test_walk_case_has_two_parts_across_one_wall():
     assert [p.linearization_count for p in sub.parts] == [3, 3]
     for part in sub.parts:
         ext = degeneration.first_linearization(part.order)
-        assert len(list(degeneration.wall_crossings(ext, part.order, s.poset))) == 1
+        crossings = degeneration.wall_crossings(ext, part.order, part.covers, s.poset)
+        assert len(list(crossings)) == 1
 
 
 def test_fine_boundary_walk_lifts_every_linearization_instead(monkeypatch):
@@ -275,7 +279,7 @@ def test_fine_boundary_walk_lifts_every_linearization_instead(monkeypatch):
 def test_missed_part_trips_the_count(monkeypatch):
     real = degeneration.wall_crossings
     monkeypatch.setattr(degeneration, "wall_crossings",
-                        lambda ext, order, base: list(real(ext, order, base))[1:])
+                        lambda *args: list(real(*args))[1:])
     s, w = walk_case()
     with pytest.raises(InternalClosureFailure, match="account for every linearization"):
         subdivide(s, w)

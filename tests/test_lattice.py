@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from posetdegen import (
@@ -21,6 +23,7 @@ from posetdegen.posets import (
 )
 
 from conftest import (
+    naive_prescribed_multichain_count,
     naive_star_closure_failure,
     small_poset_corpus,
     stronger_orders,
@@ -235,6 +238,29 @@ def test_sublattice_to_order_outcomes(poset, masks, expected, message):
     with pytest.raises(expected, match=message) as info:
         sublattice_to_order(masks, poset)
     assert type(info.value) is expected
+
+
+def test_zeta_multichain_count_matches_superset_dp():
+    # every poset with at most 5 elements: unmarked counts, and counts with a
+    # random marked set under random requirements and under the marked parts
+    # of a random multichain (never empty)
+    rng = random.Random(5)
+    for poset in small_poset_corpus(5):
+        lat = enumerate_ideals(poset)
+        for m in range(5):
+            assert lat.multichain_count(m) == naive_prescribed_multichain_count(lat, 0, [0] * m)
+        extensions = linear_extension_indices(poset)
+        for _ in range(4):
+            marked = rng.getrandbits(poset.n)
+            parts = sorted({mask & marked for mask in lat.masks})
+            ext = rng.choice(extensions)
+            sizes = sorted(rng.randrange(poset.n + 1) for _ in range(rng.randrange(6)))
+            chain = [sum(1 << p for p in ext[:k]) & marked for k in sizes]
+            drawn = [rng.choice(parts) for _ in range(rng.randrange(6))]
+            for reqs in (chain, drawn):
+                count = lat.prescribed_multichain_count(marked, reqs)
+                assert count == naive_prescribed_multichain_count(lat, marked, reqs)
+                assert count or reqs is drawn
 
 
 def test_maximal_chain_count_equals_extensions():

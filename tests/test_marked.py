@@ -402,8 +402,10 @@ def test_mcop_recognize_order_and_chain():
 
 
 def test_mcop_pruned_box_matches_full_scan():
-    # every chain/order split of the marked posets above and of the partial
-    # flag posets with n <= 4 (the full n = 4 flag scans a 4^6 box per split)
+    # every chain/order split of the marked posets below, of the partial flag
+    # posets with n <= 4 (the full n = 4 flag scans a 4^6 box per split) and
+    # of criterion 7's corpus: the box search skips the chain inequalities
+    # that longer chains imply, and keeps every point of the full scan
     diamond = marked_diamond().poset
     square = build_poset(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
     cases = [
@@ -416,6 +418,7 @@ def test_mcop_pruned_box_matches_full_scan():
                     (4, (0, 2, 4)), (4, (0, 1, 2, 4)), (4, (0, 1, 3, 4))):
         f = build_flag_poset(n, dims)
         cases.append((f.poset, f.marking))
+    cases += [(poset, marking) for poset, marking, _ in criterion_7_markings(5)]
     for poset, marking in cases:
         free = [x for x in poset.elements if x not in marking]
         for r in range(len(free) + 1):

@@ -17,6 +17,7 @@ from posetdegen.posets import mask_bits
 from conftest import (
     brute_force_extensions,
     naive_covers,
+    naive_mask_bits,
     random_poset,
     small_poset_corpus,
     stronger_orders,
@@ -159,6 +160,16 @@ def test_validate_marked_antichain():
     p = antichain_poset(["a", "b"])
     s = validate_relative_structure(p, [], {"a": 2, "b": 1})
     assert sorted(mask_bits(s.marked)) == [0, 1]
+
+
+def test_mask_bits_matches_shift_loop_oracle():
+    for mask in range(1 << 12):
+        assert mask_bits(mask) == naive_mask_bits(mask)
+    rng = random.Random(64)
+    for _ in range(3000):
+        mask = rng.getrandbits(64) & rng.getrandbits(64) & rng.getrandbits(64)
+        assert mask_bits(mask) == naive_mask_bits(mask)
+        assert mask_bits(mask | 1 << 63) == naive_mask_bits(mask | 1 << 63)
 
 
 def test_covers_match_triple_loop_oracle():
