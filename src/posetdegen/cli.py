@@ -374,9 +374,6 @@ def cmd_ehrhart(args):
 
 def cmd_normality(args):
     reject_negative_dilation(args)
-    limit = (1 << polytopes.PACK_BITS) - 1  # check_normality packs codes of one width
-    if args.max_dilation > limit:
-        raise ParseError(f"--max-dilation {args.max_dilation} exceeds {limit} for normality")
     structure = parse_poset_file(args.file)
     ok, failure = polytopes.check_normality(structure, args.max_dilation)
     report = {"normal": ok, "max_dilation": args.max_dilation}

@@ -4,16 +4,18 @@ dilation lattice points, Ehrhart counts and normality.
 Lattice points of dilations and of marked polytopes are sums of the vectors
 1_{max' J} over weakly increasing chains of ideals.  `check_peeling` certifies
 once per structure that distinct chains give distinct points, so Ehrhart
-counts are counts of chains (`IdealLattice.prescribed_multichain_count`) and
-normality compares sizes; no point is built for either.  Commands that print
+counts are counts of chains (`IdealLattice.prescribed_multichain_count`),
+with no point built, and normality compares the number of 2-fold sums of
+dilation 1 with the count of dilation 2, which settles every dilation
+(`check_normality`).  Commands that print
 points enumerate them with `packed_multichains`, in a packed integer encoding
 so that set arithmetic stays cheap; public functions decode to coordinate
 tuples.  A chain of k steps packs max(PACK_BITS, k.bit_length()) bits per
-coordinate.  Only `packed_dilation` caps m at 63, because `check_normality`
-compares codes across dilations and needs one width.
+coordinate.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from . import linalg
 from .errors import (
@@ -23,7 +25,7 @@ from .errors import (
 )
 from .posets import RelativeStructure, linear_extension_indices, mask_bits
 
-PACK_BITS = 6  # coordinates of m-dilations stay below 2**PACK_BITS for m <= 63
+PACK_BITS = 6  # least bits per coordinate; check_normality compares dilations 1 and 2 in it
 
 
 def pack_bits(steps):
@@ -144,12 +146,15 @@ def packed_multichains(structure, marked, reqs):
         sum(1 << (bits * i) for i in mask_bits(structure.max_weak(m))) for m in masks
     ]
     succ = {}
-    for req in set(reqs):
+    for req in set(reqs[1:]):
         keep = [m & marked == req for m in masks]
         succ[req] = lat.superset_lists if all(keep) else [
             [j for j in sups if keep[j]] for sups in lat.superset_lists
         ]
-    levels = [succ[req] for req in reqs]
+    # The first step starts from nothing, so it needs no superset list: a
+    # one-step chain is any ideal that meets its requirement.
+    first = [j for j, m in enumerate(masks) if m & marked == reqs[0]]
+    levels = [[first]] + [succ[req] for req in reqs[1:]]
     points = set()
     add = points.add
     chains = 0
@@ -165,7 +170,7 @@ def packed_multichains(structure, marked, reqs):
         for j in nxt:
             rec(j, depth + 1, acc + codes[j])
 
-    rec(0, 0, 0)  # position 0 is the empty ideal, contained in every ideal
+    rec(0, 0, 0)
     if chains != len(points):
         raise InternalClosureFailure("distinct multichains produced a repeated point")
     return points
@@ -173,15 +178,14 @@ def packed_multichains(structure, marked, reqs):
 
 def packed_dilation(structure, m):
     """Packed point codes of the m-th dilation, via weakly increasing ideal tuples."""
-    if m >= 1 << PACK_BITS:
-        raise ValueError(f"dilation {m} overflows the packed encoding")
     return packed_multichains(structure, 0, [0] * m)
 
 
 def lattice_points(structure, m):
     """Integer points of m * R(P,<,<') as coordinate tuples."""
     n = structure.poset.n
-    return frozenset(unpack(code, n) for code in packed_dilation(structure, m))
+    bits = pack_bits(m)
+    return frozenset(unpack(code, n, bits) for code in packed_dilation(structure, m))
 
 
 def check_peeling(structure):
@@ -255,29 +259,44 @@ def decompose_point(point, m, structure):
 
 
 def check_normality(structure, k_max):
-    """Verify each dilation k <= k_max equals the k-fold Minkowski sum of dilation 1.
+    """Verify each dilation k <= k_max equals the k-fold Minkowski sum of
+    dilation 1, from the 2-fold sums alone.
 
     Each point of dilation k is a chain sum, so a sum of k points of
     dilation 1: dilation k lies inside the k-fold sums.  With `check_peeling`
-    the multichain count is the size of dilation k, so the two sets are equal
-    exactly when the sums are as many.  Dilation k is built only when they
-    are not, to name the smallest code in which the sets differ.
+    the multichain count is the size of dilation k, so dilation 2 equals the
+    2-fold sums exactly when they are as many.
 
-    Returns (True, None) or (False, (k, failing_point)).
+    That settles every k, by straightening (Hibi 1987).  Write
+    v_K = 1_{max' K} and suppose the 2-fold sums are dilation 2.  For
+    incomparable ideals I and J, v_I + v_J = v_A + v_B for a chain A ⊆ B.
+    Both sums have the support max' I ∪ max' J = max' A ∪ max' B.  By
+    `check_peeling` (down_<(max' K) = K for every ideal K) its down-closure
+    is I ∪ J; it lies in B and contains max' B, so its down-closure is also
+    B.  So B = I ∪ J, strictly larger than I and than J.  Now straighten any
+    k vertices: replace an incomparable pair {I, J} by {A, I ∪ J}, which
+    keeps the sum.  Sort the ideal sizes in decreasing order.  A replacement
+    adds the size |I ∪ J|, above |I| and |J|, and no size above it
+    (|A| <= |B|), so the sorted size vector grows strictly in lexicographic
+    order.  There are finitely many such vectors, so straightening stops, at
+    k pairwise comparable ideals: a chain.  So every k-fold sum lies in
+    dilation k, and no k > 2 needs a sum or a point.
+
+    Dilation 2 is built only when the sizes differ, to name the smallest
+    code in which the sets differ.
+
+    Returns (True, None) or (False, (2, failing_point)).
     """
-    n = structure.poset.n
     check_peeling(structure)
-    lat = structure.lattice
+    if k_max < 2:
+        return True, None
     base = packed_dilation(structure, 1)
-    current = base
-    for k in range(2, k_max + 1):
-        sums = {a + b for a in current for b in base}
-        if len(sums) != lat.multichain_count(k):
-            diff = packed_dilation(structure, k).symmetric_difference(sums)
-            if not diff:
-                raise InternalClosureFailure(
-                    f"dilation {k} has {len(sums)} points, not its multichain count"
-                )
-            return False, (k, unpack(min(diff), n))
-        current = sums
-    return True, None
+    sums = {a + b for a, b in combinations_with_replacement(base, 2)}
+    if len(sums) == structure.lattice.multichain_count(2):
+        return True, None
+    diff = packed_dilation(structure, 2).symmetric_difference(sums)
+    if not diff:
+        raise InternalClosureFailure(
+            f"dilation 2 has {len(sums)} points, not its multichain count"
+        )
+    return False, (2, unpack(min(diff), structure.poset.n))

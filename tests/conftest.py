@@ -354,17 +354,12 @@ def recompose(chain, structure):
     return tuple(total)
 
 
-def naive_mrpp_points(structure, scale=1):
-    """Integer points of R_{scale*lambda} by recursion over tuple-list multichains."""
-    fd = fundamental_decomposition(structure, scale)
+def naive_multichain_points(structure, marked, reqs):
+    """Oracle for `polytopes.packed_multichains`, as coordinate tuples: the
+    sums of 1_{max' J_d} over the chains J_1 <= ... <= J_k of ideals with
+    J_d & marked == reqs[d], by recursion over tuple-list multichains."""
     lat = structure.lattice
-    marked = structure.marked
     n = structure.poset.n
-    reqs = [k for k, alpha in fd.terms for _ in range(alpha)]
-    top_vertex = indicator(structure.max_weak(structure.poset.full), n)
-    offset = tuple(-fd.shift * t for t in top_vertex)
-    if not reqs:
-        return [offset]
     sups = lat.superset_lists
     vertex_vectors = [indicator(structure.max_weak(m), n) for m in lat.masks]
     points = set()
@@ -382,9 +377,20 @@ def naive_mrpp_points(structure, scale=1):
                 v = vertex_vectors[j]
                 rec(j, depth + 1, [a + b for a, b in zip(acc, v)])
 
-    rec(None, 0, list(offset))
+    rec(None, 0, [0] * n)
     assert chains == len(points), "prescribed multichains produced a repeated point"
-    return sorted(points)
+    return points
+
+
+def naive_mrpp_points(structure, scale=1):
+    """Integer points of R_{scale*lambda} by recursion over tuple-list multichains."""
+    fd = fundamental_decomposition(structure, scale)
+    n = structure.poset.n
+    reqs = [k for k, alpha in fd.terms for _ in range(alpha)]
+    top_vertex = indicator(structure.max_weak(structure.poset.full), n)
+    offset = tuple(-fd.shift * t for t in top_vertex)
+    points = naive_multichain_points(structure, structure.marked, reqs)
+    return sorted(tuple(a + b for a, b in zip(p, offset)) for p in points)
 
 
 def marked_corpus_structures(max_n=4):

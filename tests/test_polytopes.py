@@ -20,11 +20,18 @@ from posetdegen import (
 )
 from posetdegen.errors import InternalClosureFailure, NotALatticePoint
 from posetdegen.lattice import IdealLattice, max_antichain
-from posetdegen.polytopes import indicator, pack_bits, packed_dilation
+from posetdegen.polytopes import (
+    indicator,
+    pack_bits,
+    packed_dilation,
+    packed_multichains,
+    unpack,
+)
 from posetdegen.posets import RelativeStructure
 
 from conftest import (
     naive_check_normality,
+    naive_multichain_points,
     nth_finite_difference,
     point_in_dilation,
     recompose,
@@ -219,6 +226,53 @@ def test_repeated_point_raises():
     s = RelativeStructure(chain_poset(["a", "b"]), (0, 1))
     with pytest.raises(InternalClosureFailure):
         packed_dilation(s, 1)
+
+
+def test_packed_multichains_match_the_tuple_recursion(corpus5):
+    # unmarked one and two steps on every valid structure with at most 5
+    # elements; with 4 or fewer, also the minimal and maximal elements
+    # marked, each requirement alone and followed by the top one
+    for poset in corpus5:
+        marked = poset.minimals | poset.maximals
+        for s in valid_weak_structures(poset):
+            cases = [(0, [0]), (0, [0, 0])]
+            if poset.n <= 4:
+                values = sorted({m & marked for m in s.lattice.masks})
+                cases += [(marked, [r]) for r in values]
+                cases += [(marked, [r, marked]) for r in values]
+            for mark, reqs in cases:
+                bits = pack_bits(len(reqs))
+                got = {unpack(c, poset.n, bits) for c in packed_multichains(s, mark, reqs)}
+                assert got == naive_multichain_points(s, mark, reqs)
+
+
+def test_one_step_chains_build_no_superset_lists():
+    # the 4,096 ideals of a 12-antichain would make 4,096**2 superset tests
+    s = order_structure(antichain_poset([f"a{i}" for i in range(12)]))
+    assert len(packed_dilation(s, 1)) == 4096
+    assert "superset_lists" not in s.lattice.__dict__
+
+
+def test_check_normality_matches_the_set_oracle(corpus5):
+    for poset in corpus5:
+        dilations = range(1, 5) if poset.n <= 4 else range(1, 4)
+        for s in valid_weak_structures(poset):
+            for k in dilations:
+                assert check_normality(s, k) == naive_check_normality(s, k)
+
+
+@pytest.mark.parametrize("k_max", [2, 50])
+def test_normality_builds_dilation_1_alone_for_any_k(monkeypatch, k_max):
+    built = []
+    real = polytopes.packed_dilation
+
+    def recording(structure, m):
+        built.append(m)
+        return real(structure, m)
+
+    monkeypatch.setattr(polytopes, "packed_dilation", recording)
+    assert check_normality(chain_structure(grid23()), k_max) == (True, None)
+    assert built == [1]
 
 
 def test_normality_examples():
