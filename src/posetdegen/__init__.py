@@ -15,7 +15,6 @@ from .posets import (
 from .lattice import enumerate_ideals, max_antichain, star, sublattice_to_order
 from .polytopes import (
     build_polytope,
-    canonical_triangulation,
     check_normality,
     decompose_point,
     ehrhart_values,
@@ -34,12 +33,11 @@ from .degeneration import (
 from .marked import (
     build_mrpp,
     fundamental_decomposition,
-    fundamental_mrpp,
     mcop_build,
     mcop_recognize,
     mrpp_subdivide,
     standardize,
 )
-from .flag import build_flag_poset, flag_degeneration, flag_polytope, pluecker_maps
+from .flag import build_flag_poset, flag_degeneration, flag_polytope
 
 __all__ = [name for name in dir() if not name.startswith("_")]

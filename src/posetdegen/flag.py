@@ -278,10 +278,6 @@ def _split_label(label):
     return int(i), int(j)
 
 
-def pluecker_maps(flag, mode):
-    return PlueckerMap(flag, mode)
-
-
 def flag_polytope(flag, mode):
     """GT (trivial weak order) or FFLV (weak order dropping marked elements)."""
     return build_mrpp(flag.structure(mode))
@@ -300,7 +296,7 @@ def flag_degeneration(flag, mode, w):
     structure = flag.structure(mode)
     sub = mrpp_subdivide(structure, w)
     std = sub.standardized
-    pmap = pluecker_maps(flag, "GT" if mode == "gt" else "FFLV")
+    pmap = PlueckerMap(flag, "GT" if mode == "gt" else "FFLV")
     lat = std.quotient.lattice
     parts = []
     for part in sub.parts:

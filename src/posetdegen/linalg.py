@@ -1,54 +1,36 @@
-"""Exact linear algebra: affine dimension, determinant, convex-combination tests.
+"""Exact linear algebra: affine dimension, convex-combination and vertex tests.
 
 Everything runs over the integers or fractions.Fraction; no floating point
 is used anywhere.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
-
-def determinant(rows):
-    """Determinant of a square rational matrix."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return det
+from .errors import TheoremViolation
 
 
 def affine_dimension(points):
-    """Dimension of the affine hull of a point set (-1 for the empty set).
-
-    Fraction-free: the differences to the first point, scaled once to
-    integers by the lcm of the denominators, are reduced into an echelon
-    form of primitive integer rows, one per lead column.  A difference is
-    reduced against the rows in increasing lead column; what is left, if
-    anything, becomes a new row.  The count stops at the ambient dimension.
-    """
+    """Dimension of the affine hull of a point set (-1 for the empty set): the
+    rank of the differences to the first point, scaled to integers once."""
     pts = list(points)
     if not pts:
         return -1
     base = pts[0]
-    ambient = len(base)
     scale = math.lcm(*(x.denominator for p in pts for x in p))
+    return _rank(([int((x - y) * scale) for x, y in zip(p, base)] for p in pts[1:]), len(base))
+
+
+def _rank(vectors, limit):
+    """Rank of integer vectors, counted up to `limit`, fraction-free: each
+    vector is reduced against an echelon form of primitive integer rows, one
+    per lead column, in increasing lead column, and what is left, if
+    anything, becomes a new row."""
     rows = {}  # lead column -> primitive row
-    for p in pts[1:]:
-        if len(rows) == ambient:
+    for v in vectors:
+        if len(rows) == limit:
             break
-        v = [int((x - y) * scale) for x, y in zip(p, base)]
         for lead in sorted(rows):
             if v[lead]:
                 row = rows[lead]
@@ -144,12 +126,45 @@ def _origin_in_hull(directions):
             weights = [w for w in weights if w > 0]
 
 
-def extreme_points(points):
-    """The vertices of conv(points): members that are not combinations of the rest."""
+def extreme_points(points, inequalities=None):
+    """The vertices of conv(points): members that are not combinations of the rest.
+
+    Without `inequalities`, each member is tested against the others
+    (`in_convex_hull`).  Else they are integer rows (a, b), each meaning
+    a·x <= b, that hold on every point (or TheoremViolation is raised) and
+    include a defining system of conv(points); a distinct member x is then a
+    vertex exactly when the rows tight at x have rank n.  At a vertex the
+    defining rows tight at x already do.  A non-vertex lies strictly inside
+    a segment of conv(points), along which every valid row tight at x is
+    tight, so those rows vanish on its direction.  Tight rows ±c·e_j fix
+    coordinate j, and the other tight rows are ranked on the free ones.
+    """
     pts = [tuple(p) for p in points]
+    if inequalities is None or not pts:
+        out = []
+        for i, p in enumerate(pts):
+            others = pts[:i] + pts[i + 1:]
+            if not in_convex_hull(p, others):
+                out.append(p)
+        return out
+    columns = list(zip(*pts))
+    fixed = [0] * len(pts)  # bitmask of the coordinates a tight unit row fixes
+    tight = [[] for _ in pts]
+    for a, b in inequalities:
+        support = [j for j, c in enumerate(a) if c]
+        terms = [columns[j] if a[j] == 1 else [a[j] * x for x in columns[j]] for j in support]
+        for k, value in enumerate(map(sum, zip(*terms)) if terms else [0] * len(pts)):
+            if value == b:
+                if len(support) == 1:
+                    fixed[k] |= 1 << support[0]
+                else:
+                    tight[k].append(a)
+            elif value > b:
+                raise TheoremViolation(f"{pts[k]} violates the inequality {tuple(a)}·x <= {b}")
+    copies = Counter(pts)
     out = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1:]
-        if not in_convex_hull(p, others):
+    for p, mask, rows in zip(pts, fixed, tight):
+        free = [j for j in range(len(p)) if not mask >> j & 1]
+        if copies[p] == 1 and _rank({tuple(a[j] for j in free) for a in rows}, len(free)) == len(free):
             out.append(p)
     return out

@@ -82,7 +82,7 @@ class MarkedPolytope:
 
     @cached_property
     def vertices(self):
-        return tuple(sorted(linalg.extreme_points(self.points)))
+        return marked_vertices(self.structure, self.points)
 
     @cached_property
     def dimension(self):
@@ -106,24 +106,6 @@ def mrpp_points(structure, scale=1):
 def build_mrpp(structure, scale=1):
     """The marked relative poset polytope of the structure's marking."""
     return MarkedPolytope(structure, mrpp_points(structure, scale))
-
-
-def fundamental_mrpp(structure, k_mask):
-    """Face of R(P,<,<') cut by the fundamental marking of the ideal K of (P*,<)."""
-    if structure.marked == 0:
-        raise InvalidStructure("structure carries no marking")
-    if k_mask & ~structure.marked:
-        raise InvalidStructure("K is not a subset of the marked set")
-    lat = structure.lattice
-    n = structure.poset.n
-    pts = [
-        indicator(structure.max_weak(m), n)
-        for m in lat.masks
-        if m & structure.marked == k_mask
-    ]
-    if not pts:
-        raise InternalClosureFailure("fundamental MRPP is empty; K is not an ideal of (P*,<)")
-    return MarkedPolytope(structure, pts)
 
 
 class StandardizedStructure:
@@ -247,17 +229,18 @@ def standardize(structure):
 
 class MarkedPart(Part):
     """A part of the quotient's subdivision, at the standardized level, with
-    the lattice points of its marked section."""
+    the lattice points and the structure of its marked section."""
 
-    def __init__(self, part, restricted_affine, points):
+    def __init__(self, part, structure, restricted_affine, points):
         super().__init__(part.sublattice, part.order, part.covers, part.lift, part.scale,
                          part.linearization_count)
+        self.structure = structure
         self.restricted_affine = restricted_affine
         self.points = tuple(sorted(points))
 
     @cached_property
     def vertices(self):
-        return tuple(sorted(linalg.extreme_points(self.points)))
+        return marked_vertices(self.structure, self.points)
 
 
 class MarkedSubdivision:
@@ -318,7 +301,7 @@ def mrpp_subdivide(structure, w):
             raise InternalClosureFailure("two section parts share an affine lift")
         seen_affines.add(raff)
         covered.update(pts)
-        keep.append(MarkedPart(part, raff, pts))
+        keep.append(MarkedPart(part, section_structure, raff, pts))
     if covered != set(whole.points):
         raise InternalClosureFailure("section parts do not cover the marked polytope")
     return MarkedSubdivision(std, keep, dropped)
@@ -366,6 +349,57 @@ def _mcop_inequalities(poset, values, anchors, middle):
         else:
             ranges[i] = (0, lam_max - lam_min)
     return ranges, _mcop_chains(poset, anchors, middle)
+
+
+def mcop_split(structure):
+    """The masks (C, O) of a marked structure that is `mcop_build`'s
+    construction (2), where each free element's <'-row is empty (O) or all
+    of its <-row (C); None otherwise.  Marked rows are empty by (iii)."""
+    poset = structure.poset
+    c_mask = o_mask = 0
+    for i in mask_bits(poset.full & ~structure.marked):
+        if not structure.weak_above[i]:
+            o_mask |= 1 << i
+        elif structure.weak_above[i] == poset.above[i]:
+            c_mask |= 1 << i
+        else:
+            return None
+    return c_mask, o_mask
+
+
+def marked_vertices(structure, points):
+    """The sorted vertices of conv(points), the MRPP of the structure for the
+    marking on the points' marked coordinates.
+
+    MCOP-shaped structures (`mcop_split`) pass the ranges and chains of
+    `_mcop_inequalities` as rows to `linalg.extreme_points`, whose rank test
+    needs valid rows that include a defining system.  The chains, x_p =
+    lambda_p on P* and x_p >= 0 on C (both among the ranges) define
+    MCOP(C, O), which is this MRPP (Fang, Fourier, Litza and Pegel 2020).  The theorem
+    wants every extremal element marked, which validation enforces
+    ("minmax"); a section structure of `mrpp_subdivide` inherits that, as
+    its stronger order has no new extremal elements.  The other ranges are
+    extra rows, which keep the criterion because they are valid: on a
+    maximal chain through p, the chains between consecutive anchors keep an
+    O coordinate between the least and largest marking value and a C one at
+    most their difference.  Other shapes, such as the Gr(2,5) FFLV parts,
+    go to Wolfe's test.
+    """
+    split = mcop_split(structure)
+    if split is None or not points:
+        return tuple(sorted(linalg.extreme_points(points)))
+    n = structure.poset.n
+    values = {i: points[0][i] for i in mask_bits(structure.marked)}
+    ranges, chains = _mcop_inequalities(
+        structure.poset, values, structure.marked | split[1], split[0])
+    rows = []
+    for i, (lo, hi) in ranges.items():
+        rows += [(indicator(1 << i, n), hi), ([-x for x in indicator(1 << i, n)], -lo)]
+    for a, mids, b in chains:
+        row = list(indicator(sum(1 << p for p in mids) | 1 << b, n))
+        row[a] = -1
+        rows.append((row, 0))
+    return tuple(sorted(linalg.extreme_points(points, rows)))
 
 
 def mcop_build(poset, marking, chain_part, order_part):

@@ -1,5 +1,5 @@
-"""Order, chain and relative poset polytopes: vertices, triangulation,
-dilation lattice points, Ehrhart counts and normality.
+"""Order, chain and relative poset polytopes: vertices, dilation lattice
+points, Ehrhart counts and normality.
 
 Lattice points of dilations and of marked polytopes are sums of the vectors
 1_{max' J} over weakly increasing chains of ideals.  `check_peeling` certifies
@@ -14,16 +14,14 @@ tuples.  A chain of k steps packs max(PACK_BITS, k.bit_length()) bits per
 coordinate.
 """
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from . import linalg
 from .errors import (
     InternalClosureFailure,
     InvalidStructure,
     NotALatticePoint,
 )
-from .posets import RelativeStructure, linear_extension_indices, mask_bits
+from .posets import RelativeStructure, mask_bits
 
 PACK_BITS = 6  # least bits per coordinate; check_normality compares dilations 1 and 2 in it
 
@@ -59,36 +57,6 @@ def structure_for_kind(structure, kind):
     return RelativeStructure(structure.poset, rows)
 
 
-class Simplex:
-    """The simplex of one linearization: vertices 1_{max' J} along its chain."""
-
-    def __init__(self, linearization, vertices, chain_positions):
-        self.linearization = tuple(linearization)
-        self.vertices = tuple(vertices)
-        self.chain_positions = tuple(chain_positions)
-
-    def edge_matrix(self):
-        base = self.vertices[0]
-        return [[v[i] - base[i] for i in range(len(base))] for v in self.vertices[1:]]
-
-    def is_unimodular(self):
-        return abs(linalg.determinant(self.edge_matrix())) == 1
-
-    def barycentric(self, point, m=1):
-        """Coefficients c >= 0 with sum m expressing `point` over the vertices, or None."""
-        n = len(self.vertices[0])
-        cols = [[Fraction(v[i]) for v in self.vertices] for i in range(n)]
-        cols.append([Fraction(1)] * len(self.vertices))
-        rhs = [Fraction(x) for x in point] + [Fraction(m)]
-        try:
-            coeffs = linalg.solve(cols, rhs)
-        except ValueError:
-            return None
-        if any(c < 0 for c in coeffs):
-            return None
-        return coeffs
-
-
 class LatticePolytope:
     """Vertex presentation of an order/chain/relative poset polytope."""
 
@@ -108,26 +76,6 @@ def build_polytope(structure, kind="relative"):
     if len(set(vertices)) != len(vertices):
         raise InvalidStructure("vertex map J -> 1_{max' J} is not injective")
     return LatticePolytope(s, kind, vertices, lat.masks)
-
-
-def canonical_triangulation(structure):
-    """One unimodular simplex per linearization of <; their union is the polytope."""
-    n = structure.poset.n
-    lat = structure.lattice
-    simplices = []
-    for ext in linear_extension_indices(structure.poset):
-        chain_masks = [0]
-        cur = 0
-        for i in ext:
-            cur |= 1 << i
-            chain_masks.append(cur)
-        vertices = [indicator(structure.max_weak(m), n) for m in chain_masks]
-        positions = [lat.position[m] for m in chain_masks]
-        simplex = Simplex(ext, vertices, positions)
-        if not simplex.is_unimodular():
-            raise InternalClosureFailure(f"linearization simplex {ext} is not unimodular")
-        simplices.append(simplex)
-    return simplices
 
 
 def packed_multichains(structure, marked, reqs):

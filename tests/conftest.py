@@ -22,9 +22,16 @@ from posetdegen.posets import (
     validate_relative_structure,
 )
 from posetdegen.lattice import enumerate_ideals, star_mask, sublattice_to_order
-from posetdegen.marked import fundamental_decomposition, mcop_build, mrpp_subdivide
+from posetdegen.marked import (
+    MarkedPolytope,
+    fundamental_decomposition,
+    mcop_build,
+    mrpp_subdivide,
+)
 from posetdegen import polytopes
-from posetdegen.polytopes import canonical_triangulation, indicator, unpack
+from posetdegen.errors import InternalClosureFailure, InvalidStructure
+from posetdegen.linalg import solve
+from posetdegen.polytopes import indicator, unpack
 
 
 def naive_mask_bits(mask):
@@ -337,6 +344,79 @@ def gt_pattern_count(weight):
     return count
 
 
+def determinant(rows):
+    """Determinant of a square rational matrix."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det *= mat[c][c]
+        inv = mat[c][c]
+        for i in range(c + 1, n):
+            if mat[i][c] != 0:
+                f = mat[i][c] / inv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+class Simplex:
+    """The simplex of one linearization: vertices 1_{max' J} along its chain."""
+
+    def __init__(self, linearization, vertices, chain_positions):
+        self.linearization = tuple(linearization)
+        self.vertices = tuple(vertices)
+        self.chain_positions = tuple(chain_positions)
+
+    def edge_matrix(self):
+        base = self.vertices[0]
+        return [[v[i] - base[i] for i in range(len(base))] for v in self.vertices[1:]]
+
+    def is_unimodular(self):
+        return abs(determinant(self.edge_matrix())) == 1
+
+    def barycentric(self, point, m=1):
+        """Coefficients c >= 0 with sum m expressing `point` over the vertices, or None."""
+        n = len(self.vertices[0])
+        cols = [[Fraction(v[i]) for v in self.vertices] for i in range(n)]
+        cols.append([Fraction(1)] * len(self.vertices))
+        rhs = [Fraction(x) for x in point] + [Fraction(m)]
+        try:
+            coeffs = solve(cols, rhs)
+        except ValueError:
+            return None
+        if any(c < 0 for c in coeffs):
+            return None
+        return coeffs
+
+
+def canonical_triangulation(structure):
+    """The canonical triangulation, the membership oracle of the dilations:
+    one unimodular simplex per linearization of <; their union is the
+    polytope."""
+    n = structure.poset.n
+    lat = structure.lattice
+    simplices = []
+    for ext in linear_extension_indices(structure.poset):
+        chain_masks = [0]
+        cur = 0
+        for i in ext:
+            cur |= 1 << i
+            chain_masks.append(cur)
+        vertices = [indicator(structure.max_weak(m), n) for m in chain_masks]
+        positions = [lat.position[m] for m in chain_masks]
+        simplex = Simplex(ext, vertices, positions)
+        if not simplex.is_unimodular():
+            raise InternalClosureFailure(f"linearization simplex {ext} is not unimodular")
+        simplices.append(simplex)
+    return simplices
+
+
 def point_in_dilation(point, m, structure, simplices=None):
     """Membership oracle: x lies in m*R iff some m*Delta contains it (exact barycentric)."""
     if simplices is None:
@@ -380,6 +460,24 @@ def naive_multichain_points(structure, marked, reqs):
     rec(None, 0, [0] * n)
     assert chains == len(points), "prescribed multichains produced a repeated point"
     return points
+
+
+def fundamental_mrpp(structure, k_mask):
+    """Face of R(P,<,<') cut by the fundamental marking of the ideal K of (P*,<)."""
+    if structure.marked == 0:
+        raise InvalidStructure("structure carries no marking")
+    if k_mask & ~structure.marked:
+        raise InvalidStructure("K is not a subset of the marked set")
+    lat = structure.lattice
+    n = structure.poset.n
+    pts = [
+        indicator(structure.max_weak(m), n)
+        for m in lat.masks
+        if m & structure.marked == k_mask
+    ]
+    if not pts:
+        raise InternalClosureFailure("fundamental MRPP is empty; K is not an ideal of (P*,<)")
+    return MarkedPolytope(structure, pts)
 
 
 def naive_mrpp_points(structure, scale=1):

@@ -16,7 +16,6 @@ from posetdegen import (
     build_flag_poset,
     build_poset,
     canonical_interior_weight,
-    canonical_triangulation,
     chain_structure,
     check_normality,
     cone_position,
@@ -25,13 +24,13 @@ from posetdegen import (
     mcop_build,
     mcop_recognize,
     order_structure,
-    pluecker_maps,
     sample_cone_weight,
     standard_monomial_count,
     subdivide,
     validate_relative_structure,
 )
 from posetdegen.errors import ConditionViolated
+from posetdegen.flag import PlueckerMap
 from posetdegen.lattice import enumerate_ideals
 from posetdegen.linalg import affine_dimension
 from posetdegen.marked import build_mrpp, mrpp_points, mrpp_subdivide, standardize
@@ -40,8 +39,10 @@ from posetdegen.posets import linear_extension_indices, mask_bits
 
 from conftest import (
     brute_force_extensions,
+    canonical_triangulation,
     criterion_7_markings,
     flag_weight,
+    fundamental_mrpp,
     random_poset,
     small_poset_corpus,
     valid_weak_structures,
@@ -309,7 +310,6 @@ def test_criterion_9_standardization():
         q_covers + [("p0", e) for e in "abcd"] + [(e, "p1") for e in "abcd"],
     )
     sp = validate_relative_structure(p_poset, q_covers, {"p0": 1, "p1": 0})
-    from posetdegen.marked import fundamental_mrpp
     from posetdegen.polytopes import lattice_points
 
     face = fundamental_mrpp(sp, 1 << p_poset.index("p0"))
@@ -330,33 +330,33 @@ def test_criterion_10_pluecker_roundtrips():
         for k in range(1, n):
             f = build_flag_poset(n, (0, k, n))
             for mode in ("O", "C"):
-                m = pluecker_maps(f, mode)
+                m = PlueckerMap(f, mode)
                 for v in m.variables():
                     assert m.from_ideal(m.to_ideal(v)) == v
                     total += 1
         for dims in all_dims(n):
             f = build_flag_poset(n, dims)
             for mode in ("GT", "FFLV"):
-                m = pluecker_maps(f, mode)
+                m = PlueckerMap(f, mode)
                 for v in m.variables():
                     assert m.from_ideal(m.to_ideal(v)) == v
                     total += 1
 
     f37 = build_flag_poset(7, (0, 3, 7))
-    m_o = pluecker_maps(f37, "O")
+    m_o = PlueckerMap(f37, "O")
     assert sorted(m_o.to_ideal((2, 4, 7))) == [
         "p1.4", "p1.5", "p1.6", "p1.7", "p2.4", "p2.5", "p3.4"
     ]
-    m_c = pluecker_maps(f37, "C")
+    m_c = PlueckerMap(f37, "C")
     assert sorted(m_c.to_ideal((7, 6, 3))) == [
         "p1.4", "p1.5", "p1.6", "p1.7", "p2.4", "p2.5", "p2.6"
     ]
     f5 = build_flag_poset(5, (0, 2, 4, 5))
-    m_gt = pluecker_maps(f5, "GT")
+    m_gt = PlueckerMap(f5, "GT")
     assert sorted(m_gt.to_ideal((3, 5))) == [
         "p1.2", "p1.3", "p1.4", "p1.5", "p2.3", "p2.4"
     ]
-    m_ff = pluecker_maps(f5, "FFLV")
+    m_ff = PlueckerMap(f5, "FFLV")
     assert sorted(m_ff.to_ideal((1, 5, 3, 4))) == [
         "p1.2", "p1.3", "p1.4", "p1.5", "p2.3", "p2.4", "p2.5", "p3.4"
     ]

@@ -438,6 +438,18 @@ def test_full_flag_vertex_counts(capsys, kind, vertices):
     assert len(report["lattice_points"]) == 64 and len(report["vertices"]) == vertices
 
 
+@pytest.mark.parametrize("kind,vertices", [("gt", 358), ("fflv", 425)])
+def test_full_n5_flag_vertex_counts_well_under_a_second(capsys, kind, vertices):
+    # Wolfe's test gives these counts in 8.9 s (GT) and 7.5 s (FFLV); the
+    # rank of the tight MCOP inequalities decides them in a fraction of that
+    start = time.perf_counter()
+    code, out = run(capsys, ["polytope", "--kind", kind, "--n", "5", "--dims", "0,1,2,3,4,5"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["lattice_points"]) == 1024 and len(report["vertices"]) == vertices
+
+
 def test_flag_command(tmp_path, capsys):
     code, out = run(
         capsys, ["flag", "--n", "4", "--dims", "0,2,4", "--mode", "gt"]

@@ -10,9 +10,9 @@ from posetdegen import (
     flag_degeneration,
     flag_polytope,
     mcop_recognize,
-    pluecker_maps,
 )
 from posetdegen.errors import InvalidDims, ModeDimsMismatch
+from posetdegen.flag import PlueckerMap
 from posetdegen.marked import build_mrpp, mrpp_points, standardize, mrpp_subdivide
 
 from conftest import flag_weight, naive_mcop_recognize, weyl_dimension
@@ -66,12 +66,12 @@ def test_invalid_dims():
 def test_grass_maps_require_grassmannian_dims():
     f = build_flag_poset(5, (0, 2, 4, 5))
     with pytest.raises(ModeDimsMismatch):
-        pluecker_maps(f, "O").variables()
+        PlueckerMap(f, "O").variables()
 
 
 def test_psi_o_figure_example():
     f = build_flag_poset(7, (0, 3, 7))
-    m = pluecker_maps(f, "O")
+    m = PlueckerMap(f, "O")
     ideal = m.to_ideal((2, 4, 7))
     assert sorted(ideal) == [
         "p1.4", "p1.5", "p1.6", "p1.7", "p2.4", "p2.5", "p3.4"
@@ -81,7 +81,7 @@ def test_psi_o_figure_example():
 
 def test_psi_c_figure_example():
     f = build_flag_poset(7, (0, 3, 7))
-    m = pluecker_maps(f, "C")
+    m = PlueckerMap(f, "C")
     ideal = m.to_ideal((7, 6, 3))
     assert sorted(ideal) == [
         "p1.4", "p1.5", "p1.6", "p1.7", "p2.4", "p2.5", "p2.6"
@@ -91,7 +91,7 @@ def test_psi_c_figure_example():
 
 def test_psi_gt_figure_example():
     f = build_flag_poset(5, (0, 2, 4, 5))
-    m = pluecker_maps(f, "GT")
+    m = PlueckerMap(f, "GT")
     ideal = m.to_ideal((3, 5))
     assert sorted(ideal) == [
         "p1.2", "p1.3", "p1.4", "p1.5", "p2.3", "p2.4"
@@ -101,7 +101,7 @@ def test_psi_gt_figure_example():
 
 def test_psi_fflv_figure_example():
     f = build_flag_poset(5, (0, 2, 4, 5))
-    m = pluecker_maps(f, "FFLV")
+    m = PlueckerMap(f, "FFLV")
     ideal = m.to_ideal((1, 5, 3, 4))
     assert sorted(ideal) == [
         "p1.2", "p1.3", "p1.4", "p1.5", "p2.3", "p2.4", "p2.5", "p3.4"
@@ -115,7 +115,7 @@ def test_all_maps_biject_small():
             f = build_flag_poset(n, (0, k, n))
             lat = enumerate_ideals(f.grass_poset)
             for mode in ("O", "C"):
-                m = pluecker_maps(f, mode)
+                m = PlueckerMap(f, mode)
                 variables = m.variables()
                 ideals = {m.to_ideal(v) for v in variables}
                 assert len(variables) == len(ideals) == len(lat)
@@ -125,7 +125,7 @@ def test_all_maps_biject_small():
             f = build_flag_poset(n, dims)
             lat = enumerate_ideals(f.poset)
             for mode in ("GT", "FFLV"):
-                m = pluecker_maps(f, mode)
+                m = PlueckerMap(f, mode)
                 variables = m.variables()
                 ideals = {m.to_ideal(v) for v in variables}
                 assert len(variables) == len(ideals) == len(lat)
@@ -136,7 +136,7 @@ def test_all_maps_biject_small():
 def test_gl_binomials_pull_back_to_hibi_generators():
     # psi_O(min tuple) and psi_O(max tuple) are meet and join of the images
     f = build_flag_poset(4, (0, 2, 4))
-    m = pluecker_maps(f, "O")
+    m = PlueckerMap(f, "O")
     poset = f.grass_poset
     for t1 in m.variables():
         for t2 in m.variables():

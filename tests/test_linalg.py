@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import product
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from posetdegen import build_flag_poset
+from posetdegen import build_flag_poset, mcop_build
+from posetdegen.errors import TheoremViolation
 from posetdegen.linalg import affine_dimension, extreme_points, in_convex_hull
-from posetdegen.marked import mrpp_points
+from posetdegen.marked import marked_vertices, mcop_split, mrpp_points
 
 from conftest import (
+    criterion_7_markings,
     marked_corpus_structures,
     naive_affine_dimension,
     naive_in_convex_hull,
@@ -88,6 +92,11 @@ def test_in_convex_hull_edge_cases():
     assert not in_convex_hull((2,), [(0,), (1,)])
     # a repeated point is inside the rest, so neither copy is a vertex
     assert extreme_points([(0,), (1,), (1,)]) == [(0,)]
+    segment = [((1,), 1), ((-1,), 0)]
+    assert extreme_points([(0,), (1,), (1,)], segment) == [(0,)]
+    assert extreme_points([], segment) == []
+    with pytest.raises(TheoremViolation):
+        extreme_points([(0,), (2,)], segment)
 
 
 def marked_corpus_point_sets():
@@ -104,11 +113,75 @@ def test_extreme_points_match_oracle_on_marked_corpus():
 
 
 def test_extreme_points_match_oracle_on_flags():
-    for n in range(1, 5):
-        f = build_flag_poset(n, tuple(range(n + 1)))
+    # the full flags with n <= 4, (5; 0,1,3,5) and Gr(2,5), in both modes;
+    # every one is MCOP-shaped, so marked_vertices takes the rank path
+    flags = [(n, tuple(range(n + 1))) for n in range(1, 5)] + [(5, (0, 1, 3, 5)), (5, (0, 2, 5))]
+    for n, dims in flags:
+        f = build_flag_poset(n, dims)
         for mode in ("gt", "fflv"):
-            points = mrpp_points(f.structure(mode))
-            assert extreme_points(points) == oracle_vertices(points), (n, mode)
+            s = f.structure(mode)
+            points = mrpp_points(s)
+            wolfe = extreme_points(points)
+            assert wolfe == oracle_vertices(points), (n, dims, mode)
+            assert mcop_split(s) is not None
+            assert marked_vertices(s, points) == tuple(sorted(wolfe)), (n, dims, mode)
+
+
+def test_rank_path_matches_wolfe_on_criterion_7_splits():
+    # every chain/order split of criterion 7's corpus: its MCOP takes the
+    # rank path, and the vertices equal Wolfe's and the simplex oracle's
+    # (both computed once per distinct point set)
+    expected = {}
+    splits = 0
+    for poset, marking, split_list in criterion_7_markings(5):
+        for c_part, o_part in split_list:
+            built = mcop_build(poset, marking, c_part, o_part)
+            c_mask = sum(1 << poset.index(x) for x in c_part)
+            o_mask = sum(1 << poset.index(x) for x in o_part)
+            assert mcop_split(built.structure) == (c_mask, o_mask)
+            points = built.points
+            if points not in expected:
+                wolfe = extreme_points(points)
+                assert wolfe == oracle_vertices(points)
+                expected[points] = tuple(sorted(wolfe))
+            assert built.vertices == expected[points]
+            splits += 1
+    assert splits == 10232
+
+
+@st.composite
+def difference_systems(draw):
+    """Integer points of the box [0, 2]^d (d <= 4) that meet random rows
+    x_i - x_j <= c and ±x_i <= c, with the rows and the box's own, plus
+    random integer rows moved to touch the point set.  Rows e_i - e_j and
+    ±e_i form a totally unimodular matrix, so with integer bounds they cut
+    out an integral polytope: the hull of the points, which the rows define.
+    The touching rows are valid but need not define anything."""
+    d = draw(st.integers(1, 4))
+    rows = [(tuple(int(k == i) for k in range(d)), 2) for i in range(d)]
+    rows += [(tuple(-int(k == i) for k in range(d)), 0) for i in range(d)]
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        row = [0] * d
+        row[i] += sign
+        if i != j and draw(st.booleans()):
+            row[j] -= sign
+        rows.append((tuple(row), draw(st.integers(-2, 2))))
+    points = [x for x in product(range(3), repeat=d)
+              if all(sum(a * v for a, v in zip(row, x)) <= b for row, b in rows)]
+    assume(points)
+    for _ in range(draw(st.integers(0, 3))):
+        row = tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+        rows.append((row, max(sum(a * v for a, v in zip(row, x)) for x in points)))
+    return points, draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=difference_systems())
+def test_extreme_points_by_rank_matches_wolfe(system):
+    points, rows = system
+    assert extreme_points(points, rows) == extreme_points(points)
 
 
 @st.composite

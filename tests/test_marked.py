@@ -11,7 +11,6 @@ from posetdegen import (
     chain_poset,
     ehrhart_values,
     fundamental_decomposition,
-    fundamental_mrpp,
     lattice_points,
     mcop_build,
     mcop_recognize,
@@ -21,13 +20,15 @@ from posetdegen import (
 )
 from posetdegen import lattice as lattice_module
 from posetdegen.errors import NotAPartition, NotDominant
-from posetdegen.marked import mrpp_points
+from posetdegen.linalg import extreme_points
+from posetdegen.marked import mcop_split, mrpp_points
 from posetdegen.posets import chain_structure, mask_bits
 from posetdegen.degeneration import canonical_interior_weight
 from posetdegen.polytopes import indicator
 
 from conftest import (
     criterion_7_markings,
+    fundamental_mrpp,
     gt_pattern_count,
     marked_corpus_structures,
     naive_mcop_box,
@@ -317,6 +318,37 @@ def test_mrpp_subdivide_enumerates_each_order_once(monkeypatch):
         calls.clear()
         assert len(mrpp_subdivide(s, w).parts) == parts
         assert len(calls) == len(set(calls)) == enumerations
+
+
+def test_mcop_split_of_sections_and_mixed_rows():
+    # the two parts of the Gr(2,5) FFLV degeneration are not MCOP-shaped, so
+    # their vertices come from Wolfe's test; the sections of a GT
+    # degeneration are marked order polytopes of <'' (all O) and take the
+    # rank path, which agrees with Wolfe's test
+    f = build_flag_poset(5, (0, 2, 5))
+    s = f.structure("fflv")
+    std = standardize(s)
+    fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
+    notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
+    parts = mrpp_subdivide(s, notmcop).parts
+    assert len(parts) == 2 and all(mcop_split(part.structure) is None for part in parts)
+    s = build_flag_poset(4, (0, 1, 2, 3, 4)).structure("gt")
+    std = standardize(s)
+    canonical = canonical_interior_weight(std.quotient).values
+    free = std.quotient.poset.full & ~std.quotient.marked
+    for w, count in (([canonical[q] for q in std.lattice_map], 12), ([0] * len(std.jlambda), 1)):
+        parts = mrpp_subdivide(s, w).parts
+        assert len(parts) == count
+        for part in parts:
+            assert mcop_split(part.structure) == (0, free)
+            assert part.vertices == tuple(sorted(extreme_points(part.points)))
+    # b's <'-row holds c but not d, above it in <: neither C nor O
+    poset = chain_poset(["a", "b", "c", "d"])
+    s = validate_relative_structure(poset, [("b", "c")], {"a": 1, "d": 0})
+    assert mcop_split(s) is None
+    assert mcop_split(validate_relative_structure(poset, [], {"a": 1, "d": 0})) == (0, 0b0110)
+    poly = build_mrpp(s)
+    assert poly.vertices == tuple(sorted(extreme_points(poly.points)))
 
 
 def test_mrpp_subdivide_zero_single_part():

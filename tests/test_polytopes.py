@@ -8,7 +8,6 @@ from posetdegen import (
     antichain_poset,
     build_polytope,
     build_poset,
-    canonical_triangulation,
     chain_poset,
     chain_structure,
     check_normality,
@@ -30,6 +29,7 @@ from posetdegen.polytopes import (
 from posetdegen.posets import RelativeStructure
 
 from conftest import (
+    canonical_triangulation,
     naive_check_normality,
     naive_multichain_points,
     nth_finite_difference,
