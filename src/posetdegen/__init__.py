@@ -8,11 +8,10 @@ from .posets import (
     build_poset,
     chain_poset,
     chain_structure,
-    linear_extensions,
     order_structure,
     validate_relative_structure,
 )
-from .lattice import enumerate_ideals, max_antichain, star, sublattice_to_order
+from .lattice import enumerate_ideals, star, sublattice_to_order
 from .polytopes import (
     build_polytope,
     check_normality,

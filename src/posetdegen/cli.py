@@ -388,8 +388,7 @@ def cmd_cone_check(args):
     keys = structure_keys(structure)
     w = parse_weights_file(args.weights, structure.lattice, keys, args.default_zero)
     pos = degeneration.cone_position(structure, w)
-    lat = structure.lattice
-    pair = lambda ab: [lat.label_key(ab[0]), lat.label_key(ab[1])]
+    pair = lambda ab: [keys[ab[0]], keys[ab[1]]]
     return {
         "position": pos.position,
         "violated": [pair(p) for p in pos.violated],
@@ -429,17 +428,13 @@ def cmd_components(args):
     keys = structure_keys(structure)
     w = parse_weights_file(args.weights, structure.lattice, keys, args.default_zero)
     _, comps = degeneration.zhu_components(structure, w)
-    lat = structure.lattice
     out = []
     for comp in comps:
         out.append(
             {
-                "vanishing": [lat.label_key(i) for i in comp.vanishing],
+                "vanishing": [keys[i] for i in comp.vanishing],
                 "generators": [
-                    [
-                        [lat.label_key(a), lat.label_key(b)],
-                        [lat.label_key(u), lat.label_key(s)],
-                    ]
+                    [[keys[a], keys[b]], [keys[u], keys[s]]]
                     for (a, b), (u, s) in comp.presentation.generators
                 ],
                 "order_covers": [list(c) for c in sorted(comp.part.order.cover_labels())],
@@ -451,12 +446,12 @@ def cmd_components(args):
 def cmd_ideal_gens(args):
     structure = parse_poset_file(args.file)
     pres = degeneration.ideal_presentation(structure, args.kind)
-    lat = structure.lattice
+    keys = structure_keys(structure)
     gens = []
     for (a, b), rhs in pres.generators:
-        entry = {"lead": [lat.label_key(a), lat.label_key(b)]}
+        entry = {"lead": [keys[a], keys[b]]}
         if rhs is not None:
-            entry["trail"] = [lat.label_key(rhs[0]), lat.label_key(rhs[1])]
+            entry["trail"] = [keys[rhs[0]], keys[rhs[1]]]
         gens.append(entry)
     return {"kind": args.kind, "generators": gens}
 

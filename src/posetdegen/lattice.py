@@ -130,27 +130,13 @@ def enumerate_ideals(poset):
     return IdealLattice(poset, masks)
 
 
-def max_antichain(mask, above_rows):
-    """Elements of `mask` with no larger element of `mask` under the given order."""
-    out = 0
-    for i in mask_bits(mask):
-        if above_rows[i] & mask == 0:
-            out |= 1 << i
-    return out
-
-
-def star_mask(m1, m2, structure):
-    """The <'-ideal generated by (J1 ∩ J2) ∩ (max' J1 ∪ max' J2), as a mask."""
-    gens = (m1 & m2) & (structure.max_weak(m1) | structure.max_weak(m2))
-    return structure.weak_down_closure(gens)
-
-
 def star(pos1, pos2, structure):
     """Lattice position of J1 * J2; raises if closure fails (validated structures never do)."""
     lat = structure.lattice
-    s = star_mask(lat.masks[pos1], lat.masks[pos2], structure)
+    tops = structure.weak_maxima
+    gens = lat.masks[pos1] & lat.masks[pos2] & (tops[pos1] | tops[pos2])
     try:
-        return lat.position[s]
+        return lat.position[structure.weak_down_closure(gens)]
     except KeyError:
         raise InternalClosureFailure(
             f"star of {lat.label_key(pos1)!r} and {lat.label_key(pos2)!r} left the lattice"
@@ -163,9 +149,11 @@ def star_closure_failure(structure):
 
     Three cases hold by construction and are decided without a scan or the
     lattice: trivial <' (the star is J1 ∩ J2), <' = < (every <'-ideal is a
-    <-ideal) and < a chain (n(n-1)/2 relations; no incomparable pair).  Otherwise
-    J1 * J2 is the <'-down-closure of gens = J1 ∩ J2 ∩ (max' J1 ∪ max' J2)
-    alone, so each distinct gens is closed once.
+    <-ideal) and < a chain (n(n-1)/2 relations; no incomparable pair).
+    Otherwise the cheaper of two exact pair counts decides: the n·C(n, 2)
+    pairs of `two_generated_star_failure`, whose passing proves closure,
+    against the |J|(|J|-1)/2 pairs of `first_star_failure`.  A failure is
+    always named by the scan, so it names the same pair either way.
     """
     weak = structure.weak_above
     above = structure.poset.above
@@ -174,21 +162,107 @@ def star_closure_failure(structure):
     n = structure.poset.n
     if sum(bin(row).count("1") for row in above) == n * (n - 1) // 2:
         return None  # < is a chain, so its ideals are all comparable
+    size = len(structure.lattice)
+    if n * n * (n - 1) // 2 < size * (size - 1) // 2:
+        if two_generated_star_failure(structure) is None:
+            return None
+    return first_star_failure(structure)
+
+
+def first_star_failure(structure):
+    """First incomparable pair (a, b) of lattice positions, a < b, whose star
+    is not an ideal of <, by scanning every pair; None when there is none.
+
+    J1 * J2 is the <'-down-closure of gens = J1 ∩ J2 ∩ (max' J1 ∪ max' J2)
+    alone, so each distinct gens is closed once.
+    """
     lat = structure.lattice
     masks = lat.masks
     position = lat.position
-    max_weak = [structure.max_weak(m) for m in masks]
+    tops = structure.weak_maxima
     closed = set()
     for a, m1 in enumerate(masks):
-        x1 = max_weak[a]
+        x1 = tops[a]
         for b in range(a + 1, len(masks)):
             m2 = masks[b]
             if m1 & ~m2 and m2 & ~m1:
-                gens = m1 & m2 & (x1 | max_weak[b])
+                gens = m1 & m2 & (x1 | tops[b])
                 if gens not in closed:
                     if structure.weak_down_closure(gens) not in position:
                         return a, b
                     closed.add(gens)
+    return None
+
+
+def two_generated_star_failure(structure):
+    """First (z, a, b), a < b, for which down{z, a} * down{z, b} is not an
+    ideal of <; None when there is none, and then the lattice is star-closed.
+
+    That is n·C(n, 2) pairs whatever the number of ideals.  Write down X for
+    the <-ideal generated by X, K = I ∩ J, G(I, J) = K ∩ (max' I ∪ max' J),
+    so that I * J = <'-down(G(I, J)), which is empty iff G(I, J) is.
+
+    Claim: if some I * J is not an ideal, some down{z, a} * down{z, b} is not.
+
+    (1) Restriction.  For an up-set X of <' with the orders restricted to it,
+    (I * J) ∩ X = (I ∩ X) * (J ∩ X) computed in X: every <'-upper bound of an
+    element of X lies in X, so max' and <'-down-closure agree there.
+
+    (2) Lemma.  Let J(X) be star-closed, U and V ideals of X with U * V
+    empty, a in U - V and b in V - U.  Then down a * down b is empty.
+    First, each k in U ∩ V is <'-below some element of U - V and of V - U:
+    take k' <'-maximal in U ∩ V with k <=' k'; as k' is not in G(U, V), it
+    has <'-upper bounds in U and in V, none in U ∩ V.  Next, suppose some
+    x in down a ∩ V has no <'-upper bound in down a, and take the pair
+    (U, V ∪ down a).  a has no <'-upper bound in V ∪ down a (one in V would
+    put a in V; none is below a), so a is in G and in the star; x < a.  A g
+    in G with x <=' g lies in U ∩ V (g = x, or g is outside down a by the
+    choice of x), so it has <'-upper bounds in U and in V and is in neither
+    max': x is not in the star, against star-closure.  So each x in
+    down a ∩ down b has a <'-upper bound in down a and, by symmetry, one in
+    down b: G is empty.
+
+    (3) Proof of the claim, by induction on n.  Let z be in S = I * J and
+    y < z outside it; y is in K.  Raise z to an element of G <'-above it
+    (y stays below), and swap I and J so that z is in max' I.  Take y
+    <'-maximal among the elements of K - S below z, and X = {x : y <' x},
+    which leaves y out.  If J(X) is not star-closed, induction gives a
+    failing down_X{z', a} * down_X{z', b}, and by (1) down{z', a} *
+    down{z', b} fails in P.  Otherwise:
+    - S ∩ X is empty (S is a <'-ideal without y), so by (1) U * V is empty
+      for U = I ∩ X and V = J ∩ X;
+    - y is not in G, so some a in max' I has y <' a, and a is not in J (it
+      would be in G, and y in S): a is in U - V; likewise some b in V - U;
+    - no x in X lies below z: x = z would put y in S, and x < z would be in
+      K - S (S is a <'-ideal) and <'-above y, against the choice of y.
+    So I' = down{z, a} and J' = down{z, b} meet X in down_X a and down_X b,
+    whose star is empty by (2), and by (1) I' * J' misses X.  A g in
+    G(I', J') with y <=' g is then y itself, which is in neither max' I'
+    (y <' a) nor max' J' (y <' b): y is not in I' * J'.  z is, as z is in
+    max' I' (I' lies in I).  As y < z, I' * J' is not an ideal.
+    """
+    poset = structure.poset
+    n = poset.n
+    down = [1 << i | row for i, row in enumerate(poset.below)]
+    tops = {}
+    closed = set()
+    for z in range(n):
+        row = [down[z] | d for d in down]
+        for m in row:
+            if m not in tops:
+                tops[m] = structure.max_weak(m)
+        for a in range(n):
+            m1 = row[a]
+            x1 = tops[m1]
+            for b in range(a + 1, n):
+                m2 = row[b]
+                if m1 & ~m2 and m2 & ~m1:
+                    gens = m1 & m2 & (x1 | tops[m2])
+                    if gens not in closed:
+                        s = structure.weak_down_closure(gens)
+                        if not poset.is_ideal(s):
+                            return z, a, b
+                        closed.add(gens)
     return None
 
 

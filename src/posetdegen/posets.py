@@ -187,11 +187,6 @@ def chain_poset(elements):
     return Poset(elements, transitive_closure(above, n))
 
 
-def linear_extensions(poset):
-    """All linearizations of the order, as tuples of element labels."""
-    return [tuple(poset.elements[i] for i in ext) for ext in linear_extension_indices(poset)]
-
-
 def linear_extension_indices(poset):
     """All linearizations as index tuples, built by peeling minimal elements."""
     n = poset.n
@@ -254,6 +249,11 @@ class RelativeStructure:
             if self.weak_above[i] & mask == 0:
                 out |= 1 << i
         return out
+
+    @cached_property
+    def weak_maxima(self):
+        """max' of each ideal of the lattice, by position."""
+        return tuple(self.max_weak(m) for m in self.lattice.masks)
 
     def with_order(self, poset, lattice=None):
         """Same weak order and marking over a stronger base order.

@@ -21,7 +21,7 @@ from posetdegen.posets import (
     transitive_closure,
     validate_relative_structure,
 )
-from posetdegen.lattice import enumerate_ideals, star_mask, sublattice_to_order
+from posetdegen.lattice import enumerate_ideals, sublattice_to_order
 from posetdegen.marked import (
     MarkedPolytope,
     fundamental_decomposition,
@@ -115,6 +115,27 @@ def weaker_order_rows(poset):
         if good:
             out.append(tuple(rows))
     return out
+
+
+def star_mask(m1, m2, structure):
+    """The star of two ideal masks by its definition: the <'-ideal generated
+    by (J1 ∩ J2) ∩ (max' J1 ∪ max' J2)."""
+    gens = (m1 & m2) & (structure.max_weak(m1) | structure.max_weak(m2))
+    return structure.weak_down_closure(gens)
+
+
+def max_antichain(mask, above_rows):
+    """Elements of `mask` with no larger element of `mask` under the given order."""
+    out = 0
+    for i in mask_bits(mask):
+        if above_rows[i] & mask == 0:
+            out |= 1 << i
+    return out
+
+
+def linear_extensions(poset):
+    """All linearizations of the order, as tuples of element labels."""
+    return [tuple(poset.elements[i] for i in ext) for ext in linear_extension_indices(poset)]
 
 
 def naive_star_closure_failure(structure):

@@ -20,7 +20,6 @@ from posetdegen import (
     check_normality,
     cone_position,
     ehrhart_values,
-    linear_extensions,
     mcop_build,
     mcop_recognize,
     order_structure,
@@ -43,6 +42,7 @@ from conftest import (
     criterion_7_markings,
     flag_weight,
     fundamental_mrpp,
+    linear_extensions,
     random_poset,
     small_poset_corpus,
     valid_weak_structures,

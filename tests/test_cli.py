@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from posetdegen import build_flag_poset, cli, degeneration, marked, polytopes
 from posetdegen.cli import main
 from posetdegen.errors import TheoremViolation
-from posetdegen.lattice import star_mask
 from posetdegen.posets import (
     Poset,
     RelativeStructure,
@@ -22,7 +21,7 @@ from posetdegen.posets import (
     validate_relative_structure,
 )
 
-from conftest import naive_subdivide_report, nth_finite_difference
+from conftest import naive_subdivide_report, nth_finite_difference, star_mask
 
 
 SQUARE = {

@@ -14,18 +14,22 @@ from posetdegen import (
 )
 from posetdegen import lattice as lattice_module
 from posetdegen.errors import ConditionViolated, HeightDeficient, NotASublattice
-from posetdegen.lattice import max_antichain, star_closure_failure, star_mask
+from posetdegen.lattice import star_closure_failure, two_generated_star_failure
 from posetdegen.posets import (
     RelativeStructure,
     linear_extension_indices,
     mask_bits,
+    transitive_closure,
     validate_relative_structure,
 )
 
 from conftest import (
+    max_antichain,
     naive_prescribed_multichain_count,
     naive_star_closure_failure,
+    random_poset,
     small_poset_corpus,
+    star_mask,
     stronger_orders,
     valid_weak_structures,
     weaker_order_rows,
@@ -141,20 +145,82 @@ def test_star_closure_failure_matches_pairwise_oracle():
     assert failures > 0
 
 
+def assert_certificate_agrees(s, scan=naive_star_closure_failure):
+    """The two-generated certificate fails exactly when the pair scan does, a
+    triple it names is a pair whose star is not an ideal, and a failure is
+    reported as the naive oracle's first pair."""
+    found = two_generated_star_failure(s)
+    assert (found is None) == (scan(s) is None)
+    if found is not None:
+        z, a, b = found
+        down = s.poset.down_closure
+        m1, m2 = down(1 << z | 1 << a), down(1 << z | 1 << b)
+        assert star_mask(m1, m2, s) not in s.lattice.position
+        assert star_closure_failure(s) == naive_star_closure_failure(s)
+    return found is not None
+
+
+def test_two_generated_certificate_matches_scan_on_small_posets():
+    # every weaker order on every poset with at most 5 elements, valid or not
+    failures = 0
+    for poset in small_poset_corpus(5):
+        lat = enumerate_ideals(poset)
+        for rows in weaker_order_rows(poset):
+            s = RelativeStructure(poset, rows)
+            s.__dict__["lattice"] = lat
+            failures += assert_certificate_agrees(s)
+    assert failures > 0
+
+
+def test_two_generated_certificate_matches_scan_on_a_seeded_sample():
+    rng = random.Random(20211209)
+    failures = 0
+    for _ in range(2000):
+        n = rng.randint(7, 10)
+        poset = random_poset(rng, n, rng.choice([0.15, 0.3, 0.5, 0.7]))
+        keep = rng.choice([0.25, 0.5, 0.75])
+        rows = [0] * n
+        for i in range(n):
+            for j in mask_bits(poset.above[i]):
+                if rng.random() < keep:
+                    rows[i] |= 1 << j
+        s = RelativeStructure(poset, transitive_closure(rows, n))
+        failures += assert_certificate_agrees(s, lattice_module.first_star_failure)
+    assert 200 < failures < 1800
+
+
+def test_matching_with_a_link_validates_without_the_pair_scan(monkeypatch):
+    # six pairs a_k < b_k, <' on three of them, and a0 < b3 linking a <'-pair
+    # to a plain one: 648 ideals, so 209,628 pairs against 792 two-generated ones
+    labels = [x for k in range(6) for x in (f"a{k}", f"b{k}")]
+    covers = [(f"a{k}", f"b{k}") for k in range(6)] + [("a0", "b3")]
+    weak = [(f"a{k}", f"b{k}") for k in range(3)]
+    poset = build_poset(labels, covers)
+    s = validate_relative_structure(poset, weak)
+    assert len(s.lattice) == 648
+    assert naive_star_closure_failure(s) is None
+
+    def refuse(structure):
+        raise AssertionError("pair scan called")
+
+    monkeypatch.setattr(lattice_module, "first_star_failure", refuse)
+    assert validate_relative_structure(poset, weak).weak_above == s.weak_above
+
+
 def test_trivial_and_equal_weak_orders_validate_without_star_work(monkeypatch):
     calls = []
-    real_star_mask = lattice_module.star_mask
+    real_max_weak = RelativeStructure.max_weak
     real_closure = RelativeStructure.weak_down_closure
 
-    def counted_star_mask(*args):
-        calls.append("star_mask")
-        return real_star_mask(*args)
+    def counted_max_weak(self, mask):
+        calls.append("max_weak")
+        return real_max_weak(self, mask)
 
     def counted_closure(self, mask):
         calls.append("weak_down_closure")
         return real_closure(self, mask)
 
-    monkeypatch.setattr(lattice_module, "star_mask", counted_star_mask)
+    monkeypatch.setattr(RelativeStructure, "max_weak", counted_max_weak)
     monkeypatch.setattr(RelativeStructure, "weak_down_closure", counted_closure)
     cells = [f"p{i}.{j}" for i in range(4) for j in range(4)]
     covers = [(f"p{i}.{j}", f"p{i + 1}.{j}") for i in range(3) for j in range(4)]

@@ -31,6 +31,7 @@ from conftest import (
     fundamental_mrpp,
     gt_pattern_count,
     marked_corpus_structures,
+    max_antichain,
     naive_mcop_box,
     naive_mcop_recognize,
     naive_mrpp_points,
@@ -387,7 +388,7 @@ def test_mcop_fundamental_vertices_formula():
     marked = (1 << poset.index("bot")) | (1 << poset.index("top"))
     k_mask = 1 << poset.index("bot")
     free = [poset.index("x"), poset.index("y")]
-    from posetdegen.lattice import enumerate_ideals, max_antichain
+    from posetdegen.lattice import enumerate_ideals
 
     lat = enumerate_ideals(poset)
     for obits in range(4):

@@ -18,7 +18,7 @@ from posetdegen import (
     validate_relative_structure,
 )
 from posetdegen.errors import InternalClosureFailure, NotALatticePoint
-from posetdegen.lattice import IdealLattice, max_antichain
+from posetdegen.lattice import IdealLattice
 from posetdegen.polytopes import (
     indicator,
     pack_bits,
@@ -30,6 +30,7 @@ from posetdegen.posets import RelativeStructure
 
 from conftest import (
     canonical_triangulation,
+    max_antichain,
     naive_check_normality,
     naive_multichain_points,
     nth_finite_difference,

@@ -7,7 +7,6 @@ from posetdegen import (
     build_poset,
     chain_poset,
     chain_structure,
-    linear_extensions,
     order_structure,
     validate_relative_structure,
 )
@@ -16,6 +15,7 @@ from posetdegen.posets import mask_bits
 
 from conftest import (
     brute_force_extensions,
+    linear_extensions,
     naive_covers,
     naive_mask_bits,
     random_poset,
