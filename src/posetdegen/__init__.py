@@ -12,20 +12,12 @@ from .posets import (
     validate_relative_structure,
 )
 from .lattice import enumerate_ideals, star, sublattice_to_order
-from .polytopes import (
-    build_polytope,
-    check_normality,
-    decompose_point,
-    ehrhart_values,
-    lattice_points,
-)
+from .polytopes import build_polytope, check_normality, ehrhart_values
 from .degeneration import (
     WeightVector,
     canonical_interior_weight,
     cone_position,
     ideal_presentation,
-    sample_cone_weight,
-    standard_monomial_count,
     subdivide,
     zhu_components,
 )

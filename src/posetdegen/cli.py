@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -26,7 +27,6 @@ from .errors import (
     InvalidStructure,
     KindMismatch,
     ModeDimsMismatch,
-    NotALatticePoint,
     NotAPartition,
     NotASublattice,
     NotDominant,
@@ -41,10 +41,12 @@ from .posets import build_poset, mask_bits, validate_relative_structure
 VALIDATION_ERRORS = (
     ConditionViolated, CycleDetected, DuplicateLabel, UnknownLabel, NotASublattice,
     NotDominant, NotAPartition, InvalidDims, InvalidIndex, InvalidStructure,
-    KindMismatch, ModeDimsMismatch, NotALatticePoint,
+    KindMismatch, ModeDimsMismatch,
 )
 
 INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+EXPONENT_TEXT = re.compile(r"[eE]([+-]?[0-9_]+)")
+MAX_EXPONENT = 1000  # keeps reports well inside Python's 4300-digit limit on integer text
 
 
 def fmt_ratio(x, scale):
@@ -53,17 +55,28 @@ def fmt_ratio(x, scale):
     return str(x // g) if g == scale else f"{x // g}/{scale // g}"
 
 
-def parse_fraction(text):
+def parse_fraction(value):
+    """The exact rational of a weight: a JSON integer, a Decimal read from a
+    JSON number, or a string such as "-3/2" or "1e-3".  An exponent beyond
+    ±MAX_EXPONENT in str(value) (for a Decimal, its normalized exponent) is
+    refused before Fraction expands it."""
+    text = str(value)
     try:
-        return Fraction(str(text))
+        exponent = EXPONENT_TEXT.search(text)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond ±{MAX_EXPONENT}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
 def load_json(path):
+    """The JSON value of a file.  A number with a fraction or an exponent is
+    kept exactly as a Decimal of its literal text, never made a float;
+    `parse_fraction` turns it into a Fraction where a rational is wanted."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=Decimal)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -71,7 +84,9 @@ def load_json(path):
 
 
 def shape_error(path, where, expected, value):
-    return ParseError(f"{path}: {where} must be {expected}, got {json.dumps(value)}")
+    return ParseError(
+        f"{path}: {where} must be {expected}, got {json.dumps(value, default=str)}"
+    )
 
 
 def parse_label_pairs(path, data, key):
@@ -128,7 +143,7 @@ def parse_poset_file(path):
     return validate_relative_structure(build_poset(elements, covers), weak, marked)
 
 
-def parse_weights_file(path, lattice, keys, default_zero=False):
+def parse_weights_file(path, keys, default_zero=False):
     """Weights keyed by comma-joined sorted ideal labels ('' for the empty ideal)."""
     if path is None:
         raise ParseError("a weights file is required for this command")
@@ -386,7 +401,7 @@ def cmd_normality(args):
 def cmd_cone_check(args):
     structure = parse_poset_file(args.file)
     keys = structure_keys(structure)
-    w = parse_weights_file(args.weights, structure.lattice, keys, args.default_zero)
+    w = parse_weights_file(args.weights, keys, args.default_zero)
     pos = degeneration.cone_position(structure, w)
     pair = lambda ab: [keys[ab[0]], keys[ab[1]]]
     return {
@@ -398,10 +413,9 @@ def cmd_cone_check(args):
 
 def cmd_subdivide(args):
     structure = parse_poset_file(args.file)
-    lat = structure.lattice
     if structure.marked:
         std, keys = jlambda_keys(structure)
-        w = parse_weights_file(args.weights, lat, keys, args.default_zero)
+        w = parse_weights_file(args.weights, keys, args.default_zero)
         sub = marked.mrpp_subdivide(structure, w)
         quotient = sub.standardized.quotient
         ordered = keys_in_order(structure_keys(quotient))
@@ -412,7 +426,7 @@ def cmd_subdivide(args):
         ]
         return {"parts": parts, "dropped_lower_dimensional": sub.dropped}
     keys = structure_keys(structure)
-    w = parse_weights_file(args.weights, lat, keys, args.default_zero)
+    w = parse_weights_file(args.weights, keys, args.default_zero)
     sub = degeneration.subdivide(structure, w)
     ordered = keys_in_order(keys)
     parts = [
@@ -426,7 +440,7 @@ def cmd_subdivide(args):
 def cmd_components(args):
     structure = parse_poset_file(args.file)
     keys = structure_keys(structure)
-    w = parse_weights_file(args.weights, structure.lattice, keys, args.default_zero)
+    w = parse_weights_file(args.weights, keys, args.default_zero)
     _, comps = degeneration.zhu_components(structure, w)
     out = []
     for comp in comps:
@@ -508,7 +522,7 @@ def cmd_flag(args):
     # degenerate
     structure = data.structure(args.mode)
     std, keys = jlambda_keys(structure)
-    w = parse_weights_file(args.weights, structure.lattice, keys, args.default_zero)
+    w = parse_weights_file(args.weights, keys, args.default_zero)
     report = flagmod.flag_degeneration(data, args.mode, w)
     return {"mode": args.mode, "parts": report.parts}
 

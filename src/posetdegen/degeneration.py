@@ -354,7 +354,7 @@ def subdivide(structure, w):
         )
     scale = lcm(*(v.denominator for v in values))
     ints = [v.numerator * (scale // v.denominator) for v in values]
-    vertex_bits = [mask_bits(structure.max_weak(m)) for m in lat.masks]
+    vertex_bits = [mask_bits(top) for top in structure.weak_maxima]
     linearizations = lat.maximal_chain_count()
     if not pos.tight and len(pos.violated) in (0, pairs):
         found = triangulation_parts(structure, ints, vertex_bits)
@@ -396,34 +396,3 @@ def zhu_components(structure, w):
         vanishing = [i for i in range(len(lat)) if i not in inside]
         components.append(ZhuComponent(part, presentation, vanishing))
     return subdivision, components
-
-
-def standard_monomial_count(structure, m):
-    """Degree-m standard monomials of the monomial ideal: weakly increasing tuples."""
-    return structure.lattice.multichain_count(m)
-
-
-def minimal_cone_shift(structure, values):
-    """Smallest integer t with values + t * canonical inside the closed cone."""
-    lat = structure.lattice
-    canonical = as_weight(structure, canonical_interior_weight(structure))
-    t = 0
-    for a, b in lat.incomparable_pairs:
-        union = lat.position[lat.masks[a] | lat.masks[b]]
-        s = star(a, b, structure)
-        slack_w = values[a] + values[b] - values[union] - values[s]
-        if slack_w <= 0:
-            continue
-        slack_c = canonical[union] + canonical[s] - canonical[a] - canonical[b]
-        needed = -(-slack_w // slack_c)  # exact ceiling of slack_w / slack_c
-        t = max(t, int(needed))
-    return t
-
-
-def sample_cone_weight(structure, rng, spread=9):
-    """Random integer weight shifted into the closed cone by t * canonical."""
-    lat = structure.lattice
-    raw = [Fraction(rng.randint(-spread, spread)) for _ in lat.masks]
-    t = minimal_cone_shift(structure, raw)
-    canonical = as_weight(structure, canonical_interior_weight(structure))
-    return WeightVector([r + t * c for r, c in zip(raw, canonical)])

@@ -44,10 +44,6 @@ class InvalidStructure(PosetDegenError):
     pass
 
 
-class NotALatticePoint(PosetDegenError):
-    pass
-
-
 class KindMismatch(PosetDegenError):
     pass
 

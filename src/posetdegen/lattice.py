@@ -31,17 +31,6 @@ class IdealLattice:
         return ",".join(labels)
 
     @cached_property
-    def superset_lists(self):
-        """For each position, the positions of all ideals containing it (incl. itself).
-
-        Quadratic in the number of ideals; only the multichain enumerators read it.
-        """
-        out = []
-        for i, m in enumerate(self.masks):
-            out.append([j for j, mm in enumerate(self.masks) if mm & m == m])
-        return out
-
-    @cached_property
     def incomparable_pairs(self):
         out = []
         for a in range(len(self.masks)):

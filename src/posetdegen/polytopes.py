@@ -2,25 +2,22 @@
 points, Ehrhart counts and normality.
 
 Lattice points of dilations and of marked polytopes are sums of the vectors
-1_{max' J} over weakly increasing chains of ideals.  `check_peeling` certifies
-once per structure that distinct chains give distinct points, so Ehrhart
-counts are counts of chains (`IdealLattice.prescribed_multichain_count`),
-with no point built, and normality compares the number of 2-fold sums of
-dilation 1 with the count of dilation 2, which settles every dilation
-(`check_normality`).  Commands that print
-points enumerate them with `packed_multichains`, in a packed integer encoding
-so that set arithmetic stays cheap; public functions decode to coordinate
-tuples.  A chain of k steps packs max(PACK_BITS, k.bit_length()) bits per
-coordinate.
+1_{max' J} over weakly increasing chains of ideals, and one zeta walk along
+`IdealLattice.zeta_steps` either counts those chains
+(`IdealLattice.prescribed_multichain_count`) or enumerates their sums
+(`packed_multichains`).  `check_peeling` certifies once per structure that
+distinct chains give distinct points, so Ehrhart counts are counts of
+chains, with no point built, and normality compares the number of 2-fold
+sums of dilation 1 with the count of dilation 2, which settles every
+dilation (`check_normality`).  Printed points are enumerated in a packed
+integer encoding so that set arithmetic stays cheap; public functions
+decode to coordinate tuples.  A chain of k steps packs
+max(PACK_BITS, k.bit_length()) bits per coordinate.
 """
 
 from itertools import combinations_with_replacement
 
-from .errors import (
-    InternalClosureFailure,
-    InvalidStructure,
-    NotALatticePoint,
-)
+from .errors import InternalClosureFailure, InvalidStructure
 from .posets import RelativeStructure, mask_bits
 
 PACK_BITS = 6  # least bits per coordinate; check_normality compares dilations 1 and 2 in it
@@ -54,7 +51,8 @@ def structure_for_kind(structure, kind):
     rows = weak_rows_for_kind(structure, kind)
     if rows == structure.weak_above:
         return structure
-    return RelativeStructure(structure.poset, rows)
+    out = RelativeStructure(structure.poset, rows)
+    return out.with_order(structure.poset, structure.lattice)  # J(P) depends on < alone
 
 
 class LatticePolytope:
@@ -72,7 +70,7 @@ def build_polytope(structure, kind="relative"):
     s = structure_for_kind(structure, kind)
     n = s.poset.n
     lat = s.lattice
-    vertices = [indicator(s.max_weak(m), n) for m in lat.masks]
+    vertices = [indicator(top, n) for top in s.weak_maxima]
     if len(set(vertices)) != len(vertices):
         raise InvalidStructure("vertex map J -> 1_{max' J} is not injective")
     return LatticePolytope(s, kind, vertices, lat.masks)
@@ -82,44 +80,26 @@ def packed_multichains(structure, marked, reqs):
     """Packed codes of the sums of 1_{max' J_d} over the weakly increasing
     chains J_1 <= ... <= J_k of ideals with J_d & marked == reqs[d].
 
-    Distinct chains give distinct points; a repeat raises.
+    The walk of `IdealLattice.prescribed_multichain_count`, with sets of
+    codes where the count has integers: ends[j] holds the sums of the chains
+    so far that end in ideal j.  Distinct chains give distinct points; a
+    repeat raises.
     """
-    steps = len(reqs)
-    if not steps:
+    if not reqs:
         return {0}
     lat = structure.lattice
-    masks = lat.masks
-    bits = pack_bits(steps)
-    codes = [
-        sum(1 << (bits * i) for i in mask_bits(structure.max_weak(m))) for m in masks
-    ]
-    succ = {}
-    for req in set(reqs[1:]):
-        keep = [m & marked == req for m in masks]
-        succ[req] = lat.superset_lists if all(keep) else [
-            [j for j in sups if keep[j]] for sups in lat.superset_lists
-        ]
-    # The first step starts from nothing, so it needs no superset list: a
-    # one-step chain is any ideal that meets its requirement.
-    first = [j for j, m in enumerate(masks) if m & marked == reqs[0]]
-    levels = [[first]] + [succ[req] for req in reqs[1:]]
-    points = set()
-    add = points.add
-    chains = 0
-
-    def rec(idx, depth, acc):
-        nonlocal chains
-        nxt = levels[depth][idx]
-        if depth == steps - 1:
-            chains += len(nxt)
-            for j in nxt:
-                add(acc + codes[j])
-            return
-        for j in nxt:
-            rec(j, depth + 1, acc + codes[j])
-
-    rec(0, 0, 0)
-    if chains != len(points):
+    bits = pack_bits(len(reqs))
+    codes = [sum(1 << (bits * i) for i in mask_bits(top)) for top in structure.weak_maxima]
+    ends = [{code} if mask & marked == reqs[0] else set()
+            for mask, code in zip(lat.masks, codes)]
+    for req in reqs[1:]:
+        for pairs in lat.zeta_steps:
+            for low, high in pairs:
+                ends[high] |= ends[low]
+        ends = [{acc + code for acc in end} if mask & marked == req else set()
+                for mask, code, end in zip(lat.masks, codes, ends)]
+    points = set().union(*ends)
+    if len(points) != lat.prescribed_multichain_count(marked, reqs):
         raise InternalClosureFailure("distinct multichains produced a repeated point")
     return points
 
@@ -129,13 +109,6 @@ def packed_dilation(structure, m):
     return packed_multichains(structure, 0, [0] * m)
 
 
-def lattice_points(structure, m):
-    """Integer points of m * R(P,<,<') as coordinate tuples."""
-    n = structure.poset.n
-    bits = pack_bits(m)
-    return frozenset(unpack(code, n, bits) for code in packed_dilation(structure, m))
-
-
 def check_peeling(structure):
     """Certify once that the multichain -> point map is injective, for every m.
 
@@ -143,15 +116,15 @@ def check_peeling(structure):
     InternalClosureFailure otherwise.  It suffices: in x = sum of 1_{max' J_d}
     over J_1 <= ... <= J_m the support lies in J_m and contains max' J_m, so
     its down-closure is J_m.  Subtracting 1_{max' J_m} leaves the sum over the
-    shorter chain, so greedy peeling (`decompose_point`) recovers the whole
-    chain from x, and distinct chains give distinct points.  Marked points
-    are these sums translated by one fixed vector, so they stay distinct; a
-    count of chains is then a count of lattice points.
+    shorter chain, so greedy peeling recovers the whole chain from x, and
+    distinct chains give distinct points.  Marked points are these sums
+    translated by one fixed vector, so they stay distinct; a count of chains
+    is then a count of lattice points.
     """
     lat = structure.lattice
     down_closure = structure.poset.down_closure
-    for pos, mask in enumerate(lat.masks):
-        if down_closure(structure.max_weak(mask)) != mask:
+    for pos, (mask, top) in enumerate(zip(lat.masks, structure.weak_maxima)):
+        if down_closure(top) != mask:
             raise InternalClosureFailure(
                 f"ideal {lat.label_key(pos)!r} is not generated by its <'-maximal elements"
             )
@@ -174,36 +147,6 @@ def ehrhart_values(structure, m_max):
         reqs = [[0] * m for m in range(m_max + 1)]
     lat = structure.lattice
     return [lat.prescribed_multichain_count(structure.marked, r) for r in reqs]
-
-
-def decompose_point(point, m, structure):
-    """The unique weakly increasing ideal tuple summing to `point`.
-
-    Greedy peeling: the top ideal is the <-ideal generated by the support,
-    because max_<' of it generates it both as a <'-ideal and a <-ideal.
-    """
-    n = structure.poset.n
-    lat = structure.lattice
-    x = list(point)
-    if len(x) != n or any(v < 0 for v in x):
-        raise NotALatticePoint(f"{point} is not in dilation {m}")
-    chain = []
-    for _ in range(m):
-        support = sum(1 << i for i in range(n) if x[i] > 0)
-        ideal = structure.poset.down_closure(support)
-        if ideal not in lat.position:
-            raise NotALatticePoint(f"{point} is not in dilation {m}")
-        chain.append(ideal)
-        for i in mask_bits(structure.max_weak(ideal)):
-            x[i] -= 1
-            if x[i] < 0:
-                raise NotALatticePoint(f"{point} is not in dilation {m}")
-    if any(x):
-        raise NotALatticePoint(f"{point} is not in dilation {m}")
-    chain.reverse()
-    if any(a & ~b for a, b in zip(chain, chain[1:])):
-        raise NotALatticePoint(f"{point} is not in dilation {m}")
-    return chain
 
 
 def check_normality(structure, k_max):

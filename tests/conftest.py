@@ -12,7 +12,12 @@ from itertools import permutations, product
 
 import pytest
 
-from posetdegen.degeneration import subdivide
+from posetdegen.degeneration import (
+    WeightVector,
+    as_weight,
+    canonical_interior_weight,
+    subdivide,
+)
 from posetdegen.posets import (
     Poset,
     RelativeStructure,
@@ -21,7 +26,7 @@ from posetdegen.posets import (
     transitive_closure,
     validate_relative_structure,
 )
-from posetdegen.lattice import enumerate_ideals, sublattice_to_order
+from posetdegen.lattice import enumerate_ideals, star, sublattice_to_order
 from posetdegen.marked import (
     MarkedPolytope,
     fundamental_decomposition,
@@ -235,17 +240,25 @@ def random_poset(rng, n, density=0.35):
     return make_poset(n, transitive_closure(above, n))
 
 
+def naive_superset_lists(lattice):
+    """For each position, the positions of all ideals containing it (itself
+    included), by a mask test on every pair."""
+    masks = lattice.masks
+    return [[j for j, mm in enumerate(masks) if mm & m == m] for m in masks]
+
+
 def naive_prescribed_multichain_count(lattice, marked, reqs):
     """Superset-list oracle for `IdealLattice.prescribed_multichain_count`:
     each step pushes every count to all the ideals containing its own."""
     if not reqs:
         return 1
     masks = lattice.masks
+    sups = naive_superset_lists(lattice)
     counts = [1 if mask & marked == reqs[0] else 0 for mask in masks]
     for req in reqs[1:]:
         nxt = [0] * len(masks)
         for i, ci in enumerate(counts):
-            for j in lattice.superset_lists[i]:
+            for j in sups[i]:
                 nxt[j] += ci
         if marked:
             nxt = [c if mask & marked == req else 0 for c, mask in zip(nxt, masks)]
@@ -461,7 +474,7 @@ def naive_multichain_points(structure, marked, reqs):
     J_d & marked == reqs[d], by recursion over tuple-list multichains."""
     lat = structure.lattice
     n = structure.poset.n
-    sups = lat.superset_lists
+    sups = naive_superset_lists(lat)
     vertex_vectors = [indicator(structure.max_weak(m), n) for m in lat.masks]
     points = set()
     chains = 0
@@ -481,6 +494,73 @@ def naive_multichain_points(structure, marked, reqs):
     rec(None, 0, [0] * n)
     assert chains == len(points), "prescribed multichains produced a repeated point"
     return points
+
+
+class NotALatticePoint(Exception):
+    """A point that `decompose_point` finds outside the dilation."""
+
+
+def lattice_points(structure, m):
+    """Integer points of m * R(P,<,<') as coordinate tuples."""
+    n = structure.poset.n
+    bits = polytopes.pack_bits(m)
+    return frozenset(unpack(code, n, bits) for code in polytopes.packed_dilation(structure, m))
+
+
+def decompose_point(point, m, structure):
+    """The unique weakly increasing ideal tuple summing to `point`.
+
+    Greedy peeling: the top ideal is the <-ideal generated by the support,
+    because max_<' of it generates it both as a <'-ideal and a <-ideal.
+    """
+    n = structure.poset.n
+    lat = structure.lattice
+    x = list(point)
+    if len(x) != n or any(v < 0 for v in x):
+        raise NotALatticePoint(f"{point} is not in dilation {m}")
+    chain = []
+    for _ in range(m):
+        support = sum(1 << i for i in range(n) if x[i] > 0)
+        ideal = structure.poset.down_closure(support)
+        if ideal not in lat.position:
+            raise NotALatticePoint(f"{point} is not in dilation {m}")
+        chain.append(ideal)
+        for i in mask_bits(structure.max_weak(ideal)):
+            x[i] -= 1
+            if x[i] < 0:
+                raise NotALatticePoint(f"{point} is not in dilation {m}")
+    if any(x):
+        raise NotALatticePoint(f"{point} is not in dilation {m}")
+    chain.reverse()
+    if any(a & ~b for a, b in zip(chain, chain[1:])):
+        raise NotALatticePoint(f"{point} is not in dilation {m}")
+    return chain
+
+
+def minimal_cone_shift(structure, values):
+    """Smallest integer t with values + t * canonical inside the closed cone."""
+    lat = structure.lattice
+    canonical = as_weight(structure, canonical_interior_weight(structure))
+    t = 0
+    for a, b in lat.incomparable_pairs:
+        union = lat.position[lat.masks[a] | lat.masks[b]]
+        s = star(a, b, structure)
+        slack_w = values[a] + values[b] - values[union] - values[s]
+        if slack_w <= 0:
+            continue
+        slack_c = canonical[union] + canonical[s] - canonical[a] - canonical[b]
+        needed = -(-slack_w // slack_c)  # exact ceiling of slack_w / slack_c
+        t = max(t, int(needed))
+    return t
+
+
+def sample_cone_weight(structure, rng, spread=9):
+    """Random integer weight shifted into the closed cone by t * canonical."""
+    lat = structure.lattice
+    raw = [Fraction(rng.randint(-spread, spread)) for _ in lat.masks]
+    t = minimal_cone_shift(structure, raw)
+    canonical = as_weight(structure, canonical_interior_weight(structure))
+    return WeightVector([r + t * c for r, c in zip(raw, canonical)])
 
 
 def fundamental_mrpp(structure, k_mask):

@@ -21,7 +21,12 @@ from posetdegen.posets import (
     validate_relative_structure,
 )
 
-from conftest import naive_subdivide_report, nth_finite_difference, star_mask
+from conftest import (
+    naive_subdivide_report,
+    nth_finite_difference,
+    sample_cone_weight,
+    star_mask,
+)
 
 
 SQUARE = {
@@ -195,7 +200,7 @@ def test_subdivide_report_bytes_match_the_old_report_path(tmp_path):
     cases = [
         (order, [Fraction(v, 6) for v in degeneration.canonical_interior_weight(order).values]),
         (order, [0] * len(order.lattice)),
-        (chain, degeneration.sample_cone_weight(chain, rng).values),
+        (chain, sample_cone_weight(chain, rng).values),
         (three, [size(m & 0b011) ** 2 for m in three.lattice.masks]),
         (three, least_shift),
         (flag, [int(flag.lattice.label_key(pos) == notmcop) for pos in std.jlambda]),
@@ -319,6 +324,80 @@ def test_weights_missing_key_is_parse_error(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["position"] == "outside"
+
+
+@pytest.mark.parametrize("a", ["0.10000000000000000001", '"0.10000000000000000001"'],
+                         ids=["number", "string"])
+def test_numeric_weights_are_read_exactly(tmp_path, capsys, a):
+    # as floats both weights round to 0.1 and the one inequality is tight
+    poset = write(tmp_path, "p.json", SQUARE)
+    weights = tmp_path / "w.json"
+    weights.write_text(f'{{"weights": {{"": 0, "a": {a}, "b": 0, "a,b": 0.1}}}}',
+                       encoding="utf-8")
+    code, out = run(capsys, ["cone-check", poset, "--weights", str(weights)])
+    assert code == 0 and json.loads(out)["position"] == "outside"
+
+
+@pytest.mark.parametrize("a", ["1e5000", '"1e5000"', '"1E+999999999"', '"-2.5e-1001"'])
+def test_weight_exponents_beyond_a_thousand_are_one_parse_error_line(tmp_path, capsys, a):
+    # Fraction would build the integer 10**exponent, and a report cannot print 5,000 digits
+    poset = write(tmp_path, "p.json", SQUARE)
+    weights = tmp_path / "w.json"
+    weights.write_text(f'{{"weights": {{"": 0, "a": {a}, "b": 0, "a,b": 0}}}}',
+                       encoding="utf-8")
+    assert main(["subdivide", poset, "--weights", str(weights)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1 and "exponent" in err
+
+
+ANTICHAIN3 = {"elements": ["a", "b", "c"]}
+WEIGHT_KEYS = st.sampled_from(["", "a", "b", "c", "a,b", "a,c", "b,c", "a,b,c"])
+MALFORMED_KEYS = st.sampled_from(["b,a", "a,", " a", "A", "d", "a,b,c,d"]) | st.text(max_size=3)
+NUMBER_TEXT = st.from_regex(r"-?(0|[1-9][0-9]{0,3})(\.[0-9]{1,25})?([eE][-+]?[0-9]{1,4})?",
+                            fullmatch=True)
+NOT_RATIONAL_TEXT = st.sampled_from([
+    "true", "false", "null", "[]", "[1]", '{"a": 1}', '"x"', '"1/0"', '"nan"', "NaN",
+    "-Infinity",
+]) | st.text(max_size=3).map(json.dumps)
+RATIONAL_TEXT = NUMBER_TEXT | st.integers(-9, 9).map(str) | st.sampled_from(['"3/2"', '"-1"'])
+
+
+def json_object_text(table):
+    """An object from keys and literal value texts, which json.dumps would round."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in table.items()) + "}"
+
+
+@st.composite
+def weights_file_texts(draw):
+    table = draw(st.dictionaries(WEIGHT_KEYS, RATIONAL_TEXT | NOT_RATIONAL_TEXT, max_size=8))
+    table.update(draw(st.dictionaries(MALFORMED_KEYS, RATIONAL_TEXT, max_size=1)))
+    body = json_object_text(table)
+    return draw(st.sampled_from([
+        f'{{"weights": {body}}}', f'{{"weights": {body}, "extra": 1}}', body,
+        f'{{"weights": [{body}]}}',
+    ]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=weights_file_texts(), default_zero=st.booleans(),
+       command=st.sampled_from(["cone-check", "subdivide", "components"]))
+@example(text='{"weights": {"a": 1.5e-3}}', default_zero=True, command="subdivide")
+@example(text='{"weights": {"a,b": -1, "c": -1, "": 2}}', default_zero=True,
+         command="subdivide")
+def test_arbitrary_weights_files_exit_with_a_documented_code(
+    tmp_path, capsys, text, default_zero, command
+):
+    poset = write(tmp_path, "p.json", ANTICHAIN3)
+    weights = tmp_path / "fuzz.json"
+    weights.write_text(text, encoding="utf-8")
+    argv = [command, poset, "--weights", str(weights)] + ["--default-zero"] * default_zero
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 3, 4)
+    assert err == "" if code == 0 else err.count("\n") == 1
+    assert err.startswith({0: "", 3: "outside cone:", 4: "parse error:"}[code])
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("table", ["x", None], ids=["weights-string", "weights-null"])

@@ -13,19 +13,19 @@ from posetdegen import (
     ehrhart_values,
     ideal_presentation,
     order_structure,
-    sample_cone_weight,
-    standard_monomial_count,
     subdivide,
     zhu_components,
 )
-from posetdegen.degeneration import ConePosition, WeightVector, minimal_cone_shift
+from posetdegen.degeneration import ConePosition, WeightVector
 from posetdegen.errors import InternalClosureFailure, KindMismatch, OutsideCone
 from posetdegen.posets import build_poset, linear_extension_indices
 
 from conftest import (
+    minimal_cone_shift,
     naive_covers,
     naive_subdivide,
     posets_up_to_iso,
+    sample_cone_weight,
     small_poset_corpus,
     valid_weak_structures,
 )
@@ -384,18 +384,18 @@ def test_zhu_components_canonical_weight():
 def test_standard_monomial_counts():
     for poset in small_poset_corpus(4):
         s = order_structure(poset)
-        assert standard_monomial_count(s, 1) == len(s.lattice)
+        assert s.lattice.multichain_count(1) == len(s.lattice)
     chain2 = order_structure(chain_poset(["a", "b"]))
-    assert standard_monomial_count(chain2, 2) == 6
+    assert chain2.lattice.multichain_count(2) == 6
     square = order_structure(antichain_poset(["a", "b"]))
-    assert standard_monomial_count(square, 2) == 9
+    assert square.lattice.multichain_count(2) == 9
 
 
 def test_standard_monomials_match_ehrhart():
     for poset in small_poset_corpus(4):
         for s in valid_weak_structures(poset):
             values = ehrhart_values(s, 3)
-            assert values == [standard_monomial_count(s, m) for m in range(4)]
+            assert values == [s.lattice.multichain_count(m) for m in range(4)]
 
 
 def test_sample_cone_weight_lands_in_cone():

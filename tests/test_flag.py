@@ -15,7 +15,7 @@ from posetdegen.errors import InvalidDims, ModeDimsMismatch
 from posetdegen.flag import PlueckerMap
 from posetdegen.marked import build_mrpp, mrpp_points, standardize, mrpp_subdivide
 
-from conftest import flag_weight, naive_mcop_recognize, weyl_dimension
+from conftest import flag_weight, lattice_points, naive_mcop_recognize, weyl_dimension
 
 
 def all_dims(n):
@@ -205,7 +205,6 @@ def test_grassmannian_vertex_labels_match_grid_ideals():
     grid_cols = [poset.index(e) for e in grid.elements]
     projected = {tuple(p[i] for i in grid_cols) for p in poly.points}
     from posetdegen.posets import chain_structure
-    from posetdegen.polytopes import lattice_points
 
     expected = set(lattice_points(chain_structure(grid), 1))
     assert projected == expected

@@ -11,7 +11,6 @@ from posetdegen import (
     chain_poset,
     ehrhart_values,
     fundamental_decomposition,
-    lattice_points,
     mcop_build,
     mcop_recognize,
     mrpp_subdivide,
@@ -30,6 +29,7 @@ from conftest import (
     criterion_7_markings,
     fundamental_mrpp,
     gt_pattern_count,
+    lattice_points,
     marked_corpus_structures,
     max_antichain,
     naive_mcop_box,
