@@ -46,13 +46,21 @@ VALIDATION_ERRORS = (
 
 INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 EXPONENT_TEXT = re.compile(r"[eE]([+-]?[0-9_]+)")
-MAX_EXPONENT = 1000  # keeps reports well inside Python's 4300-digit limit on integer text
+# bounds the digits of each weight; a report's rationals, over the lcm of
+# several denominators, can still pass Python's limit on integer text
+MAX_EXPONENT = 1000
 
 
 def fmt_ratio(x, scale):
-    """The rational x/scale (scale > 0) as "p/q", or "p" when it is an integer."""
+    """The rational x/scale (scale > 0) as "p/q", or "p" when it is an
+    integer; a ParseError when a term passes Python's limit on integer text."""
     g = gcd(x, scale)
-    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
+    try:
+        return str(x // g) if g == scale else f"{x // g}/{scale // g}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"a rational of the report passes the {limit}-digit limit"
+                         " on integer text") from None
 
 
 def parse_fraction(value):

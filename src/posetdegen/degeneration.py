@@ -238,17 +238,11 @@ def wall_crossings(ext, order, covers, base):
                + [x for x in between if above >> x & 1] + ext[j + 1:])
 
 
-def check_part_star(part_structure):
-    failure = star_closure_failure(part_structure)
-    if failure is not None:
-        x, y = (part_structure.lattice.label_key(pos) for pos in failure)
-        raise InternalClosureFailure(f"star of {x!r} and {y!r} left the lattice")
-
-
 def triangulation_parts(structure, values, vertex_bits):
     """One part per linearization, for weights strictly inside the cone (or
     its negation): the part's order is the linearization itself, whose
-    covers are its consecutive pairs."""
+    covers are its consecutive pairs.  A chain's ideals are all comparable,
+    so no part needs a star check."""
     poset = structure.poset
     parts = []
     lifts = set()
@@ -267,7 +261,6 @@ def triangulation_parts(structure, values, vertex_bits):
             above[p] = later
             later |= 1 << p
         order = Poset(poset.elements, above)
-        check_part_star(structure.with_order(order))
         parts.append((chain, order, sorted(zip(ext, ext[1:])), affine, 1))
     return parts
 
@@ -312,7 +305,10 @@ def walk_parts(structure, values, vertex_bits, linearizations):
         order = sublattice_to_order(member_masks, poset)
         # sublattice_to_order certified member_masks as exactly J(<''), in lattice order
         part_lattice = IdealLattice(order, member_masks)
-        check_part_star(structure.with_order(order, part_lattice))
+        failure = star_closure_failure(structure.with_order(order, part_lattice))
+        if failure is not None:
+            x, y = (part_lattice.label_key(pos) for pos in failure)
+            raise InternalClosureFailure(f"star of {x!r} and {y!r} left the lattice")
         covers = order.covers()
         parts.append((members, order, covers, affine, part_lattice.maximal_chain_count()))
         return order, covers

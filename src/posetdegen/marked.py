@@ -7,7 +7,7 @@ from functools import cached_property
 from operator import add, le
 
 from . import linalg
-from .degeneration import Part, structure_of_part, subdivide
+from .degeneration import Part, first_linearization, structure_of_part, subdivide
 from .errors import (
     InternalClosureFailure,
     InvalidStructure,
@@ -308,23 +308,37 @@ def mrpp_subdivide(structure, w):
 
 
 def _mcop_chains(poset, anchors, middle):
-    """All chains a < p_1 < ... < p_r < b with a,b anchors and p_i in `middle` (r >= 0)."""
-    n = poset.n
+    """The chains of covers a ⋖ p_1 ⋖ ... ⋖ p_r ⋖ b of (P,<) with a, b in
+    `anchors` and every p_i in `middle` (r >= 0), as (a, (p_1, ..., p_r), b).
+
+    From each anchor the walk steps to upper covers, emits a chain at an
+    anchor, goes on through `middle` and stops at anything else.  When
+    every element is an anchor or in `middle`, the rows
+    sum(x[p] for p in mids) <= x[a] - x[b] of these chains imply the row of
+    every chain a < p_1 < ... < p_r < b with p_i in `middle`: refine each
+    step into covers and split the result at the anchors it passes; the
+    row is the sum of the pieces' rows minus the rows x_q >= 0 of the
+    `middle` elements q it skipped.  So it holds where they hold, and
+    where it is tight they all are, as slacks >= 0 that add up to 0 are 0:
+    the point set and the rank of the tight rows at every point are those
+    of the full system.  With elements in neither mask (a partial split
+    of `mcop_recognize`), the chains are chains of covers of every split
+    that extends this one.
+    """
+    up = [[] for _ in range(poset.n)]
+    for i, j in poset.covers():
+        up[i].append(j)
     out = []
-    anchor_list = mask_bits(anchors)
 
-    def extend(start, current, last):
-        for b in anchor_list:
-            if poset.less(last, b):
-                out.append((start, tuple(current), b))
-        for p in mask_bits(middle):
-            if poset.less(last, p):
-                current.append(p)
-                extend(start, current, p)
-                current.pop()
+    def walk(a, mids, last):
+        for q in up[last]:
+            if anchors >> q & 1:
+                out.append((a, mids, q))
+            elif middle >> q & 1:
+                walk(a, mids + (q,), q)
 
-    for a in anchor_list:
-        extend(a, [], a)
+    for a in mask_bits(anchors):
+        walk(a, (), a)
     return out
 
 
@@ -375,7 +389,9 @@ def marked_vertices(structure, points):
     `_mcop_inequalities` as rows to `linalg.extreme_points`, whose rank test
     needs valid rows that include a defining system.  The chains, x_p =
     lambda_p on P* and x_p >= 0 on C (both among the ranges) define
-    MCOP(C, O), which is this MRPP (Fang, Fourier, Litza and Pegel 2020).  The theorem
+    MCOP(C, O), which is this MRPP (Fang, Fourier, Litza and Pegel 2020);
+    only the chains of covers are listed, which leaves every rank as it
+    is for the system of all chains (`_mcop_chains`).  The theorem
     wants every extremal element marked, which validation enforces
     ("minmax"); a section structure of `mrpp_subdivide` inherits that, as
     its stronger order has no new extremal elements.  The other ranges are
@@ -438,37 +454,33 @@ def mcop_build(poset, marking, chain_part, order_part):
     structure = validate_relative_structure(poset, weak_pairs, marking)
     mrpp = mrpp_points(structure)
 
-    # construction (1): box enumeration against the chain-order inequalities
+    # construction (1): box enumeration against the chain-order inequalities;
+    # the fixed marked coordinates are set first, then the free ones along a
+    # linearization of (P,<), and each chain is checked as soon as its last
+    # coordinate is set
     n = poset.n
     ranges, chains = _mcop_inequalities(poset, values, marked_mask | o_mask, c_mask)
-    # each chain inequality is checked as soon as its last coordinate is set,
-    # unless a longer chain with the same anchors, checked at the same node,
-    # takes all its middle elements: C coordinates are >= 0, so the longer
-    # one implies it
-    nodes = [[] for _ in range(n)]
-    for chain in chains:
-        a, mids, b = chain
-        nodes[max(a, b, *mids)].append((a, b, sum(1 << p for p in mids), chain))
-    checks = [
-        [chain for a, b, mids, chain in node
-         if not any(a == a2 and b == b2 and mids != mids2 and mids & mids2 == mids
-                    for a2, b2, mids2, _ in node)]
-        for node in nodes
-    ]
+    order = mask_bits(marked_mask) + [i for i in first_linearization(poset)
+                                      if not marked_mask >> i & 1]
+    position = {i: k for k, i in enumerate(order)}
+    checks = [[] for _ in range(n)]
+    for a, mids, b in chains:
+        checks[max(position[i] for i in (a, b, *mids))].append((a, mids, b))
 
     box_points = []
     point = [0] * n
 
-    def enumerate_box(i):
-        if i == n:
+    def enumerate_box(k):
+        if k == n:
             box_points.append(tuple(point))
             return
+        i = order[k]
         lo, hi = ranges[i]
         for v in range(lo, hi + 1):
             point[i] = v
             if all(sum(point[p] for p in mids) <= point[a] - point[b]
-                   for a, mids, b in checks[i]):
-                enumerate_box(i + 1)
+                   for a, mids, b in checks[k]):
+                enumerate_box(k + 1)
 
     enumerate_box(0)
 

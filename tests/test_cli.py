@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -28,6 +29,8 @@ from conftest import (
     star_mask,
 )
 
+
+BIG = 10**2200  # 1/(BIG+1) has 2,201 digits, under Python's limit on integer text
 
 SQUARE = {
     "elements": ["a", "b"],
@@ -385,6 +388,9 @@ def weights_file_texts(draw):
 @example(text='{"weights": {"a": 1.5e-3}}', default_zero=True, command="subdivide")
 @example(text='{"weights": {"a,b": -1, "c": -1, "": 2}}', default_zero=True,
          command="subdivide")
+@example(text=json.dumps({"weights": {
+    "a": f"1/{BIG + 1}", "a,c": f"1/{BIG + 1}", "a,b": f"1/{BIG + 3}", "a,b,c": f"1/{BIG + 3}",
+}}), default_zero=True, command="subdivide")
 def test_arbitrary_weights_files_exit_with_a_documented_code(
     tmp_path, capsys, text, default_zero, command
 ):
@@ -398,6 +404,18 @@ def test_arbitrary_weights_files_exit_with_a_documented_code(
     assert err == "" if code == 0 else err.count("\n") == 1
     assert err.startswith({0: "", 3: "outside cone:", 4: "parse error:"}[code])
     assert "Traceback" not in err
+
+
+def test_report_beyond_the_integer_text_limit_is_one_parse_error_line(tmp_path, capsys):
+    # each denominator has 2,201 digits, the lift's common scale 4,401
+    poset = write(tmp_path, "p.json", SQUARE)
+    weights = write(tmp_path, "w.json", {"weights": {
+        "": "0", "a": f"1/{BIG + 1}", "b": "0", "a,b": f"1/{BIG + 3}",
+    }})
+    assert main(["subdivide", poset, "--weights", weights]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert str(sys.get_int_max_str_digits()) in err
 
 
 @pytest.mark.parametrize("table", ["x", None], ids=["weights-string", "weights-null"])
@@ -490,11 +508,11 @@ def test_marked_polytope_and_recognize(tmp_path, capsys):
 
 
 def test_internal_closure_failure_exits_5(tmp_path, capsys, monkeypatch):
-    # a part whose lattice the star leaves trips subdivide's bug trap
+    # a part whose lattice the star leaves trips the walk's bug trap
     monkeypatch.setattr(degeneration, "star_closure_failure", lambda structure: (0, 1))
     poset = write(tmp_path, "p.json", SQUARE)
-    weights = write(tmp_path, "w.json", {"weights": {"": "4", "a": "1", "b": "1", "a,b": "0"}})
-    assert main(["subdivide", poset, "--weights", weights]) == 5
+    weights = write(tmp_path, "w.json", {"weights": {}})
+    assert main(["subdivide", poset, "--weights", weights, "--default-zero"]) == 5
     err = capsys.readouterr().err
     assert err.startswith("internal error: InternalClosureFailure:") and err.count("\n") == 1
 

@@ -20,7 +20,7 @@ from posetdegen import (
 from posetdegen import lattice as lattice_module
 from posetdegen.errors import NotAPartition, NotDominant
 from posetdegen.linalg import extreme_points
-from posetdegen.marked import mcop_split, mrpp_points
+from posetdegen.marked import _mcop_inequalities, mcop_split, mrpp_points
 from posetdegen.posets import chain_structure, mask_bits
 from posetdegen.degeneration import canonical_interior_weight
 from posetdegen.polytopes import indicator
@@ -434,11 +434,32 @@ def test_mcop_recognize_order_and_chain():
     assert mcop_recognize(s_chain, chain_poly) is not None
 
 
+PARTIAL_FLAGS = ((2, (0, 1, 2)), (3, (0, 1, 3)), (3, (0, 2, 3)), (3, (0, 1, 2, 3)),
+                 (4, (0, 2, 4)), (4, (0, 1, 2, 4)), (4, (0, 1, 3, 4)))
+
+
+def shuffled_flag_posets(seeds=(1, 2)):
+    """The partial flag posets with n <= 4, their elements in seeded random
+    orders, which are no longer linearizations, with their markings."""
+    out = []
+    for n, dims in PARTIAL_FLAGS:
+        f = build_flag_poset(n, dims)
+        relations = [(f.poset.elements[i], f.poset.elements[j])
+                     for i in range(f.poset.n) for j in mask_bits(f.poset.above[i])]
+        for seed in seeds:
+            labels = list(f.poset.elements)
+            random.Random(seed).shuffle(labels)
+            out.append((build_poset(labels, relations), f.marking))
+    return out
+
+
 def test_mcop_pruned_box_matches_full_scan():
     # every chain/order split of the marked posets below, of the partial flag
-    # posets with n <= 4 (the full n = 4 flag scans a 4^6 box per split) and
-    # of criterion 7's corpus: the box search skips the chain inequalities
-    # that longer chains imply, and keeps every point of the full scan
+    # posets with n <= 4 (the full n = 4 flag scans a 4^6 box per split), of
+    # their shuffles and of criterion 7's corpus: the box search, which sets
+    # the marked coordinates first, then the free ones along a linearization,
+    # and checks only the chains of covers, keeps every point of the full
+    # scan over all chains
     diamond = marked_diamond().poset
     square = build_poset(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
     cases = [
@@ -447,10 +468,10 @@ def test_mcop_pruned_box_matches_full_scan():
         (square, {"a": 2, "d": 0}),
         (build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")]), {"a": 2, "c": 0}),
     ]
-    for n, dims in ((2, (0, 1, 2)), (3, (0, 1, 3)), (3, (0, 2, 3)), (3, (0, 1, 2, 3)),
-                    (4, (0, 2, 4)), (4, (0, 1, 2, 4)), (4, (0, 1, 3, 4))):
+    for n, dims in PARTIAL_FLAGS:
         f = build_flag_poset(n, dims)
         cases.append((f.poset, f.marking))
+    cases += shuffled_flag_posets()
     cases += [(poset, marking) for poset, marking, _ in criterion_7_markings(5)]
     for poset, marking in cases:
         free = [x for x in poset.elements if x not in marking]
@@ -482,3 +503,34 @@ def test_mcop_recognize_matches_bit_order_oracle():
                 assert naive_mcop_recognize(built.structure, target) is None
             cases += 1
     assert cases == 928
+
+
+def test_mcop_recognize_matches_bit_order_oracle_on_shuffled_flags():
+    # every split's MCOP as the target, on the partial flag posets with n <= 4
+    # in element orders that are not linearizations
+    for poset, marking in shuffled_flag_posets():
+        free = [x for x in poset.elements if x not in marking]
+        for r in range(len(free) + 1):
+            for order_part in combinations(free, r):
+                chain_part = [x for x in free if x not in order_part]
+                built = mcop_build(poset, marking, chain_part, order_part)
+                found = mcop_recognize(built.structure, built)
+                assert found is not None
+                assert found == naive_mcop_recognize(built.structure, built)
+
+
+def test_mcop_inequalities_are_the_chains_of_covers():
+    # the system of all chains has 40 (GT) and 70 (FFLV) rows for n = 4,
+    # 90 and 480 for n = 5
+    for n, counts in ((4, (12, 7)), (5, (20, 16))):
+        f = build_flag_poset(n, range(n + 1))
+        covers = set(f.poset.covers())
+        for mode, count in zip(("gt", "fflv"), counts):
+            s = f.structure(mode)
+            c_mask, o_mask = mcop_split(s)
+            values = {i: s.marking[i] for i in mask_bits(s.marked)}
+            _, chains = _mcop_inequalities(f.poset, values, s.marked | o_mask, c_mask)
+            assert len(chains) == count
+            for a, mids, b in chains:
+                steps = (a, *mids, b)
+                assert all(pair in covers for pair in zip(steps, steps[1:]))
