@@ -13,6 +13,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -54,8 +55,10 @@ MAX_EXPONENT = 1000
 def fmt_ratio(x, scale):
     """The rational x/scale (scale > 0) as "p/q", or "p" when it is an
     integer; a ParseError when a term passes Python's limit on integer text."""
-    g = gcd(x, scale)
     try:
+        if scale == 1:
+            return str(x)
+        g = gcd(x, scale)
         return str(x // g) if g == scale else f"{x // g}/{scale // g}"
     except ValueError:
         limit = sys.get_int_max_str_digits()
@@ -230,27 +233,62 @@ def render_text(report):
     return "\n".join(out) + "\n"
 
 
+SCALAR_WRITERS = {str: encode_basestring_ascii, int: int.__repr__}
+ROW_TYPES = {list, tuple}
+
+
 def report_json(report):
     """The text of json.dumps(report, sort_keys=True, indent=2), written
     directly: dicts with str keys, lists and tuples, str, int, bool and None.
-    Anything else, floats and Fractions included, raises TypeError."""
+    Anything else, floats and Fractions included, raises TypeError.
+
+    A list of only str or only int is joined in one step.  A list of rows,
+    non-empty lists that together hold only str or only int (cover pairs,
+    points), goes into the output one row at a time.  Rows of labels recur
+    (the same covers in part after part), so each distinct one is formatted
+    once per indent; rows of ints (points) are formatted as they come."""
     out = []
+    label_rows = {}  # indent -> {row of labels: its text after a comma}
+
+    def scalars(items):
+        """The writer of every item, if they are all str or all int; else None."""
+        kinds = set(map(type, items))
+        return SCALAR_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
 
     def write(obj, newline):
-        if isinstance(obj, (list, tuple)):
+        kind = type(obj)
+        if kind is str:  # most leaves: tested before the isinstance branches
+            out.append(encode_basestring_ascii(obj))
+        elif kind is int:
+            out.append(int.__repr__(obj))
+        elif isinstance(obj, (list, tuple)):
             if not obj:
                 out.append("[]")
                 return
             inner = newline + "  "
-            kinds = set(map(type, obj))
-            leaf = (encode_basestring_ascii if kinds == {str}
-                    else int.__repr__ if kinds == {int} else None)
+            leaf = scalars(obj)
             if leaf is not None:
                 out.append(f"[{inner}{(',' + inner).join(map(leaf, obj))}{newline}]")
                 return
-            for k, x in enumerate(obj):
-                out.append(("[" if k == 0 else ",") + inner)
-                write(x, inner)
+            if set(map(type, obj)) <= ROW_TYPES and all(obj):
+                leaf = scalars(chain.from_iterable(obj))
+            if leaf is not None:
+                row = inner + "  "
+                sep = "," + row
+                labels = None
+                if leaf is encode_basestring_ascii:
+                    labels = label_rows.setdefault(inner, {})
+                for k, x in enumerate(obj):
+                    text = labels.get(x := tuple(x)) if labels is not None else None
+                    if text is None:
+                        text = f",{inner}[{row}{sep.join(map(leaf, x))}{inner}]"
+                        if labels is not None:
+                            labels[x] = text
+                    out.append(text if k else "[" + text[1:])
+            else:
+                for k, x in enumerate(obj):
+                    out.append(("[" if k == 0 else ",") + inner)
+                    write(x, inner)
             out.append(newline + "]")
         elif isinstance(obj, dict):
             if not obj:
@@ -270,23 +308,24 @@ def report_json(report):
         elif isinstance(obj, int):
             out.append(int.__repr__(obj))
         else:
-            raise TypeError(f"a report cannot hold {type(obj).__name__}")
+            raise TypeError(f"a report cannot hold {kind.__name__}")
 
     write(report, "\n")
     return "".join(out)
 
 
 def emit_report(report, fmt="json", out=None):
+    """Write a report; a JSON report's final newline is written after its
+    text, not appended to it, which would copy the text once more."""
     if fmt == "json":
-        payload = report_json(report) + "\n"
+        chunks = (report_json(report).encode("utf-8"), b"\n")
     else:
-        payload = render_text(report)
-    data = payload.encode("utf-8")
+        chunks = (render_text(report).encode("utf-8"),)
     if out:
         with open(out, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
     else:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
 
 
 def point_list(points):

@@ -101,16 +101,26 @@ class ConePosition:
         return f"ConePosition({self.position}, violated={self.violated}, tight={self.tight})"
 
 
+def integer_weight(values):
+    """Rational values as (ints, scale): each value times the lcm of their
+    denominators, a positive int."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def cone_position(structure, w):
-    """Evaluate w against the defining inequalities of the distinguished cone."""
-    values = as_weight(structure, w)
+    """Evaluate w against the defining inequalities of the distinguished cone.
+
+    The slacks are compared in integers: w is scaled once by
+    `integer_weight`, whose scale is positive, so no slack changes sign."""
+    values, _ = integer_weight(as_weight(structure, w))
     lat = structure.lattice
+    position, masks = lat.position, lat.masks
     violated = []
     tight = []
     for a, b in lat.incomparable_pairs:
-        union = lat.position[lat.masks[a] | lat.masks[b]]
-        s = star(a, b, structure)
-        slack = values[union] + values[s] - values[a] - values[b]
+        slack = (values[position[masks[a] | masks[b]]] + values[star(a, b, structure)]
+                 - values[a] - values[b])
         if slack < 0:
             violated.append((a, b))
         elif slack == 0:
@@ -153,11 +163,8 @@ class Part:
 
     def added_covers(self, base_poset):
         """Cover pairs of the recovered order that are not relations of the base."""
-        return [
-            (self.order.elements[i], self.order.elements[j])
-            for i, j in self.covers
-            if not base_poset.less(i, j)
-        ]
+        labels, above = self.order.elements, base_poset.above
+        return [(labels[i], labels[j]) for i, j in self.covers if not above[i] >> j & 1]
 
 
 def structure_of_part(structure, part):
@@ -242,26 +249,52 @@ def triangulation_parts(structure, values, vertex_bits):
     """One part per linearization, for weights strictly inside the cone (or
     its negation): the part's order is the linearization itself, whose
     covers are its consecutive pairs.  A chain's ideals are all comparable,
-    so no part needs a star check."""
+    so no part needs a star check.
+
+    The lift is `affine_lift_on_chain`'s forward substitution, shared along
+    prefixes: step k depends only on the first k elements, so each
+    linearization keeps the steps of the prefix it shares with the one
+    before (`linear_extension_indices` lists them depth first) and lifts
+    and checks only its new suffix.  Every node of the prefix tree is
+    lifted once.
+    """
     poset = structure.poset
+    n, full = poset.n, poset.full
+    position = structure.lattice.position
+    weak_below = structure.weak_below
+    a = [0] * n
+    above = [0] * n  # the linearization's order: above[p] = the elements after p
+    masks = [0] * (n + 1)  # masks[k]: the ideal of the first k elements
+    maxes = [0] * (n + 1)  # its <'-maximal elements
+    chain = [0] * (n + 1)  # its lattice position; the empty ideal sorts first
+    b = values[0]
     parts = []
     lifts = set()
+    prev = ()
     for ext in linear_extension_indices(poset):
-        affine, chain = affine_lift_on_chain(structure, ext, values)
+        shared = 0
+        while shared < len(prev) and prev[shared] == ext[shared]:
+            shared += 1
+        for k in range(shared, n):
+            p = ext[k]
+            mask = masks[k + 1] = masks[k] | 1 << p
+            knocked = maxes[k] & weak_below[p]
+            maxes[k + 1] = maxes[k] & ~knocked | 1 << p
+            pos = chain[k + 1] = position[mask]
+            value = values[pos]
+            a[p] = value - values[chain[k]]
+            if knocked:
+                a[p] += sum(map(a.__getitem__, mask_bits(knocked)))
+            if b + sum(map(a.__getitem__, vertex_bits[pos])) != value:
+                raise InternalClosureFailure("affine lift does not interpolate the part")
+            above[p] = full ^ mask
+        prev = ext
+        affine = (tuple(a), b)
         if affine in lifts:
             raise InternalClosureFailure("two linearizations share an affine lift")
         lifts.add(affine)
-        a, b = affine
-        for i in chain:
-            if b + sum(a[p] for p in vertex_bits[i]) != values[i]:
-                raise InternalClosureFailure("affine lift does not interpolate the part")
-        above = [0] * poset.n
-        later = 0
-        for p in reversed(ext):
-            above[p] = later
-            later |= 1 << p
-        order = Poset(poset.elements, above)
-        parts.append((chain, order, sorted(zip(ext, ext[1:])), affine, 1))
+        parts.append((chain[:], Poset(poset.elements, above), sorted(zip(ext, ext[1:])),
+                      affine, 1))
     return parts
 
 
@@ -341,15 +374,14 @@ def subdivide(structure, w):
     add up to e(P).
     """
     values = as_weight(structure, w)
-    pos = cone_position(structure, values)
+    ints, scale = integer_weight(values)
+    pos = cone_position(structure, ints)
     lat = structure.lattice
     pairs = len(lat.incomparable_pairs)
     if pos.position == "outside" and len(pos.violated) + len(pos.tight) < pairs:
         raise OutsideCone(
             [(lat.label_key(a), lat.label_key(b)) for a, b in pos.violated]
         )
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
     vertex_bits = [mask_bits(top) for top in structure.weak_maxima]
     linearizations = lat.maximal_chain_count()
     if not pos.tight and len(pos.violated) in (0, pairs):

@@ -554,6 +554,24 @@ def minimal_cone_shift(structure, values):
     return t
 
 
+def naive_cone_position(structure, values):
+    """Fraction oracle for `cone_position`: (position, violated, tight) from
+    the slack of each incomparable pair, summed in Fractions unscaled."""
+    lat = structure.lattice
+    values = as_weight(structure, values)
+    violated, tight = [], []
+    for a, b in lat.incomparable_pairs:
+        union = lat.position[lat.masks[a] | lat.masks[b]]
+        slack = values[union] + values[star(a, b, structure)] - values[a] - values[b]
+        if slack < 0:
+            violated.append((a, b))
+        elif slack == 0:
+            tight.append((a, b))
+    if violated:
+        return "outside", tuple(violated), tuple(tight)
+    return ("boundary" if tight else "interior"), (), tuple(tight)
+
+
 def sample_cone_weight(structure, rng, spread=9):
     """Random integer weight shifted into the closed cone by t * canonical."""
     lat = structure.lattice

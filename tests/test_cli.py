@@ -157,6 +157,13 @@ JSON_VALUES = st.recursive(
 @example(report={"é\x00\u2028\U0001f600": ["\x1f\"\\", "\ud800"], "": {}, "a": []})
 @example(report=[[True, 1, 0, False], [1, 2], ["x", "y"], ["x", 1], [None], (), [[]]])
 @example(report={"b": {"c": [1, {"d": (2, 3)}]}, "a": -10 ** 30})
+@example(report=[[1, True]])
+@example(report=[[1], ["a"]])
+@example(report=[["a"], []])
+@example(report=[(1, 2), [3]])
+@example(report=[[["a"]]])
+@example(report=[[-10 ** 30, 0]])
+@example(report={"a": [["x", "y"], ["x", "y"]], "b": [("x", "y")], "c": {"d": [["x", "y"]]}})
 def test_report_writer_equals_json_dumps(report):
     assert cli.report_json(report) == json.dumps(report, sort_keys=True, indent=2)
 
@@ -164,9 +171,11 @@ def test_report_writer_equals_json_dumps(report):
 @pytest.mark.parametrize("report", [
     1.5, [0, 2.0], {"a": {"b": [float("nan")]}}, Fraction(1, 2), [Fraction(2)],
     {1: "a"}, {"a": b"bytes"}, {"a": {"x"}},
+    [[1.5]], [[1, Fraction(1, 2)]], [["a"], [1.0]], [[1], [2], [3, 4.0]],
 ])
 def test_report_writer_refuses_other_types(report):
-    # json.dumps would render a float, a non-str key or nothing at all
+    # json.dumps would render a float, a non-str key or nothing at all; a
+    # bad row after good rows is refused too
     with pytest.raises(TypeError):
         cli.report_json(report)
 

@@ -18,13 +18,22 @@ from posetdegen import (
 )
 from posetdegen.degeneration import ConePosition, WeightVector
 from posetdegen.errors import InternalClosureFailure, KindMismatch, OutsideCone
-from posetdegen.posets import build_poset, linear_extension_indices
+from posetdegen.posets import (
+    RelativeStructure,
+    build_poset,
+    linear_extension_indices,
+    mask_bits,
+    transitive_closure,
+)
 
 from conftest import (
     minimal_cone_shift,
+    naive_cone_position,
     naive_covers,
+    naive_star_closure_failure,
     naive_subdivide,
     posets_up_to_iso,
+    random_poset,
     sample_cone_weight,
     small_poset_corpus,
     valid_weak_structures,
@@ -215,11 +224,49 @@ def part_table(sub):
     return [(p.sublattice, p.order, p.affine, p.linearization_count) for p in sub.parts]
 
 
+def prefix_sharing_structures(rng, count):
+    """Seeded structures on 6 to 8 elements with 24 to 400 linearizations,
+    whose consecutive linearizations share long prefixes: <' trivial, <' = <
+    and a random star-closed <' between them."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(6, 8)
+        poset = random_poset(rng, n)
+        if not 24 <= len(linear_extension_indices(poset)) <= 400:
+            continue
+        out += [order_structure(poset), chain_structure(poset)]
+        weak = transitive_closure([row & rng.getrandbits(n) for row in poset.above], n)
+        s = RelativeStructure(poset, weak)
+        if naive_star_closure_failure(s) is None:
+            out.append(s)
+    return out
+
+
+def interior_perturbation(s, rng):
+    """The canonical weight plus a rational of denominator 48 to 144 on each
+    ideal: every slack of the canonical weight is a positive integer, and
+    the four terms of a slack move it by less than 1."""
+    return [c + Fraction(rng.randint(-3, 3), 16 * rng.choice((3, 5, 7, 9)))
+            for c in canonical_interior_weight(s).values]
+
+
 def test_subdivide_matches_grouping_oracle():
     # every valid structure with at most 4 elements and a seeded sample with
     # 5; least-shift weights (many on the boundary, where the parts are
-    # walked), their negations and the canonical weight
+    # walked), their negations and the canonical weight.  Then interior
+    # weights on 6 to 8 elements, where the interior path lifts only the
+    # suffix each linearization does not share with the one before: the
+    # canonical weight, a rational one with unequal denominators and their
+    # negations
     rng = random.Random(7)
+
+    def check(s, w):
+        sub = subdivide(s, w)
+        assert part_table(sub) == naive_subdivide(s, w)
+        for part in sub.parts:  # carried on both paths
+            assert part.covers == part.order.covers() == naive_covers(part.order)
+        return sub
+
     structures = [s for poset in small_poset_corpus(4) for s in valid_weak_structures(poset)]
     for poset in rng.sample(posets_up_to_iso(5), 10):
         valid = valid_weak_structures(poset)
@@ -234,12 +281,48 @@ def test_subdivide_matches_grouping_oracle():
         weights += [list(sample_cone_weight(s, rng, spread).values) for spread in (1, 2)]
         weights += [[-v for v in w] for w in weights] + [list(canonical)]
         for w in weights:
-            sub = subdivide(s, w)
-            assert part_table(sub) == naive_subdivide(s, w)
-            for part in sub.parts:  # carried on both paths
-                assert part.covers == part.order.covers() == naive_covers(part.order)
+            check(s, w)
             walked += bool(cone_position(s, w).tight)
     assert walked > 600
+    for s in prefix_sharing_structures(rng, 12):
+        rational = interior_perturbation(s, rng)
+        assert len({v.denominator for v in rational}) > 1
+        for w in (list(canonical_interior_weight(s).values), rational):
+            for signed in (w, [-v for v in w]):
+                assert cone_position(s, signed).tight == ()
+                assert len(check(s, signed).parts) == len(linear_extension_indices(s.poset))
+
+
+def test_cone_position_matches_fraction_oracle():
+    # linear weights are tight on many pairs; a few ideals moved by rationals
+    # of unequal denominators make pairs violated, tight and strict at once
+    rng = random.Random(13)
+    structures = [s for poset in small_poset_corpus(4) for s in valid_weak_structures(poset)]
+    structures += prefix_sharing_structures(rng, 6)
+    seen = set()
+    for s in structures:
+        masks = s.lattice.masks
+        for _ in range(4):
+            c = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5, 7)))
+                 for _ in range(s.poset.n)]
+            w = [sum(c[p] for p in mask_bits(m)) for m in masks]
+            for i in rng.sample(range(len(w)), min(3, len(w))):
+                w[i] += Fraction(rng.randint(-2, 2), rng.choice((2, 3, 4, 9)))
+            pos = cone_position(s, w)
+            assert (pos.position, pos.violated, pos.tight) == naive_cone_position(s, w)
+            seen.add((pos.position, bool(pos.tight)))
+    assert {("outside", True), ("outside", False), ("boundary", True), ("interior", False)} <= seen
+
+
+def test_a_lift_that_misses_a_vertex_trips_the_interpolation_check():
+    s = order_structure(grid22())
+    ints = [int(v) for v in canonical_interior_weight(s).values]
+    vertex_bits = [mask_bits(top) for top in s.weak_maxima]
+    assert len(degeneration.triangulation_parts(s, ints, vertex_bits)) == 2
+    top = s.lattice.position[s.poset.full]
+    vertex_bits[top] = vertex_bits[top][1:]
+    with pytest.raises(InternalClosureFailure, match="does not interpolate"):
+        degeneration.triangulation_parts(s, ints, vertex_bits)
 
 
 def walk_case():
