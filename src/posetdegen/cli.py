@@ -1,7 +1,8 @@
 """Command line interface: JSON poset/weights files in, deterministic reports out.
 
 Exit codes: 0 success, 2 validation failure, 3 weight outside the cone,
-4 parse error, 5 internal error (a bug trap of the library fired).  All
+4 parse error, 5 internal error (a bug trap of the library fired); each
+error class in `errors` carries its code and its one line on stderr.  All
 rationals are serialized exactly ("p/q", plain integers without the
 denominator); a report holds only strings, integers, booleans and None in
 dicts and lists, and the writer refuses anything else, floats included.
@@ -18,32 +19,8 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from . import degeneration, flag as flagmod, marked, polytopes
-from .errors import (
-    ConditionViolated,
-    CycleDetected,
-    DuplicateLabel,
-    InternalClosureFailure,
-    InvalidDims,
-    InvalidIndex,
-    InvalidStructure,
-    KindMismatch,
-    ModeDimsMismatch,
-    NotAPartition,
-    NotASublattice,
-    NotDominant,
-    OutsideCone,
-    ParseError,
-    PosetDegenError,
-    TheoremViolation,
-    UnknownLabel,
-)
+from .errors import ParseError, PosetDegenError
 from .posets import build_poset, mask_bits, validate_relative_structure
-
-VALIDATION_ERRORS = (
-    ConditionViolated, CycleDetected, DuplicateLabel, UnknownLabel, NotASublattice,
-    NotDominant, NotAPartition, InvalidDims, InvalidIndex, InvalidStructure,
-    KindMismatch, ModeDimsMismatch,
-)
 
 INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 EXPONENT_TEXT = re.compile(r"[eE]([+-]?[0-9_]+)")
@@ -316,16 +293,21 @@ def report_json(report):
 
 def emit_report(report, fmt="json", out=None):
     """Write a report; a JSON report's final newline is written after its
-    text, not appended to it, which would copy the text once more."""
+    text, not appended to it, which would copy the text once more.  An
+    `out` path that cannot be written is a ParseError, like an unreadable
+    input file."""
     if fmt == "json":
         chunks = (report_json(report).encode("utf-8"), b"\n")
     else:
         chunks = (render_text(report).encode("utf-8"),)
-    if out:
+    if not out:
+        sys.stdout.buffer.writelines(chunks)
+        return
+    try:
         with open(out, "wb") as fh:
             fh.writelines(chunks)
-    else:
-        sys.stdout.buffer.writelines(chunks)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from None
 
 
 def point_list(points):
@@ -635,23 +617,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report = args.fn(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 4
-    except OutsideCone as exc:
-        print(f"outside cone: {exc}", file=sys.stderr)
-        return 3
-    except VALIDATION_ERRORS as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except (InternalClosureFailure, TheoremViolation) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 5
-    emit_report(report, args.format, args.out)
+        emit_report(args.fn(args), args.format, args.out)
+    except PosetDegenError as exc:
+        print(exc.describe(), file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

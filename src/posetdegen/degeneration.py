@@ -133,7 +133,11 @@ def cone_position(structure, w):
 
 
 def canonical_interior_weight(structure):
-    """w_J = |P \\ J|^2, strictly inside the cone for every valid structure."""
+    """w_J = |P \\ J|^2, strictly inside the cone for every valid structure.
+
+    No command calls it; it stays public as the README's canonical weight,
+    the one whose subdivision is the canonical triangulation, for library
+    users to build without writing a weights file."""
     n = structure.poset.n
     return WeightVector(
         [(n - bin(m).count("1")) ** 2 for m in structure.lattice.masks]

@@ -1,25 +1,45 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, each with its CLI outcome.
+
+A class carries the exit code and the one-line stderr message of the CLI:
+2 validation error, 3 outside cone, 4 parse error.  A class classified
+nowhere below keeps the base class's 5, an internal error (a bug trap of
+the library fired), so no library error reaches the user as a traceback.
+"""
 
 
 class PosetDegenError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; unclassified, an internal error."""
+
+    exit_code = 5
+    prefix = None
+
+    def describe(self):
+        """The one line the CLI prints on stderr."""
+        prefix = self.prefix or f"internal error: {type(self).__name__}"
+        return f"{prefix}: {self}"
 
 
-class DuplicateLabel(PosetDegenError):
+class ValidationError(PosetDegenError):
+    """The input breaks a condition on (P, <, <'), its marking or its arguments."""
+
+    exit_code, prefix = 2, "validation error"
+
+
+class DuplicateLabel(ValidationError):
     pass
 
 
-class UnknownLabel(PosetDegenError):
+class UnknownLabel(ValidationError):
     pass
 
 
-class CycleDetected(PosetDegenError):
+class CycleDetected(ValidationError):
     def __init__(self, cycle):
         self.cycle = tuple(cycle)
         super().__init__("cycle: " + " < ".join(self.cycle + (self.cycle[0],)))
 
 
-class ConditionViolated(PosetDegenError):
+class ConditionViolated(ValidationError):
     """A relative-structure condition failed; carries the condition name and a witness."""
 
     def __init__(self, condition, witness, message=""):
@@ -32,33 +52,35 @@ class InternalClosureFailure(PosetDegenError):
     """Bug trap: a closure property guaranteed by theory failed on actual data."""
 
 
-class NotASublattice(PosetDegenError):
+class NotASublattice(ValidationError):
     pass
 
 
-class HeightDeficient(PosetDegenError):
+class HeightDeficient(ValidationError):
     pass
 
 
-class InvalidStructure(PosetDegenError):
+class InvalidStructure(ValidationError):
     pass
 
 
-class KindMismatch(PosetDegenError):
+class KindMismatch(ValidationError):
     pass
 
 
 class OutsideCone(PosetDegenError):
+    exit_code, prefix = 3, "outside cone"
+
     def __init__(self, witnesses, message="weight vector lies outside the closed cone"):
         self.witnesses = tuple(witnesses)
         super().__init__(f"{message}; violated pairs: {self.witnesses}")
 
 
-class NotDominant(PosetDegenError):
+class NotDominant(ValidationError):
     pass
 
 
-class NotAPartition(PosetDegenError):
+class NotAPartition(ValidationError):
     pass
 
 
@@ -66,17 +88,17 @@ class TheoremViolation(PosetDegenError):
     """Bug trap: two constructions that must agree produced different polytopes."""
 
 
-class ModeDimsMismatch(PosetDegenError):
+class ModeDimsMismatch(ValidationError):
     pass
 
 
-class InvalidIndex(PosetDegenError):
+class InvalidIndex(ValidationError):
     pass
 
 
-class InvalidDims(PosetDegenError):
+class InvalidDims(ValidationError):
     pass
 
 
 class ParseError(PosetDegenError):
-    pass
+    exit_code, prefix = 4, "parse error"

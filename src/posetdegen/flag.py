@@ -133,7 +133,11 @@ class PlueckerMap:
             raise ModeDimsMismatch(f"unknown map mode {mode!r}")
 
     def variables(self):
-        """All index tuples, in the canonical order of each variable."""
+        """All index tuples, in the canonical order of each variable.
+
+        No command lists them; they stay public as the domain of the paper's
+        index bijection, which the acceptance tests round-trip through
+        `to_ideal` and `from_ideal` in every mode."""
         n = self.flag.n
         if self.mode == "O":
             k = self.flag.dims[1]
@@ -162,6 +166,12 @@ class PlueckerMap:
             raise InvalidIndex(f"index {index} has wrong length")
 
     def to_ideal(self, index):
+        """The order ideal, as a frozenset of labels, of a Pluecker index.
+
+        Commands only go the other way (`from_ideal` names the vanishing
+        variables); this direction stays public because the paper's index
+        bijections are stated from indices to ideals, and the acceptance
+        tests check them and their round trip through `from_ideal`."""
         index = tuple(index)
         flag = self.flag
         if self.mode in ("O", "GT"):

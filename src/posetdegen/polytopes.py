@@ -72,7 +72,7 @@ def build_polytope(structure, kind="relative"):
     lat = s.lattice
     vertices = [indicator(top, n) for top in s.weak_maxima]
     if len(set(vertices)) != len(vertices):
-        raise InvalidStructure("vertex map J -> 1_{max' J} is not injective")
+        raise InternalClosureFailure("vertex map J -> 1_{max' J} is not injective")
     return LatticePolytope(s, kind, vertices, lat.masks)
 
 
@@ -136,17 +136,18 @@ def ehrhart_values(structure, m_max):
     Unmarked, dilation m is m * R(P,<,<') and counts every m-multichain of
     ideals; marked, it is R_{m*lambda} and counts the multichains whose
     steps meet the fundamental decomposition of m*lambda.  No point is built:
-    `check_peeling` makes the chain count the point count.
+    `check_peeling` makes the chain count the point count.  Each dilation's
+    steps are listed only while it is counted, so memory stays linear in m.
     """
     check_peeling(structure)
     if structure.marked:
         from .marked import fundamental_decomposition  # marked builds on this module
 
-        reqs = [fundamental_decomposition(structure, m).steps() for m in range(m_max + 1)]
+        steps = lambda m: fundamental_decomposition(structure, m).steps()
     else:
-        reqs = [[0] * m for m in range(m_max + 1)]
-    lat = structure.lattice
-    return [lat.prescribed_multichain_count(structure.marked, r) for r in reqs]
+        steps = lambda m: [0] * m
+    count = structure.lattice.prescribed_multichain_count
+    return [count(structure.marked, steps(m)) for m in range(m_max + 1)]
 
 
 def check_normality(structure, k_max):

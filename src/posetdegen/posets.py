@@ -188,23 +188,45 @@ def chain_poset(elements):
 
 
 def linear_extension_indices(poset):
-    """All linearizations as index tuples, built by peeling minimal elements."""
+    """All linearizations as index tuples, built by peeling minimal elements
+    depth first, the smallest index first.
+
+    The walk keeps its own stack, so a chain longer than the recursion limit
+    still has its one linearization.  A level holds the mask of the minimal
+    unplaced elements and the mask of those not yet tried; placing i makes
+    minimal only upper covers of i, so a level is built from its parent's.
+    """
     n = poset.n
     below = poset.below
+    upper_covers = [[] for _ in range(n)]
+    for i, j in poset.covers():
+        upper_covers[i].append(j)
     out = []
     current = []
-
-    def peel(placed):
-        if len(current) == n:
+    placed = 0
+    start = sum(1 << i for i in range(n) if not below[i])
+    minimal, untried = [start], [start]
+    while untried:
+        if len(current) == n:  # a full level is visited once, then popped
             out.append(tuple(current))
-            return
-        for i in range(n):
-            if not placed >> i & 1 and below[i] & ~placed == 0:
-                current.append(i)
-                peel(placed | 1 << i)
-                current.pop()
-
-    peel(0)
+        left = untried[-1]
+        if not left:
+            minimal.pop()
+            untried.pop()
+            if current:
+                placed ^= 1 << current.pop()
+            continue
+        bit = left & -left
+        untried[-1] = left ^ bit
+        i = bit.bit_length() - 1
+        current.append(i)
+        placed |= bit
+        level = minimal[-1] ^ bit
+        for j in upper_covers[i]:
+            if below[j] & ~placed == 0:
+                level |= 1 << j
+        minimal.append(level)
+        untried.append(level)
     return out
 
 

@@ -323,6 +323,27 @@ def naive_covers(poset):
     return out
 
 
+def recursive_linear_extension_indices(poset):
+    """Recursive peeling oracle for `linear_extension_indices`: the same
+    depth-first order, one Python frame per placed element."""
+    n = poset.n
+    out = []
+    current = []
+
+    def peel(placed):
+        if len(current) == n:
+            out.append(tuple(current))
+            return
+        for i in range(n):
+            if not placed >> i & 1 and poset.below[i] & ~placed == 0:
+                current.append(i)
+                peel(placed | 1 << i)
+                current.pop()
+
+    peel(0)
+    return out
+
+
 def brute_force_extensions(poset):
     """Permutation filter oracle for linear extensions."""
     n = poset.n

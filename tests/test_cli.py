@@ -8,9 +8,10 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from posetdegen import build_flag_poset, cli, degeneration, marked, polytopes
+from posetdegen import build_flag_poset, cli, degeneration, errors, marked, polytopes
 from posetdegen.cli import main
 from posetdegen.errors import TheoremViolation
+from posetdegen.lattice import sublattice_to_order
 from posetdegen.posets import (
     Poset,
     RelativeStructure,
@@ -535,6 +536,77 @@ def test_theorem_violation_exits_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: TheoremViolation:") and err.count("\n") == 1
 
 
+def error_classes(base=errors.PosetDegenError):
+    """`base` and every subclass of it, recursively."""
+    yield base
+    for sub in base.__subclasses__():
+        yield from error_classes(sub)
+
+
+ERROR_ARGS = {
+    errors.CycleDetected: (["a", "b"],),
+    errors.ConditionViolated: ("ii", "a"),
+    errors.OutsideCone: ([(0, 1)],),
+}
+NOT_VALIDATION = {
+    errors.PosetDegenError: 5,
+    errors.InternalClosureFailure: 5,
+    errors.TheoremViolation: 5,
+    errors.OutsideCone: 3,
+    errors.ParseError: 4,
+}
+PREFIXES = {2: "validation error", 3: "outside cone", 4: "parse error"}
+
+
+@pytest.mark.parametrize("error", list(error_classes()), ids=lambda c: c.__name__)
+def test_every_error_class_is_one_line_with_a_documented_exit_code(
+        tmp_path, capsys, monkeypatch, error):
+    exc = error(*ERROR_ARGS.get(error, ("a message",)))
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_ideals", raise_it)
+    code = main(["ideals", str(tmp_path / "p.json")])
+    assert code == NOT_VALIDATION.get(error, 2)
+    prefix = PREFIXES.get(code, f"internal error: {error.__name__}")
+    assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+
+def test_height_deficient_sublattice_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    # {{}, {a, b}} is closed under union and intersection, but too short
+    # for the ideals of an order on two elements
+    def cmd(args):
+        structure = cli.parse_poset_file(args.file)
+        return sublattice_to_order([0, structure.poset.full], structure.poset)
+
+    monkeypatch.setattr(cli, "cmd_ideals", cmd)
+    assert main(["ideals", write(tmp_path, "p.json", SQUARE)]) == 2
+    assert capsys.readouterr().err == "validation error: sublattice has height 2, expected 3\n"
+
+
+def test_vertex_map_injectivity_trap_exits_5(tmp_path, capsys, monkeypatch):
+    # every vertex the origin: only a bug can make J -> 1_{max' J} collide
+    monkeypatch.setattr(polytopes, "indicator", lambda mask, n: (0,) * n)
+    poset = write(tmp_path, "p.json", SQUARE)
+    assert main(["polytope", poset, "--kind", "order"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: InternalClosureFailure: vertex map")
+    assert err.count("\n") == 1
+
+
+def test_subdivide_chain_longer_than_the_recursion_limit(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 100
+    labels = [f"c{i}" for i in range(n)]
+    poset = write(tmp_path, "p.json", {
+        "elements": labels, "covers": [list(c) for c in zip(labels, labels[1:])]})
+    weights = write(tmp_path, "w.json", {"weights": {}})
+    code, out = run(capsys, ["subdivide", poset, "--weights", weights, "--default-zero"])
+    assert code == 0
+    parts = json.loads(out)["parts"]
+    assert len(parts) == 1 and parts[0]["vanishing_variables"] == []
+
+
 @pytest.mark.parametrize("kind,vertices", [("gt", 40), ("fflv", 42)])
 def test_full_flag_vertex_counts(capsys, kind, vertices):
     code, out = run(capsys, ["polytope", "--kind", kind, "--n", "4", "--dims", "0,1,2,3,4"])
@@ -644,6 +716,17 @@ def test_out_file(tmp_path, capsys):
     code = main(["--out", str(target), "ideals", poset])
     assert code == 0
     assert json.loads(target.read_text())["ideals"] == ["", "a", "b", "a,b"]
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_is_one_parse_error_line(tmp_path, capsys, target):
+    # a missing directory and a directory: like an unreadable input file
+    poset = write(tmp_path, "p.json", SQUARE)
+    path = str(tmp_path / target)
+    assert main(["--out", path, "ideals", poset]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"parse error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_roundtrip_poset_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -138,6 +139,20 @@ def test_ehrhart_examples():
     assert ehrhart_values(square, 4) == [(m + 1) ** 2 for m in range(5)]
     p2 = order_structure(grid22())
     assert ehrhart_values(p2, 1)[1] == 6  # binomial(4, 2)
+
+
+def test_ehrhart_memory_stays_linear_in_the_dilation():
+    # the steps of every dilation at once would be m^2/2 list slots, 2.6 MB
+    point = order_structure(chain_poset(["a"]))
+    point.lattice
+    tracemalloc.start()
+    try:
+        values = ehrhart_values(point, 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == list(range(1, 802))
+    assert peak < 500_000
 
 
 def drop_first_element(monkeypatch):

@@ -11,7 +11,7 @@ from posetdegen import (
     validate_relative_structure,
 )
 from posetdegen.errors import ConditionViolated, CycleDetected, DuplicateLabel, UnknownLabel
-from posetdegen.posets import mask_bits
+from posetdegen.posets import linear_extension_indices, mask_bits
 
 from conftest import (
     brute_force_extensions,
@@ -19,6 +19,7 @@ from conftest import (
     naive_covers,
     naive_mask_bits,
     random_poset,
+    recursive_linear_extension_indices,
     small_poset_corpus,
     stronger_orders,
 )
@@ -84,6 +85,14 @@ def test_linear_extensions_grids_against_bruteforce(rows, cols, expected):
 def test_linear_extensions_complete_on_corpus():
     for poset in small_poset_corpus(4):
         assert sorted(linear_extensions(poset)) == sorted(brute_force_extensions(poset))
+
+
+def test_linear_extensions_keep_the_recursive_depth_first_order():
+    rng = random.Random(16)
+    posets = small_poset_corpus(5) + [grid(3, 4), grid(2, 7), antichain_poset([])] + [
+        random_poset(rng, 8, density) for density in (0.2, 0.35, 0.5) for _ in range(20)]
+    for poset in posets:
+        assert linear_extension_indices(poset) == recursive_linear_extension_indices(poset)
 
 
 def test_stronger_orders_counts():
