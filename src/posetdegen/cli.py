@@ -1,11 +1,12 @@
 """Command line interface: JSON poset/weights files in, deterministic reports out.
 
 Exit codes: 0 success, 2 validation failure, 3 weight outside the cone,
-4 parse error, 5 internal error (a bug trap of the library fired); each
-error class in `errors` carries its code and its one line on stderr.  All
-rationals are serialized exactly ("p/q", plain integers without the
-denominator); a report holds only strings, integers, booleans and None in
-dicts and lists, and the writer refuses anything else, floats included.
+4 parse error (usage errors included), 5 internal error (a bug trap of the
+library fired); each error class in `errors` carries its code and its one
+line on stderr.  All rationals are serialized exactly ("p/q", plain integers
+without the denominator); a report holds only strings, integers, booleans
+and None in dicts and lists, and the writer refuses anything else, floats
+included.
 """
 
 import argparse
@@ -14,6 +15,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -556,25 +558,34 @@ def cmd_flag(args):
     return {"mode": args.mode, "parts": report.parts}
 
 
+class Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ParseErrors, so they end as
+    one `parse error:` line with exit 4; `-h` still prints help and exits 0.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        # "unrecognized arguments" quotes the argv verbatim, newlines included
+        raise ParseError(message.replace("\n", "\\n"))
+
+
+@cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The argument tree, built on the first call and shared by every later
+    `main` call in the process; each parse fills a fresh namespace."""
+    parser = Parser(
         prog="posetdegen",
         description="Relative poset polytopes, their subdivisions and flag degenerations",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = sub.add_parser
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("validate", cmd_validate)
+    p = add("validate")
     p.add_argument("file")
-    p = add("ideals", cmd_ideals)
+    p = add("ideals")
     p.add_argument("file")
-    p = add("polytope", cmd_polytope)
+    p = add("polytope")
     p.add_argument("file", nargs="?")
     p.add_argument("--kind", required=True,
                    choices=("order", "chain", "relative", "mrpp", "gt", "fflv", "mcop"))
@@ -582,30 +593,26 @@ def build_parser():
     p.add_argument("--order-set", default="")
     p.add_argument("--n", type=int)
     p.add_argument("--dims")
-    p = add("ehrhart", cmd_ehrhart)
+    p = add("ehrhart")
     p.add_argument("file")
     p.add_argument("--max-dilation", type=int, default=3)
-    p = add("normality", cmd_normality)
+    p = add("normality")
     p.add_argument("file")
     p.add_argument("--max-dilation", type=int, default=3)
-    for name, fn in (
-        ("cone-check", cmd_cone_check),
-        ("subdivide", cmd_subdivide),
-        ("components", cmd_components),
-    ):
-        p = add(name, fn)
+    for name in ("cone-check", "subdivide", "components"):
+        p = add(name)
         p.add_argument("file")
         p.add_argument("--weights", required=True)
         p.add_argument("--default-zero", action="store_true")
-    p = add("ideal-gens", cmd_ideal_gens)
+    p = add("ideal-gens")
     p.add_argument("file")
     p.add_argument("--kind", required=True,
                    choices=("hibi", "hibili", "relative", "monomial"))
-    p = add("standardize", cmd_standardize)
+    p = add("standardize")
     p.add_argument("file")
-    p = add("mcop-recognize", cmd_mcop_recognize)
+    p = add("mcop-recognize")
     p.add_argument("file")
-    p = add("flag", cmd_flag)
+    p = add("flag")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dims", required=True)
     p.add_argument("--mode", choices=("gt", "fflv"), required=True)
@@ -617,9 +624,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one command; returns its exit code.  Safe to call repeatedly in
+    one process: the command `cmd_<name>` is looked up in this module at
+    each call, so a replaced function is the one that runs."""
     try:
-        emit_report(args.fn(args), args.format, args.out)
+        args = build_parser().parse_args(argv)
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        emit_report(command(args), args.format, args.out)
     except PosetDegenError as exc:
         print(exc.describe(), file=sys.stderr)
         return exc.exit_code

@@ -55,6 +55,13 @@ class IdealLattice:
         return [steps[p] for p in sorted(range(self.poset.n),
                                          key=lambda p: bin(below[p]).count("1"))]
 
+    def zeta_walk(self, counts):
+        """One zeta transform in place along `zeta_steps`: counts[J] becomes
+        the sum of counts[I] over the ideals I inside J."""
+        for pairs in self.zeta_steps:
+            for low, high in pairs:
+                counts[high] += counts[low]
+
     def multichain_count(self, m):
         """Number of weakly increasing m-tuples of ideals."""
         return self.prescribed_multichain_count(0, [0] * m)
@@ -77,12 +84,9 @@ class IdealLattice:
         if not reqs:
             return 1
         masks = self.masks
-        steps = self.zeta_steps
         counts = [1 if mask & marked == reqs[0] else 0 for mask in masks]
         for req in reqs[1:]:
-            for pairs in steps:
-                for low, high in pairs:
-                    counts[high] += counts[low]
+            self.zeta_walk(counts)
             if marked:
                 counts = [c if mask & marked == req else 0 for c, mask in zip(counts, masks)]
         return sum(counts)

@@ -131,23 +131,31 @@ def check_peeling(structure):
 
 
 def ehrhart_values(structure, m_max):
-    """Counts of lattice points of the dilations m = 0..m_max, by one DP.
+    """Counts of lattice points of the dilations m = 0..m_max.
 
     Unmarked, dilation m is m * R(P,<,<') and counts every m-multichain of
-    ideals; marked, it is R_{m*lambda} and counts the multichains whose
-    steps meet the fundamental decomposition of m*lambda.  No point is built:
-    `check_peeling` makes the chain count the point count.  Each dilation's
-    steps are listed only while it is counted, so memory stays linear in m.
+    ideals: after m - 1 zeta walks from all ones, counts[J] is the number of
+    them that end in J, so one walk per dilation yields them all.  Marked,
+    dilation m is R_{m*lambda} and counts the multichains whose steps meet
+    the fundamental decomposition of m*lambda, one DP per dilation, whose
+    steps are listed only while it is counted.  No point is built:
+    `check_peeling` makes the chain count the point count.
     """
     check_peeling(structure)
+    lat = structure.lattice
     if structure.marked:
         from .marked import fundamental_decomposition  # marked builds on this module
 
-        steps = lambda m: fundamental_decomposition(structure, m).steps()
-    else:
-        steps = lambda m: [0] * m
-    count = structure.lattice.prescribed_multichain_count
-    return [count(structure.marked, steps(m)) for m in range(m_max + 1)]
+        count = lat.prescribed_multichain_count
+        return [count(structure.marked, fundamental_decomposition(structure, m).steps())
+                for m in range(m_max + 1)]
+    values = []
+    counts = [1] * len(lat.masks)
+    for m in range(m_max + 1):
+        if m > 1:
+            lat.zeta_walk(counts)
+        values.append(sum(counts) if m else 1)
+    return values
 
 
 def check_normality(structure, k_max):

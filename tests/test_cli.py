@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -851,3 +854,90 @@ def test_polytope_and_flag_options_exit_with_a_documented_code(
     elif command == "mcop":
         labels = [x for x in chain.split(",") + order.split(",") if x]
         assert set(labels) == {"x", "y"}
+
+
+USAGE_ERRORS = {
+    "invalid-int": ["ehrhart", "{poset}", "--max-dilation", "x"],
+    "unknown-command": ["bogus"],
+    "missing-required-flag": ["flag", "--n", "3", "--dims", "1"],
+    "no-command": [],
+    "extra-argument-with-a-newline": ["validate", "{poset}", "x\ny"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_is_one_parse_error_line(tmp_path, capsys, argv):
+    poset = write(tmp_path, "p.json", SQUARE)
+    assert main([arg.format(poset=poset) for arg in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["ehrhart", "-h"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: posetdegen")
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main call, so importing costs nothing
+    probe = ("import posetdegen.cli as cli; "
+             "assert cli.build_parser.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_options_of_one_call_do_not_leak_into_the_next(tmp_path, capsys):
+    poset = write(tmp_path, "p.json", SQUARE)
+    target = tmp_path / "report.json"
+    assert main(["--out", str(target), "ideals", poset]) == 0
+    code, out = run(capsys, ["ideals", poset])
+    assert code == 0 and json.loads(out)["ideals"] == ["", "a", "b", "a,b"]
+    assert json.loads(target.read_text())["ideals"] == ["", "a", "b", "a,b"]
+
+    code, out = run(capsys, ["--format", "text", "validate", poset])
+    assert code == 0 and not out.startswith("{")
+    code, out = run(capsys, ["validate", poset])
+    assert code == 0 and json.loads(out)["valid"]
+
+    partial = write(tmp_path, "w.json", {"weights": {"a": "1"}})
+    argv = ["subdivide", poset, "--weights", partial]
+    assert run(capsys, argv + ["--default-zero"])[0] == 0
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_usage_errors_and_good_calls_alternate_as_if_alone(tmp_path, capsys):
+    poset = write(tmp_path, "p.json", SQUARE)
+    good, bad = ["ehrhart", poset, "--max-dilation", "2"], ["ehrhart", poset, "--max-dilation", "x"]
+    alone = {}
+    for name, argv in (("good", good), ("bad", bad)):
+        alone[name] = (main(argv), capsys.readouterr())
+    for name in ("bad", "good", "bad", "good"):
+        assert (main(good if name == "good" else bad), capsys.readouterr()) == alone[name]
+    assert alone["good"][0] == 0 and alone["bad"][0] == 4
+
+
+def test_each_call_writes_to_the_streams_in_place_at_that_call(tmp_path, monkeypatch):
+    # the benchmark worker swaps both streams around every in-process call
+    poset = write(tmp_path, "p.json", SQUARE)
+    for argv, code in ((["ideals", poset], 0), (["bogus"], 4), (["ideals", poset], 0),
+                       (["ideals", str(tmp_path / "missing.json")], 4)):
+        out, err = io.BytesIO(), io.StringIO()
+        stdout = io.TextIOWrapper(out, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(argv) == code
+        stdout.flush()
+        if code:
+            assert out.getvalue() == b"" and err.getvalue().startswith("parse error:")
+        else:
+            assert json.loads(out.getvalue())["ideals"] == ["", "a", "b", "a,b"]
+            assert err.getvalue() == ""

@@ -141,6 +141,27 @@ def test_ehrhart_examples():
     assert ehrhart_values(p2, 1)[1] == 6  # binomial(4, 2)
 
 
+def test_ehrhart_walk_matches_a_fresh_count_per_dilation():
+    # the per-dilation multichain DP is the oracle of the one-walk recurrence
+    for poset in small_poset_corpus(4):
+        for s in valid_weak_structures(poset):
+            assert ehrhart_values(s, 8) == [s.lattice.multichain_count(m) for m in range(9)]
+
+
+def test_ehrhart_takes_one_zeta_walk_per_dilation(monkeypatch):
+    # a fresh DP per dilation would take 0 + 1 + ... + 49 = 1225 walks
+    walks = []
+    real = IdealLattice.zeta_walk
+
+    def counted(self, counts):
+        walks.append(len(counts))
+        real(self, counts)
+
+    monkeypatch.setattr(IdealLattice, "zeta_walk", counted)
+    assert ehrhart_values(order_structure(grid22()), 50)[:3] == [1, 6, 20]
+    assert len(walks) == 49
+
+
 def test_ehrhart_memory_stays_linear_in_the_dilation():
     # the steps of every dilation at once would be m^2/2 list slots, 2.6 MB
     point = order_structure(chain_poset(["a"]))
