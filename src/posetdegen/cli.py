@@ -6,7 +6,8 @@ library fired); each error class in `errors` carries its code and its one
 line on stderr.  All rationals are serialized exactly ("p/q", plain integers
 without the denominator); a report holds only strings, integers, booleans
 and None in dicts and lists, and the writer refuses anything else, floats
-included.
+included.  A `subdivide` report, one block per part, is written from text
+encoded once per lattice, one chunk per part, with the same bytes.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -293,56 +294,125 @@ def report_json(report):
     return "".join(out)
 
 
+class PartsReport:
+    """The report of `subdivide`: the parts of a subdivision of `structure`
+    (for a marked structure, of its standardized quotient), the (vertices,
+    lattice points) count of each, and for a marked structure the number of
+    parts dropped as lower-dimensional.  `emit_report` renders it with
+    `parts_json`."""
+
+    def __init__(self, structure, parts, counts, dropped=None):
+        self.structure = structure
+        self.parts = parts
+        self.counts = counts
+        self.dropped = dropped
+
+
+def encoded_list(items, pad):
+    """The indent=2 JSON text of a list of already-encoded items, its
+    opening bracket `pad` spaces in."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (pad + 2)
+    return f"[{inner}{(',' + inner).join(items)}\n{' ' * pad}]"
+
+
+def parts_json(report):
+    """The text of json.dumps(report, sort_keys=True, indent=2) and its final
+    newline, for the dict report that a `PartsReport` stands for, as a list
+    of chunks: the head, one chunk per part, the tail.
+
+    Each part is {"added_covers", "order_covers": sorted [label, label]
+    pairs, the added ones those not in the base order; "affine": {"normal",
+    "constant"} of its lift, as rationals; "vanishing_variables": the keys of
+    the ideals outside it, sorted; "vertices", "lattice_points": its counts}.
+    Each element label, ideal key and cover pair is encoded once per report,
+    and a part's chunk is built from those pieces, its lift and its counts;
+    the covers are the ones the part carries."""
+    structure = report.structure
+    poset, lat = structure.poset, structure.lattice
+    labels = [encode_basestring_ascii(e) for e in poset.elements]
+    label_rank = [0] * poset.n
+    for r, i in enumerate(sorted(range(poset.n), key=poset.elements.__getitem__)):
+        label_rank[i] = r
+    keyed = sorted((lat.label_key(pos), pos) for pos in range(len(lat)))
+    key_texts = [encode_basestring_ascii(key) for key, _ in keyed]
+    key_rank = [0] * len(keyed)
+    for r, (_, pos) in enumerate(keyed):
+        key_rank[pos] = r
+    every_key = b"\x01" * len(keyed)
+
+    @cache
+    def cover(pair):
+        """(sort rank, text, whether the base order lacks it) of a cover pair."""
+        i, j = pair
+        text = f"[\n          {labels[i]},\n          {labels[j]}\n        ]"
+        return label_rank[i] * poset.n + label_rank[j], text, not poset.above[i] >> j & 1
+
+    @cache
+    def quoted(x, scale):
+        # a rational's text is digits, '-' and '/': nothing to escape
+        return f'"{fmt_ratio(x, scale)}"'
+
+    head = "{\n"
+    if report.dropped is not None:
+        head += f'  "dropped_lower_dimensional": {report.dropped},\n'
+    chunks = [head + '  "parts": [']
+    sep = "\n"
+    for part, (vertices, points) in zip(report.parts, report.counts):
+        rows = sorted(map(cover, part.covers))
+        outside = bytearray(every_key)
+        for r in map(key_rank.__getitem__, part.sublattice):
+            outside[r] = 0
+        (a, b), scale = part.lift, part.scale
+        normal = [quoted(x, scale) for x in a]
+        chunks.append(
+            f'{sep}    {{\n'
+            f'      "added_covers": {encoded_list([t for _, t, new in rows if new], 6)},\n'
+            f'      "affine": {{\n'
+            f'        "constant": {quoted(b, scale)},\n'
+            f'        "normal": {encoded_list(normal, 8)}\n'
+            f'      }},\n'
+            f'      "lattice_points": {points},\n'
+            f'      "order_covers": {encoded_list([t for _, t, _ in rows], 6)},\n'
+            f'      "vanishing_variables": {encoded_list(list(compress(key_texts, outside)), 6)},\n'
+            f'      "vertices": {vertices}\n'
+            f'    }}')
+        sep = ",\n"
+    chunks.append("\n  ]\n}\n" if len(chunks) > 1 else "]\n}\n")
+    return chunks
+
+
 def emit_report(report, fmt="json", out=None):
-    """Write a report; a JSON report's final newline is written after its
-    text, not appended to it, which would copy the text once more.  An
-    `out` path that cannot be written is a ParseError, like an unreadable
-    input file."""
-    if fmt == "json":
-        chunks = (report_json(report).encode("utf-8"), b"\n")
+    """Write a report.  A `PartsReport` is rendered here, all its chunks
+    before the first byte is written, so an error while rendering leaves no
+    partial report; each chunk is ASCII, encoded only as it is written, and
+    the text format renders the parsed JSON text.  Any other JSON report's
+    final newline is written after its text, not appended to it, which
+    would copy the text once more.  An `out` path that cannot be written is
+    a ParseError, like an unreadable input file."""
+    if isinstance(report, PartsReport):
+        chunks = parts_json(report)
+        if fmt == "json":
+            data = map(str.encode, chunks)
+        else:
+            data = (render_text(json.loads("".join(chunks))).encode("utf-8"),)
+    elif fmt == "json":
+        data = (report_json(report).encode("utf-8"), b"\n")
     else:
-        chunks = (render_text(report).encode("utf-8"),)
+        data = (render_text(report).encode("utf-8"),)
     if not out:
-        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.writelines(data)
         return
     try:
         with open(out, "wb") as fh:
-            fh.writelines(chunks)
+            fh.writelines(data)
     except OSError as exc:
         raise ParseError(f"cannot write {out}: {exc}") from None
 
 
 def point_list(points):
     return [list(p) for p in sorted(points)]
-
-
-def keys_in_order(keys):
-    """(key, position) pairs of a lattice's ideal keys, sorted by key."""
-    return sorted(zip(keys, range(len(keys))))
-
-
-def vanishing_keys(ordered, part):
-    """Keys of the ideals outside a part, in key order (`ordered` is
-    `keys_in_order` of its lattice): no sort per part."""
-    inside = set(part.sublattice)
-    return [key for key, pos in ordered if pos not in inside]
-
-
-def part_report(structure, part, vertices, lattice_points, vanishing):
-    """One part of a `subdivide` report; `vanishing` is already in key order."""
-    labels = part.order.elements
-    a, b = part.lift
-    return {
-        "added_covers": [list(c) for c in sorted(part.added_covers(structure.poset))],
-        "order_covers": sorted([labels[i], labels[j]] for i, j in part.covers),
-        "vertices": vertices,
-        "lattice_points": lattice_points,
-        "vanishing_variables": vanishing,
-        "affine": {
-            "normal": [fmt_ratio(x, part.scale) for x in a],
-            "constant": fmt_ratio(b, part.scale),
-        },
-    }
 
 
 def cmd_validate(args):
@@ -448,24 +518,13 @@ def cmd_subdivide(args):
         std, keys = jlambda_keys(structure)
         w = parse_weights_file(args.weights, keys, args.default_zero)
         sub = marked.mrpp_subdivide(structure, w)
-        quotient = sub.standardized.quotient
-        ordered = keys_in_order(structure_keys(quotient))
-        parts = [
-            part_report(quotient, part, len(part.vertices), len(part.points),
-                        vanishing_keys(ordered, part))
-            for part in sub.parts
-        ]
-        return {"parts": parts, "dropped_lower_dimensional": sub.dropped}
+        counts = [(len(part.vertices), len(part.points)) for part in sub.parts]
+        return PartsReport(sub.standardized.quotient, sub.parts, counts, sub.dropped)
     keys = structure_keys(structure)
     w = parse_weights_file(args.weights, keys, args.default_zero)
     sub = degeneration.subdivide(structure, w)
-    ordered = keys_in_order(keys)
-    parts = [
-        part_report(structure, part, len(part.sublattice), len(part.sublattice),
-                    vanishing_keys(ordered, part))
-        for part in sub.parts
-    ]
-    return {"parts": parts}
+    counts = [(len(part.sublattice),) * 2 for part in sub.parts]
+    return PartsReport(structure, sub.parts, counts)
 
 
 def cmd_components(args):
@@ -566,6 +625,15 @@ class Parser(argparse.ArgumentParser):
     def error(self, message):
         # "unrecognized arguments" quotes the argv verbatim, newlines included
         raise ParseError(message.replace("\n", "\\n"))
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for name, value in vars(parsed).items():
+            # argparse (3.11) drops the value '--' of "--dims=--" and stores
+            # []; no option here takes a list
+            if value == []:
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return parsed
 
 
 @cache

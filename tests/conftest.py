@@ -286,10 +286,10 @@ def naive_part_report(structure, part, vertices, lattice_points, vanishing_keys)
     }
 
 
-def naive_subdivide_report(structure, values):
-    """The bytes `posetdegen subdivide` prints for a parsed weight, built
-    with `naive_part_report`, one `label_key` call per vanishing ideal and
-    `json.dumps`."""
+def naive_subdivide_dict(structure, values):
+    """The report of `posetdegen subdivide` for a parsed weight as a dict,
+    built with `naive_part_report` and one `label_key` call per vanishing
+    ideal."""
     if structure.marked:
         sub = mrpp_subdivide(structure, values)
         quotient = sub.standardized.quotient
@@ -300,16 +300,21 @@ def naive_subdivide_report(structure, values):
                                if i not in part.sublattice])
             for part in sub.parts
         ]
-        report = {"parts": parts, "dropped_lower_dimensional": sub.dropped}
-    else:
-        lat = structure.lattice
-        parts = [
-            naive_part_report(structure, part, len(part.sublattice), len(part.sublattice),
-                              [lat.label_key(i) for i in range(len(lat))
-                               if i not in part.sublattice])
-            for part in subdivide(structure, values).parts
-        ]
-        report = {"parts": parts}
+        return {"parts": parts, "dropped_lower_dimensional": sub.dropped}
+    lat = structure.lattice
+    parts = [
+        naive_part_report(structure, part, len(part.sublattice), len(part.sublattice),
+                          [lat.label_key(i) for i in range(len(lat))
+                           if i not in part.sublattice])
+        for part in subdivide(structure, values).parts
+    ]
+    return {"parts": parts}
+
+
+def naive_subdivide_report(structure, values):
+    """The bytes `posetdegen subdivide` prints for a parsed weight:
+    `naive_subdivide_dict` through `json.dumps`."""
+    report = naive_subdivide_dict(structure, values)
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 

@@ -27,6 +27,7 @@ from posetdegen.posets import (
 )
 
 from conftest import (
+    naive_subdivide_dict,
     naive_subdivide_report,
     nth_finite_difference,
     sample_cone_weight,
@@ -142,10 +143,11 @@ def test_part_report_reads_the_carried_covers(monkeypatch):
     calls = []
     real = Poset.covers
     monkeypatch.setattr(Poset, "covers", lambda self: calls.append(self) or real(self))
-    report = cli.part_report(s, sub.parts[0], 6, 6, [])
+    chunks = cli.parts_json(cli.PartsReport(s, sub.parts, [(6, 6)]))
     assert calls == []
-    assert report["order_covers"] == [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]
-    assert report["added_covers"] == []
+    (part,) = json.loads("".join(chunks))["parts"]
+    assert part["order_covers"] == [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]
+    assert part["added_covers"] == []
 
 
 JSON_VALUES = st.recursive(
@@ -196,10 +198,12 @@ def structure_file(tmp_path, structure):
     return write(tmp_path, "p.json", payload)
 
 
-def test_subdivide_report_bytes_match_the_old_report_path(tmp_path):
-    # interior weights (one part per linearization), boundary weights (parts
-    # walked across walls, or every linearization lifted) and marked weights,
-    # against the report built with Fractions, a sort per part and json.dumps
+def test_subdivide_report_bytes_match_the_old_report_path(tmp_path, capsysbinary):
+    # interior weights (one part per linearization), negated and zero ones,
+    # boundary weights (parts walked across walls, or every linearization
+    # lifted), marked weights and labels that JSON escapes, on stdout and in
+    # a file, against the report built with Fractions, a sort per part and
+    # json.dumps
     rng = random.Random(9)
     grid = build_poset(["a", "b", "c", "d", "e", "f"],
                        [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f"),
@@ -213,9 +217,15 @@ def test_subdivide_report_bytes_match_the_old_report_path(tmp_path):
     std = marked.standardize(flag)
     canonical = degeneration.canonical_interior_weight(std.quotient).values
     notmcop = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
+    interior = degeneration.canonical_interior_weight(order).values
+    escaped = order_structure(build_poset(
+        ['q"', "b\\", "\u00e9", "c\x01", "\u2028"], [('q"', "b\\"), ("\u00e9", "c\x01")]))
     cases = [
-        (order, [Fraction(v, 6) for v in degeneration.canonical_interior_weight(order).values]),
+        (order, [Fraction(v, 6) for v in interior]),
+        (order, [-v for v in interior]),
         (order, [0] * len(order.lattice)),
+        (chain, [0] * len(chain.lattice)),
+        (escaped, degeneration.canonical_interior_weight(escaped).values),
         (chain, sample_cone_weight(chain, rng).values),
         (three, [size(m & 0b011) ** 2 for m in three.lattice.masks]),
         (three, least_shift),
@@ -228,9 +238,29 @@ def test_subdivide_report_bytes_match_the_old_report_path(tmp_path):
         keys = cli.jlambda_keys(parsed)[1] if parsed.marked else cli.structure_keys(parsed)
         weights = write(tmp_path, "w.json",
                         {"weights": {k: str(v) for k, v in zip(keys, values)}})
+        expected = naive_subdivide_report(parsed, [Fraction(v) for v in values])
         out = tmp_path / "report.json"
         assert main(["--out", str(out), "subdivide", poset, "--weights", weights]) == 0
-        assert out.read_bytes() == naive_subdivide_report(parsed, [Fraction(v) for v in values])
+        assert out.read_bytes() == expected
+        assert main(["subdivide", poset, "--weights", weights]) == 0
+        assert capsysbinary.readouterr() == (expected, b"")
+
+
+@pytest.mark.parametrize("payload", [SQUARE, DIAMOND_MARKED], ids=["unmarked", "marked"])
+def test_subdivide_text_format_renders_the_dict_report(tmp_path, capsys, payload):
+    poset = write(tmp_path, "p.json", payload)
+    parsed = cli.parse_poset_file(poset)
+    if parsed.marked:
+        std, keys = cli.jlambda_keys(parsed)
+        canonical = degeneration.canonical_interior_weight(std.quotient).values
+        values = [canonical[q] for q in std.lattice_map]
+    else:
+        keys = cli.structure_keys(parsed)
+        values = degeneration.canonical_interior_weight(parsed).values
+    weights = write(tmp_path, "w.json", {"weights": {k: str(v) for k, v in zip(keys, values)}})
+    code, out = run(capsys, ["--format", "text", "subdivide", poset, "--weights", weights])
+    assert code == 0
+    assert out == cli.render_text(naive_subdivide_dict(parsed, values))
 
 
 def test_ehrhart_of_the_12_antichain_runs_well_under_a_second(tmp_path, capsys):
@@ -420,15 +450,24 @@ def test_arbitrary_weights_files_exit_with_a_documented_code(
 
 
 def test_report_beyond_the_integer_text_limit_is_one_parse_error_line(tmp_path, capsys):
-    # each denominator has 2,201 digits, the lift's common scale 4,401
+    # each denominator has 2,201 digits, the lift's common scale 4,401; the
+    # part that cannot be printed is the first, then the second, and no byte
+    # of the report is written either way
     poset = write(tmp_path, "p.json", SQUARE)
-    weights = write(tmp_path, "w.json", {"weights": {
-        "": "0", "a": f"1/{BIG + 1}", "b": "0", "a,b": f"1/{BIG + 3}",
-    }})
-    assert main(["subdivide", poset, "--weights", weights]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("parse error:") and err.count("\n") == 1
-    assert str(sys.get_int_max_str_digits()) in err
+    out = tmp_path / "report.json"
+    for big, zero in (("a", "b"), ("b", "a")):
+        weights = write(tmp_path, "w.json", {"weights": {
+            "": "0", big: f"1/{BIG + 1}", zero: "0", "a,b": f"1/{BIG + 3}",
+        }})
+        assert main(["subdivide", poset, "--weights", weights]) == 4
+        assert main(["--out", str(out), "subdivide", poset, "--weights", weights]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for err in captured.err.splitlines(keepends=True):
+            assert err.startswith("parse error:")
+            assert str(sys.get_int_max_str_digits()) in err
+        assert captured.err.count("\n") == 2
 
 
 @pytest.mark.parametrize("table", ["x", None], ids=["weights-string", "weights-null"])
@@ -833,6 +872,9 @@ def split_options(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(flag=flag_options(), split=split_options(),
        command=st.sampled_from(["gt", "fflv", "mcop", "flag-gt", "flag-fflv", "flag-ideals"]))
+@example(flag=(0, "--"), split=("x", "y"), command="gt")
+@example(flag=(0, "--"), split=("x", "y"), command="flag-gt")
+@example(flag=(3, "0,1,3"), split=("--", "y"), command="mcop")
 def test_polytope_and_flag_options_exit_with_a_documented_code(
         tmp_path, capsys, flag, split, command):
     # n <= 4 keeps every accepted draw small; '=' keeps a leading '-' a value
@@ -872,6 +914,27 @@ def test_usage_error_is_one_parse_error_line(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+
+
+LONE_DASHES = {
+    "flag-dims": ["flag", "--n=3", "--dims=--", "--mode", "gt"],
+    "polytope-dims": ["polytope", "--kind", "gt", "--n=3", "--dims=--"],
+    "chain-set": ["polytope", "{poset}", "--kind", "mcop", "--chain-set=--"],
+    "order-set": ["polytope", "{poset}", "--kind", "mcop", "--order-set=--"],
+    "weights": ["subdivide", "{poset}", "--weights=--"],
+    "out": ["--out=--", "ideals", "{poset}"],
+}
+
+
+@pytest.mark.parametrize("argv", LONE_DASHES.values(), ids=LONE_DASHES)
+def test_option_valued_two_dashes_is_one_parse_error_line(tmp_path, capsys, argv):
+    # argparse drops the value of "--opt=--" and stores [] for the option
+    poset = write(tmp_path, "p.json", DIAMOND_MARKED)
+    assert main([arg.format(poset=poset) for arg in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    option = next(arg for arg in argv if arg.endswith("=--"))[:-3]
+    assert captured.err == f"parse error: argument {option}: expected one argument\n"
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["ehrhart", "-h"]])
