@@ -12,6 +12,7 @@ encoded once per lattice, one chunk per part, with the same bytes.
 
 import argparse
 import json
+import os
 import re
 import sys
 from decimal import Decimal
@@ -383,6 +384,13 @@ def parts_json(report):
     return chunks
 
 
+def encode_text(text):
+    """UTF-8 bytes of a text report.  A lone surrogate, which `json.load`
+    reads from an escape such as "\\ud800", shows as that escape, as in the
+    JSON format."""
+    return text.encode("utf-8", "backslashreplace")
+
+
 def emit_report(report, fmt="json", out=None):
     """Write a report.  A `PartsReport` is rendered here, all its chunks
     before the first byte is written, so an error while rendering leaves no
@@ -390,19 +398,21 @@ def emit_report(report, fmt="json", out=None):
     the text format renders the parsed JSON text.  Any other JSON report's
     final newline is written after its text, not appended to it, which
     would copy the text once more.  An `out` path that cannot be written is
-    a ParseError, like an unreadable input file."""
+    a ParseError, like an unreadable input file.  Output to stdout is
+    flushed here, so a reader that closed the pipe is noticed in `main`."""
     if isinstance(report, PartsReport):
         chunks = parts_json(report)
         if fmt == "json":
             data = map(str.encode, chunks)
         else:
-            data = (render_text(json.loads("".join(chunks))).encode("utf-8"),)
+            data = (encode_text(render_text(json.loads("".join(chunks)))),)
     elif fmt == "json":
         data = (report_json(report).encode("utf-8"), b"\n")
     else:
-        data = (render_text(report).encode("utf-8"),)
+        data = (encode_text(render_text(report)),)
     if not out:
         sys.stdout.buffer.writelines(data)
+        sys.stdout.flush()
         return
     try:
         with open(out, "wb") as fh:
@@ -691,10 +701,28 @@ def build_parser():
     return parser
 
 
+BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
+
+
+def silence_stdout():
+    """Point the stdout descriptor at os.devnull, so that the interpreter's
+    last flush of what is still buffered for a closed pipe writes nowhere.
+    A stdout with no descriptor (an in-memory stream) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     """Run one command; returns its exit code.  Safe to call repeatedly in
     one process: the command `cmd_<name>` is looked up in this module at
-    each call, so a replaced function is the one that runs."""
+    each call, so a replaced function is the one that runs.  A reader that
+    closes stdout early (`| head`) ends the command quietly with
+    BROKEN_PIPE_EXIT."""
     try:
         args = build_parser().parse_args(argv)
         command = globals()["cmd_" + args.command.replace("-", "_")]
@@ -702,6 +730,9 @@ def main(argv=None):
     except PosetDegenError as exc:
         print(exc.describe(), file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        silence_stdout()
+        return BROKEN_PIPE_EXIT
     return 0
 
 

@@ -4,7 +4,8 @@ chain-order polytope comparison."""
 
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le
+from itertools import compress
+from operator import add, eq, le, lt, sub
 
 from . import linalg
 from .degeneration import Part, first_linearization, structure_of_part, subdivide
@@ -86,7 +87,7 @@ class MarkedPolytope:
 
     @cached_property
     def dimension(self):
-        return linalg.affine_dimension(self.points)
+        return marked_dimension(self.structure, self.points)
 
 
 def mrpp_points(structure, scale=1):
@@ -94,12 +95,12 @@ def mrpp_points(structure, scale=1):
     fd = fundamental_decomposition(structure, scale)
     n = structure.poset.n
     reqs = fd.steps()
-    top = structure.max_weak(structure.poset.full)
     bits = pack_bits(len(reqs))
-    points = []
-    for code in packed_multichains(structure, structure.marked, reqs):
-        x = unpack(code, n, bits)
-        points.append(tuple(v - fd.shift if top >> i & 1 else v for i, v in enumerate(x)))
+    points = (unpack(code, n, bits)
+              for code in packed_multichains(structure, structure.marked, reqs))
+    if fd.shift:
+        shift = [fd.shift * bit for bit in indicator(structure.max_weak(structure.poset.full), n)]
+        points = (tuple(map(sub, x, shift)) for x in points)
     return sorted(points)
 
 
@@ -293,7 +294,7 @@ def mrpp_subdivide(structure, w):
     for part in big.parts:
         section_structure = structure_of_part(quotient, part)
         pts = mrpp_points(section_structure)
-        if linalg.affine_dimension(pts) != whole.dimension:
+        if marked_dimension(section_structure, pts) != whole.dimension:
             dropped += 1
             continue
         raff = restricted_affine(quotient, part.affine)
@@ -381,31 +382,121 @@ def mcop_split(structure):
     return c_mask, o_mask
 
 
+def _free_blocks(n, marked, tight):
+    """The free blocks of the partition of the n elements that the pairs
+    `tight` generate, by union-find: the blocks holding no element of the
+    mask `marked`.
+
+    This is the face structure of a marked order polytope
+    O = {x : x_q <= x_p for p ⋖ q, x_a = lambda_a for a in P*} (Pegel 2018).
+    At a point x of O, take as `tight` its tight covers, those with
+    x_p = x_q; their blocks form the tight-cover partition.  A vector v
+    is in the kernel of the rows tight at x exactly when v_p = v_q on each
+    tight cover and v_a = 0 on P*: when v is constant on each block and 0
+    on each block holding a marked element.  So the kernel has one
+    dimension per free block, and the tight rows have rank n minus their
+    number.  The smallest face F of O through x has that kernel as its
+    direction space: F satisfies the tight rows with equality, and for v in
+    the kernel x ± εv stays in O for small ε > 0, as the other rows have
+    slack at x, so it lies in F.  Hence dim F is the number of free blocks,
+    and x is a vertex exactly when there is none.
+    """
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p, q in tight:
+        parent[root(p)] = root(q)
+    return len({root(i) for i in range(n)} - {root(i) for i in mask_bits(marked)})
+
+
+def _order_vertices(structure, points):
+    """The sorted vertices of conv(points), the distinct lattice points of a
+    marked order polytope (`mcop_split` gives C = 0): the points whose
+    tight-cover partition has no free block (`_free_blocks`), that is, at
+    which every element reaches a marked one along tight covers.
+
+    The cover rows and x_a = lambda_a on P* define the polytope, with the
+    marking read off the first point; a point that breaks a cover or moves
+    a marked coordinate raises TheoremViolation.  All points are decided
+    at once: the k-th byte of an integer stands for the k-th point, a
+    cover's integer has byte k set to 1 when the cover is tight there, and
+    reach[i] has it set when element i reaches a marked element at that
+    point.  Reach spreads along the tight covers until it stops growing.
+    """
+    poset = structure.poset
+    covers = poset.covers()
+    columns = list(zip(*points))
+    for i in mask_bits(structure.marked):
+        fixed = points[0][i]
+        if columns[i].count(fixed) != len(points):
+            bad = next(x for x in points if x[i] != fixed)
+            raise TheoremViolation(
+                f"{bad} moves the marked coordinate {poset.elements[i]!r} off {fixed}")
+    for p, q in covers:
+        if any(map(lt, columns[p], columns[q])):
+            bad = next(x for x in points if x[p] < x[q])
+            raise TheoremViolation(
+                f"{bad} breaks the cover {poset.elements[p]!r} < {poset.elements[q]!r}")
+    every = int.from_bytes(b"\1" * len(points), "little")
+    reach = [every if structure.marked >> i & 1 else 0 for i in range(poset.n)]
+    tight = [(p, q, int.from_bytes(bytes(map(eq, columns[p], columns[q])), "little"))
+             for p, q in covers]
+    grown = True
+    while grown:
+        grown = False
+        for p, q, t in tight:
+            joined = (reach[p] | reach[q]) & t
+            if joined & ~reach[p] or joined & ~reach[q]:
+                reach[p] |= joined
+                reach[q] |= joined
+                grown = True
+    vertex = every
+    for r in reach:
+        vertex &= r
+    return tuple(sorted(compress(points, vertex.to_bytes(len(points), "little"))))
+
+
 def marked_vertices(structure, points):
     """The sorted vertices of conv(points), the MRPP of the structure for the
     marking on the points' marked coordinates.
 
-    MCOP-shaped structures (`mcop_split`) pass the ranges and chains of
-    `_mcop_inequalities` as rows to `linalg.extreme_points`, whose rank test
-    needs valid rows that include a defining system.  The chains, x_p =
-    lambda_p on P* and x_p >= 0 on C (both among the ranges) define
-    MCOP(C, O), which is this MRPP (Fang, Fourier, Litza and Pegel 2020);
-    only the chains of covers are listed, which leaves every rank as it
-    is for the system of all chains (`_mcop_chains`).  The theorem
-    wants every extremal element marked, which validation enforces
-    ("minmax"); a section structure of `mrpp_subdivide` inherits that, as
-    its stronger order has no new extremal elements.  The other ranges are
-    extra rows, which keep the criterion because they are valid: on a
-    maximal chain through p, the chains between consecutive anchors keep an
-    O coordinate between the least and largest marking value and a C one at
-    most their difference.  Other shapes, such as the Gr(2,5) FFLV parts,
-    go to Wolfe's test.
+    MCOP-shaped structures (`mcop_split`) give MCOP(C, O), which is this
+    MRPP (Fang, Fourier, Litza and Pegel 2020).  The theorem wants every
+    extremal element marked, which validation enforces ("minmax"); a
+    section structure of `mrpp_subdivide` inherits that, as its stronger
+    order has no new extremal elements.  With C empty, MCOP(C, O) is the
+    marked order polytope, whose vertices `_order_vertices` reads off the
+    tight-cover partitions.  Otherwise the ranges and chains of
+    `_mcop_inequalities` go as rows to `linalg.extreme_points`, whose rank
+    test needs valid rows that include a defining system.  The chains,
+    x_p = lambda_p on P* and x_p >= 0 on C (both among the ranges) define
+    MCOP(C, O); only the chains of covers are listed, which leaves every
+    rank as it is for the system of all chains (`_mcop_chains`).  The other
+    ranges are extra rows, which keep the criterion because they are valid:
+    on a maximal chain through p, the chains between consecutive anchors
+    keep an O coordinate between the least and largest marking value and a
+    C one at most their difference.  Other shapes, such as the Gr(2,5) FFLV
+    parts, go to Wolfe's test.
     """
     split = mcop_split(structure)
     if split is None or not points:
         return tuple(sorted(linalg.extreme_points(points)))
+    if not split[0]:
+        return _order_vertices(structure, points)
+    return tuple(sorted(linalg.extreme_points(points, _mcop_rows(structure, split, points[0]))))
+
+
+def _mcop_rows(structure, split, point):
+    """The ranges and chains of `_mcop_inequalities` for the split (C, O) of
+    `mcop_split`, as integer rows (a, b) meaning a·x <= b, with the marking
+    read off `point`."""
     n = structure.poset.n
-    values = {i: points[0][i] for i in mask_bits(structure.marked)}
+    values = {i: point[i] for i in mask_bits(structure.marked)}
     ranges, chains = _mcop_inequalities(
         structure.poset, values, structure.marked | split[1], split[0])
     rows = []
@@ -415,7 +506,27 @@ def marked_vertices(structure, points):
         row = list(indicator(sum(1 << p for p in mids) | 1 << b, n))
         row[a] = -1
         rows.append((row, 0))
-    return tuple(sorted(linalg.extreme_points(points, rows)))
+    return rows
+
+
+def marked_dimension(structure, points):
+    """The dimension of conv(points), the lattice points of the structure's
+    MRPP for the marking on their marked coordinates.
+
+    For a marked order polytope (`mcop_split` gives C = 0, see
+    `marked_vertices`) it is the number of free blocks (`_free_blocks`) at
+    the sum of all points.  That sum is len(points) times their centroid,
+    which weighs every point, so every vertex, positively and so lies in
+    the relative interior of conv(points), where the smallest face is the
+    polytope itself; the covers tight at the sum are those tight at the
+    centroid.  Other shapes take the rank of `linalg.affine_dimension`.
+    """
+    split = mcop_split(structure)
+    if split is None or split[0] or not points:
+        return linalg.affine_dimension(points)
+    total = list(map(sum, zip(*points)))
+    tight = [(p, q) for p, q in structure.poset.covers() if total[p] == total[q]]
+    return _free_blocks(structure.poset.n, structure.marked, tight)
 
 
 def mcop_build(poset, marking, chain_part, order_part):

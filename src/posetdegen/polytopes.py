@@ -11,8 +11,9 @@ chains, with no point built, and normality compares the number of 2-fold
 sums of dilation 1 with the count of dilation 2, which settles every
 dilation (`check_normality`).  Printed points are enumerated in a packed
 integer encoding so that set arithmetic stays cheap; public functions
-decode to coordinate tuples.  A chain of k steps packs
-max(PACK_BITS, k.bit_length()) bits per coordinate.
+decode to coordinate tuples.  A chain of k steps packs k.bit_length() bits
+per coordinate, rounded up to whole bytes, so that a code decodes with
+`int.to_bytes`.
 """
 
 from itertools import combinations_with_replacement
@@ -20,17 +21,23 @@ from itertools import combinations_with_replacement
 from .errors import InternalClosureFailure, InvalidStructure
 from .posets import RelativeStructure, mask_bits
 
-PACK_BITS = 6  # least bits per coordinate; check_normality compares dilations 1 and 2 in it
+PACK_BITS = 8  # bits per coordinate below 256 steps; check_normality compares dilations in it
 
 
 def pack_bits(steps):
-    """Bits per coordinate for sums of `steps` 0/1 vectors."""
-    return max(PACK_BITS, steps.bit_length())
+    """Bits per coordinate for sums of `steps` 0/1 vectors: whole bytes, one
+    byte below 256 steps."""
+    return PACK_BITS * max(1, (steps.bit_length() + 7) // 8)
 
 
 def unpack(code, n, bits=PACK_BITS):
-    full = (1 << bits) - 1
-    return tuple((code >> (bits * i)) & full for i in range(n))
+    """The n coordinates of a packed code, `bits` (a multiple of 8) each,
+    the first in the lowest bits."""
+    raw = code.to_bytes(n * bits // 8, "little")
+    if bits == 8:
+        return tuple(raw)
+    width = bits // 8
+    return tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
 
 
 def indicator(mask, n):

@@ -660,7 +660,8 @@ def test_full_flag_vertex_counts(capsys, kind, vertices):
 @pytest.mark.parametrize("kind,vertices", [("gt", 358), ("fflv", 425)])
 def test_full_n5_flag_vertex_counts_well_under_a_second(capsys, kind, vertices):
     # Wolfe's test gives these counts in 8.9 s (GT) and 7.5 s (FFLV); the
-    # rank of the tight MCOP inequalities decides them in a fraction of that
+    # tight-cover partitions (GT) and the rank of the tight MCOP inequalities
+    # (FFLV) decide them in a fraction of that
     start = time.perf_counter()
     code, out = run(capsys, ["polytope", "--kind", kind, "--n", "5", "--dims", "0,1,2,3,4,5"])
     assert time.perf_counter() - start < 1
@@ -1004,3 +1005,33 @@ def test_each_call_writes_to_the_streams_in_place_at_that_call(tmp_path, monkeyp
         else:
             assert json.loads(out.getvalue())["ideals"] == ["", "a", "b", "a,b"]
             assert err.getvalue() == ""
+
+
+def test_full_n6_gt_flag_counts(capsys):
+    code, out = run(capsys, ["polytope", "--kind", "gt", "--n", "6", "--dims", "0,1,2,3,4,5,6"])
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["lattice_points"]) == 32768 and len(report["vertices"]) == 4884
+
+
+def test_reader_closing_stdout_early_ends_quietly():
+    # the report (about 200 KB) outgrows the pipe, so a write meets the
+    # closed end
+    argv = [sys.executable, "-m", "posetdegen.cli",
+            "polytope", "--kind", "gt", "--n", "5", "--dims", "0,1,2,3,4,5"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.stdout.read(10) == b'{\n  "eleme'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.BROKEN_PIPE_EXIT == 141
+    assert err == b""
+
+
+def test_text_format_escapes_a_lone_surrogate(tmp_path, capsysbinary):
+    poset = tmp_path / "p.json"
+    poset.write_text('{"elements": ["\\ud800", "b"]}', encoding="ascii")
+    assert main(["--format", "text", "ideals", str(poset)]) == 0
+    assert capsysbinary.readouterr().out == b"ideals:\n  - \n  - \\ud800\n  - b\n  - b,\\ud800\n"
+    assert main(["ideals", str(poset)]) == 0
+    assert json.loads(capsysbinary.readouterr().out)["ideals"] == ["", "\ud800", "b", "b,\ud800"]

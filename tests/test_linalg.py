@@ -1,16 +1,28 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from posetdegen import build_flag_poset, mcop_build
+from posetdegen import build_flag_poset, chain_poset, mcop_build
+from posetdegen import marked
+from posetdegen.degeneration import canonical_interior_weight
 from posetdegen.errors import TheoremViolation
 from posetdegen.linalg import affine_dimension, extreme_points, in_convex_hull
-from posetdegen.marked import marked_vertices, mcop_split, mrpp_points
+from posetdegen.marked import (
+    _mcop_rows,
+    marked_dimension,
+    marked_vertices,
+    mcop_split,
+    mrpp_points,
+    mrpp_subdivide,
+    standardize,
+)
+from posetdegen.posets import mask_bits, transitive_closure, validate_relative_structure
 
 from conftest import (
     criterion_7_markings,
+    make_poset,
     marked_corpus_structures,
     naive_affine_dimension,
     naive_in_convex_hull,
@@ -114,7 +126,8 @@ def test_extreme_points_match_oracle_on_marked_corpus():
 
 def test_extreme_points_match_oracle_on_flags():
     # the full flags with n <= 4, (5; 0,1,3,5) and Gr(2,5), in both modes;
-    # every one is MCOP-shaped, so marked_vertices takes the rank path
+    # every one is MCOP-shaped: marked_vertices reads the GT ones off their
+    # tight-cover partitions and ranks the tight rows of the FFLV ones
     flags = [(n, tuple(range(n + 1))) for n in range(1, 5)] + [(5, (0, 1, 3, 5)), (5, (0, 2, 5))]
     for n, dims in flags:
         f = build_flag_poset(n, dims)
@@ -127,12 +140,19 @@ def test_extreme_points_match_oracle_on_flags():
             assert marked_vertices(s, points) == tuple(sorted(wolfe)), (n, dims, mode)
 
 
+def rank_path_vertices(structure, points):
+    """The vertices by the rank of the tight rows of the MCOP inequalities."""
+    rows = _mcop_rows(structure, mcop_split(structure), points[0])
+    return tuple(sorted(extreme_points(points, rows)))
+
+
 def test_rank_path_matches_wolfe_on_criterion_7_splits():
     # every chain/order split of criterion 7's corpus: its MCOP takes the
-    # rank path, and the vertices equal Wolfe's and the simplex oracle's
-    # (both computed once per distinct point set)
+    # rank path, or with C empty the tight-cover partition, and the vertices
+    # equal Wolfe's and the simplex oracle's (both computed once per
+    # distinct point set); with C empty they also equal the rank path's
     expected = {}
-    splits = 0
+    splits = order_splits = 0
     for poset, marking, split_list in criterion_7_markings(5):
         for c_part, o_part in split_list:
             built = mcop_build(poset, marking, c_part, o_part)
@@ -145,8 +165,11 @@ def test_rank_path_matches_wolfe_on_criterion_7_splits():
                 assert wolfe == oracle_vertices(points)
                 expected[points] = tuple(sorted(wolfe))
             assert built.vertices == expected[points]
+            if not c_part:
+                assert rank_path_vertices(built.structure, points) == built.vertices
+                order_splits += 1
             splits += 1
-    assert splits == 10232
+    assert splits == 10232 and order_splits == 6967
 
 
 @st.composite
@@ -219,3 +242,107 @@ def test_affine_dimension_matches_fraction_rank_on_marked_polytopes():
         assert affine_dimension(points) == naive_affine_dimension(points)
     assert affine_dimension([(0, 0), (1, 0), (0, 1), (1, 1)]) == 2
     assert affine_dimension([(Fraction(1, 2), 0), (0, Fraction(1, 3))]) == 1
+
+
+def test_tight_cover_vertices_match_rank_path_on_gt_flags():
+    # every GT flag with n <= 5, Wolfe's test too below 100 points (it takes
+    # about 9 s on the full n = 5 flag)
+    flags = 0
+    for n in range(1, 6):
+        for r in range(n):
+            for inner in combinations(range(1, n), r):
+                s = build_flag_poset(n, (0, *inner, n)).structure("gt")
+                assert mcop_split(s)[0] == 0
+                points = mrpp_points(s)
+                vertices = marked_vertices(s, points)
+                assert vertices == rank_path_vertices(s, points), (n, inner)
+                if len(points) < 100:
+                    assert vertices == tuple(sorted(extreme_points(points))), (n, inner)
+                assert marked_dimension(s, points) == affine_dimension(points)
+                flags += 1
+    assert flags == 31
+
+
+@st.composite
+def marked_order_structures(draw):
+    """A random poset on at most 6 elements, its minimal and maximal elements
+    marked and others optionally, with dominant values in 0..2 under trivial
+    <': a marked order polytope.  Each marked value is the largest raw value
+    at or above it, so equal values along a chain are common."""
+    n = draw(st.integers(1, 6))
+    above = [0] * n
+    for i, j in combinations(range(n), 2):
+        if draw(st.booleans()):
+            above[i] |= 1 << j
+    poset = make_poset(n, transitive_closure(above, n))
+    marked = poset.minimals | poset.maximals
+    for i in range(n):
+        if draw(st.booleans()):
+            marked |= 1 << i
+    raw = {i: draw(st.integers(0, 2)) for i in mask_bits(marked)}
+    marking = {poset.elements[i]: max(v for j, v in raw.items()
+                                      if j == i or poset.above[i] >> j & 1)
+               for i in raw}
+    return validate_relative_structure(poset, [], marking)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure=marked_order_structures())
+def test_tight_cover_vertices_and_dimension_match_the_oracles(structure):
+    points = mrpp_points(structure)
+    assert mcop_split(structure)[0] == 0
+    vertices = marked_vertices(structure, points)
+    assert vertices == rank_path_vertices(structure, points)
+    assert vertices == tuple(sorted(extreme_points(points)))
+    assert marked_dimension(structure, points) == affine_dimension(points)
+
+
+def test_forced_free_element_lowers_the_dimension():
+    # f lies between marks 2 and 1 and g between two marks 1: g is forced to 1
+    s = validate_relative_structure(
+        chain_poset(["a", "f", "m", "g", "b"]), [], {"a": 2, "m": 1, "b": 1})
+    points = mrpp_points(s)
+    assert points == [(2, 1, 1, 1, 1), (2, 2, 1, 1, 1)]
+    assert marked_dimension(s, points) == affine_dimension(points) == 1
+    assert marked_vertices(s, points) == rank_path_vertices(s, points) == tuple(points)
+
+
+def test_tight_cover_dimension_matches_rank_on_every_section(monkeypatch):
+    # every section mrpp_subdivide builds for the marked corpus, under the
+    # zero weight and the canonical interior weight of the quotient (none of
+    # these sections is lower-dimensional, nor any of 20,464 subdivisions of
+    # criterion 7's splits under canonical and random cone weights; the
+    # hypothesis test above covers lower-dimensional point sets)
+    real = marked.marked_dimension
+    seen = []
+
+    def checked(structure, points):
+        value = real(structure, points)
+        assert value == affine_dimension(points)
+        split = mcop_split(structure)
+        seen.append(split is not None and not split[0])
+        return value
+
+    monkeypatch.setattr(marked, "marked_dimension", checked)
+    for s in marked_corpus_structures():
+        std = standardize(s)
+        canonical = canonical_interior_weight(std.quotient).values
+        for w in ([0] * len(std.jlambda), [canonical[q] for q in std.lattice_map]):
+            mrpp_subdivide(s, w)
+    assert sum(seen) > 100 and not all(seen)
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda x, free, marked_i: {free: max(x) + 1}, "breaks the cover"),
+    (lambda x, free, marked_i: {marked_i: x[marked_i] + 1}, "moves the marked coordinate"),
+])
+def test_tight_cover_vertices_check_every_point(change, message):
+    s = build_flag_poset(3, (0, 1, 2, 3)).structure("gt")
+    points = mrpp_points(s)
+    free = mask_bits(s.poset.full & ~s.marked)[0]
+    marked_i = mask_bits(s.marked)[0]
+    bad = list(points[3])
+    for i, v in change(points[3], free, marked_i).items():
+        bad[i] = v
+    with pytest.raises(TheoremViolation, match=message):
+        marked_vertices(s, points + [tuple(bad)])

@@ -165,7 +165,7 @@ def test_mrpp_points_match_naive_recursion():
     cases = []
     for make in (marked_diamond, marked_diamond_chain):
         cases += [(make(), m) for m in (1, 2, 3)]
-        cases.append((make({"bot": 70, "top": 0}), 1))  # wider than PACK_BITS
+        cases.append((make({"bot": 70, "top": 0}), 1))  # 70 steps in one byte
         cases.append((make({"bot": 3, "top": -2}), 2))  # negative shift
     for n in (2, 3, 4):
         for r in range(n):
@@ -324,8 +324,8 @@ def test_mrpp_subdivide_enumerates_each_order_once(monkeypatch):
 def test_mcop_split_of_sections_and_mixed_rows():
     # the two parts of the Gr(2,5) FFLV degeneration are not MCOP-shaped, so
     # their vertices come from Wolfe's test; the sections of a GT
-    # degeneration are marked order polytopes of <'' (all O) and take the
-    # rank path, which agrees with Wolfe's test
+    # degeneration are marked order polytopes of <'' (all O), whose vertices
+    # come from their tight-cover partitions and agree with Wolfe's test
     f = build_flag_poset(5, (0, 2, 5))
     s = f.structure("fflv")
     std = standardize(s)
@@ -534,3 +534,12 @@ def test_mcop_inequalities_are_the_chains_of_covers():
             for a, mids, b in chains:
                 steps = (a, *mids, b)
                 assert all(pair in covers for pair in zip(steps, steps[1:]))
+
+
+def test_mrpp_points_wider_than_a_byte():
+    # 300 steps take two bytes per coordinate; a negative marking shifts them
+    for top, shift in ((0, 0), (-5, 5)):
+        s = validate_relative_structure(chain_poset(["bot", "x", "top"]), [],
+                                        {"bot": 300 + top, "top": top})
+        assert mrpp_points(s) == [(300 + top, v, top) for v in range(top, 301 + top)]
+        assert fundamental_decomposition(s).shift == shift

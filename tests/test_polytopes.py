@@ -351,3 +351,12 @@ def test_transfer_map_membership_check():
         transfer_map((0, 1), chain)  # increases along the order
     with pytest.raises(ValueError, match="out of"):
         transfer_map((2, 0), chain)
+
+
+def test_point_codes_are_byte_wide():
+    assert [pack_bits(k) for k in (0, 1, 255, 256, 65535, 65536)] == [8, 8, 8, 16, 16, 24]
+    for bits, top in ((8, 255), (16, 65535)):
+        point = (top, 0, 1, top - 1)
+        code = sum(v << (bits * i) for i, v in enumerate(point))
+        assert unpack(code, 4, bits) == point
+        assert unpack(0, 4, bits) == (0,) * 4
