@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -65,10 +66,20 @@ def parse_fraction(value):
 def load_json(path):
     """The JSON value of a file.  A number with a fraction or an exponent is
     kept exactly as a Decimal of its literal text, never made a float;
-    `parse_fraction` turns it into a Fraction where a rational is wanted."""
+    `parse_fraction` turns it into a Fraction where a rational is wanted.
+    An object that repeats a key, at any depth, is a ParseError naming it."""
+
+    def unique_keys(pairs):
+        table = dict(pairs)
+        if len(table) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise ParseError(f"{path}: duplicate key {key!r}")
+        return table
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=Decimal)
+            return json.load(fh, parse_float=Decimal, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -309,13 +320,12 @@ class PartsReport:
         self.dropped = dropped
 
 
-def encoded_list(items, pad):
-    """The indent=2 JSON text of a list of already-encoded items, its
-    opening bracket `pad` spaces in."""
-    if not items:
-        return "[]"
-    inner = "\n" + " " * (pad + 2)
-    return f"[{inner}{(',' + inner).join(items)}\n{' ' * pad}]"
+def joined_list(items, pad):
+    """The indent=2 JSON text of a list, its opening bracket `pad` spaces
+    in, from items that each begin with their separator: "," and a new line
+    `pad` + 2 spaces in."""
+    text = "".join(items)
+    return f"[{text[1:]}\n{' ' * pad}]" if text else "[]"
 
 
 def parts_json(report):
@@ -327,9 +337,12 @@ def parts_json(report):
     pairs, the added ones those not in the base order; "affine": {"normal",
     "constant"} of its lift, as rationals; "vanishing_variables": the keys of
     the ideals outside it, sorted; "vertices", "lattice_points": its counts}.
-    Each element label, ideal key and cover pair is encoded once per report,
-    and a part's chunk is built from those pieces, its lift and its counts;
-    the covers are the ones the part carries."""
+    Each element label, ideal key, cover pair and rational is encoded once
+    per report, with the separator that precedes it in a list, and a part's
+    chunk is joined from those pieces and its counts.  A part with a
+    linearization gives its consecutive pairs as its covers, sorted here
+    by label and never built as a poset; any other gives the covers it
+    carries.  Every part has the scale of the first."""
     structure = report.structure
     poset, lat = structure.poset, structure.lattice
     labels = [encode_basestring_ascii(e) for e in poset.elements]
@@ -337,23 +350,26 @@ def parts_json(report):
     for r, i in enumerate(sorted(range(poset.n), key=poset.elements.__getitem__)):
         label_rank[i] = r
     keyed = sorted((lat.label_key(pos), pos) for pos in range(len(lat)))
-    key_texts = [encode_basestring_ascii(key) for key, _ in keyed]
+    key_texts = [",\n        " + encode_basestring_ascii(key) for key, _ in keyed]
     key_rank = [0] * len(keyed)
     for r, (_, pos) in enumerate(keyed):
         key_rank[pos] = r
     every_key = b"\x01" * len(keyed)
+    scale = report.parts[0].scale if report.parts else 1
 
     @cache
     def cover(pair):
         """(sort rank, text, whether the base order lacks it) of a cover pair."""
         i, j = pair
-        text = f"[\n          {labels[i]},\n          {labels[j]}\n        ]"
+        text = f",\n        [\n          {labels[i]},\n          {labels[j]}\n        ]"
         return label_rank[i] * poset.n + label_rank[j], text, not poset.above[i] >> j & 1
 
+    normal_sep = ",\n" + " " * 10
+
     @cache
-    def quoted(x, scale):
+    def normal(x):
         # a rational's text is digits, '-' and '/': nothing to escape
-        return f'"{fmt_ratio(x, scale)}"'
+        return f'{normal_sep}"{fmt_ratio(x, scale)}"'
 
     head = "{\n"
     if report.dropped is not None:
@@ -361,22 +377,22 @@ def parts_json(report):
     chunks = [head + '  "parts": [']
     sep = "\n"
     for part, (vertices, points) in zip(report.parts, report.counts):
-        rows = sorted(map(cover, part.covers))
+        ext = part.linearization
+        rows = sorted(map(cover, part.covers if ext is None else zip(ext, ext[1:])))
         outside = bytearray(every_key)
         for r in map(key_rank.__getitem__, part.sublattice):
             outside[r] = 0
-        (a, b), scale = part.lift, part.scale
-        normal = [quoted(x, scale) for x in a]
+        a, b = part.lift
         chunks.append(
             f'{sep}    {{\n'
-            f'      "added_covers": {encoded_list([t for _, t, new in rows if new], 6)},\n'
+            f'      "added_covers": {joined_list([t for _, t, new in rows if new], 6)},\n'
             f'      "affine": {{\n'
-            f'        "constant": {quoted(b, scale)},\n'
-            f'        "normal": {encoded_list(normal, 8)}\n'
+            f'        "constant": {normal(b)[len(normal_sep):]},\n'
+            f'        "normal": {joined_list(map(normal, a), 8)}\n'
             f'      }},\n'
             f'      "lattice_points": {points},\n'
-            f'      "order_covers": {encoded_list([t for _, t, _ in rows], 6)},\n'
-            f'      "vanishing_variables": {encoded_list(list(compress(key_texts, outside)), 6)},\n'
+            f'      "order_covers": {joined_list([t for _, t, _ in rows], 6)},\n'
+            f'      "vanishing_variables": {joined_list(compress(key_texts, outside), 6)},\n'
             f'      "vertices": {vertices}\n'
             f'    }}')
         sep = ",\n"
@@ -397,9 +413,9 @@ def emit_report(report, fmt="json", out=None):
     partial report; each chunk is ASCII, encoded only as it is written, and
     the text format renders the parsed JSON text.  Any other JSON report's
     final newline is written after its text, not appended to it, which
-    would copy the text once more.  An `out` path that cannot be written is
-    a ParseError, like an unreadable input file.  Output to stdout is
-    flushed here, so a reader that closed the pipe is noticed in `main`."""
+    would copy the text once more.  Output to stdout is flushed here, so a
+    reader that closed the pipe is noticed in `main`; an `out` path is
+    written by `write_out`."""
     if isinstance(report, PartsReport):
         chunks = parts_json(report)
         if fmt == "json":
@@ -410,15 +426,65 @@ def emit_report(report, fmt="json", out=None):
         data = (report_json(report).encode("utf-8"), b"\n")
     else:
         data = (encode_text(render_text(report)),)
-    if not out:
+    if out:
+        write_out(out, data)
+    else:
         sys.stdout.buffer.writelines(data)
         sys.stdout.flush()
-        return
+
+
+def write_out(out, data):
+    """Write the byte chunks `data` to the path `out`.  A regular file, or
+    one that does not exist yet, is replaced only once every byte is
+    written: the chunks go to a new file beside it (beside the file a
+    symbolic link names), which keeps the old file's mode and is renamed
+    onto it at the end, or removed on any failure; a failed write leaves
+    the old file as it was.  An existing file is first opened for writing,
+    so one that cannot be written (read-only) is refused, never replaced.
+    Where no new file can be made beside it (a directory that cannot be
+    written, a name too long to extend), and for anything that is not a
+    regular file, such as /dev/stdout or a FIFO, `out` is written
+    directly.  A path that cannot be written is a ParseError, like an
+    unreadable input file, with the message it had when every path was
+    written directly."""
     try:
-        with open(out, "wb") as fh:
+        mode = os.stat(out).st_mode
+        replace = stat.S_ISREG(mode)
+    except FileNotFoundError:
+        mode, replace = None, True
+    except OSError:
+        replace = False  # open() below reports it
+    fh = temp = None
+    try:
+        if replace:
+            if mode is not None:
+                open(out, "r+b").close()
+            head, tail = os.path.split(os.path.realpath(out))
+            name = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+            try:
+                fh = open(name, "xb")
+                temp = name
+            except OSError:
+                pass
+        if fh is None:
+            fh = open(out, "wb")
+        with fh:
             fh.writelines(data)
+        if temp is not None:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            os.replace(temp, os.path.join(head, tail))
+            temp = None
     except OSError as exc:
+        if temp is not None and exc.filename == temp:
+            exc.filename = out
         raise ParseError(f"cannot write {out}: {exc}") from None
+    finally:
+        if temp is not None:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
 
 
 def point_list(points):
@@ -639,9 +705,9 @@ class Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
         parsed = super().parse_args(args, namespace)
         for name, value in vars(parsed).items():
-            # argparse (3.11) drops the value '--' of "--dims=--" and stores
-            # []; no option here takes a list
-            if value == []:
+            # for "--dims=--", argparse 3.11 drops the value '--' and stores
+            # [], 3.13 stores '--'; no option here takes a list or '--'
+            if value == [] or value == "--":
                 self.error(f"argument --{name.replace('_', '-')}: expected one argument")
         return parsed
 

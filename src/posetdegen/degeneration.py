@@ -148,16 +148,40 @@ class Part:
     """One part of a regular subdivision of the relative poset polytope.
 
     Its affine function is `lift / scale`: `lift` is (a: tuple of ints over
-    P, b: int) and `scale` the one denominator shared by every part.
+    P, b: int) and `scale` the one denominator shared by every part.  A part
+    of a fine subdivision carries its `linearization`, the chain <'' as a
+    tuple of element indices, and builds `order` and `covers` from it on
+    first access; a walked part (`linearization` None) is given the order
+    and covers that `sublattice_to_order` recovered.
     """
 
-    def __init__(self, sublattice, order, covers, lift, scale, linearization_count):
-        self.sublattice = tuple(sublattice)  # lattice positions, ascending
-        self.order = order  # recovered <'' as a Poset
-        self.covers = covers  # order.covers(), as that lists them
+    def __init__(self, sublattice, lift, scale, linearization_count, elements,
+                 linearization=None, order=None, covers=None):
+        self.sublattice = sublattice  # lattice positions, ascending, as a tuple
         self.lift = lift
         self.scale = scale
         self.linearization_count = linearization_count
+        self.elements = elements  # the labels of P, by index
+        self.linearization = linearization
+        if order is not None:
+            self.order = order
+            self.covers = covers
+
+    @cached_property
+    def order(self):
+        """The recovered <'' as a Poset."""
+        above = [0] * len(self.elements)
+        rest = (1 << len(above)) - 1
+        for p in self.linearization:
+            rest ^= 1 << p
+            above[p] = rest
+        return Poset(self.elements, above)
+
+    @cached_property
+    def covers(self):
+        """The cover pairs of `order`, as `Poset.covers` lists them."""
+        ext = self.linearization
+        return sorted(zip(ext, ext[1:]))
 
     @cached_property
     def affine(self):
@@ -167,7 +191,7 @@ class Part:
 
     def added_covers(self, base_poset):
         """Cover pairs of the recovered order that are not relations of the base."""
-        labels, above = self.order.elements, base_poset.above
+        labels, above = self.elements, base_poset.above
         return [(labels[i], labels[j]) for i, j in self.covers if not above[i] >> j & 1]
 
 
@@ -251,9 +275,10 @@ def wall_crossings(ext, order, covers, base):
 
 def triangulation_parts(structure, values, vertex_bits):
     """One part per linearization, for weights strictly inside the cone (or
-    its negation): the part's order is the linearization itself, whose
-    covers are its consecutive pairs.  A chain's ideals are all comparable,
-    so no part needs a star check.
+    its negation), as (chain positions, linearization, integer lift): the
+    part's order is the linearization itself, whose covers are its
+    consecutive pairs.  A chain's ideals are all comparable, so no part
+    needs a star check.
 
     The lift is `affine_lift_on_chain`'s forward substitution, shared along
     prefixes: step k depends only on the first k elements, so each
@@ -263,11 +288,10 @@ def triangulation_parts(structure, values, vertex_bits):
     lifted once.
     """
     poset = structure.poset
-    n, full = poset.n, poset.full
+    n = poset.n
     position = structure.lattice.position
     weak_below = structure.weak_below
     a = [0] * n
-    above = [0] * n  # the linearization's order: above[p] = the elements after p
     masks = [0] * (n + 1)  # masks[k]: the ideal of the first k elements
     maxes = [0] * (n + 1)  # its <'-maximal elements
     chain = [0] * (n + 1)  # its lattice position; the empty ideal sorts first
@@ -291,14 +315,12 @@ def triangulation_parts(structure, values, vertex_bits):
                 a[p] += sum(map(a.__getitem__, mask_bits(knocked)))
             if b + sum(map(a.__getitem__, vertex_bits[pos])) != value:
                 raise InternalClosureFailure("affine lift does not interpolate the part")
-            above[p] = full ^ mask
         prev = ext
         affine = (tuple(a), b)
         if affine in lifts:
             raise InternalClosureFailure("two linearizations share an affine lift")
         lifts.add(affine)
-        parts.append((chain[:], Poset(poset.elements, above), sorted(zip(ext, ext[1:])),
-                      affine, 1))
+        parts.append((tuple(chain), ext, affine))
     return parts
 
 
@@ -347,7 +369,8 @@ def walk_parts(structure, values, vertex_bits, linearizations):
             x, y = (part_lattice.label_key(pos) for pos in failure)
             raise InternalClosureFailure(f"star of {x!r} and {y!r} left the lattice")
         covers = order.covers()
-        parts.append((members, order, covers, affine, part_lattice.maximal_chain_count()))
+        parts.append((tuple(members), order, covers, affine,
+                      part_lattice.maximal_chain_count()))
         return order, covers
 
     queue = [first_linearization(poset)]
@@ -376,6 +399,16 @@ def subdivide(structure, w):
     The weight is scaled once to integers, and each part keeps its integer
     lift with that scale.  Either way the parts' linearization counts must
     add up to e(P).
+
+    The parts come out sorted by sublattice.  Walked parts are sorted here.
+    Fine parts need no sort: `linear_extension_indices` lists linearizations
+    depth first, the smallest index first, and lattice positions sort by
+    (size, mask).  Two linearizations listed in that order that first
+    differ at their k-th element share the ideal M of the k - 1 elements
+    before it, so their chains agree up to M; then they place p and q with
+    p < q.  M|p and M|q both have |M| + 1 elements and M|p has the smaller
+    mask, so it has the smaller position, and the chains compare in the
+    order the linearizations were listed.
     """
     values = as_weight(structure, w)
     ints, scale = integer_weight(values)
@@ -388,15 +421,17 @@ def subdivide(structure, w):
         )
     vertex_bits = [mask_bits(top) for top in structure.weak_maxima]
     linearizations = lat.maximal_chain_count()
+    elements = structure.poset.elements
     if not pos.tight and len(pos.violated) in (0, pairs):
-        found = triangulation_parts(structure, ints, vertex_bits)
+        parts = [Part(chain, lift, scale, 1, elements, ext)
+                 for chain, ext, lift in triangulation_parts(structure, ints, vertex_bits)]
     else:
-        found = walk_parts(structure, ints, vertex_bits, linearizations)
-    parts = sorted(
-        (Part(sub, order, covers, lift, scale, count)
-         for sub, order, covers, lift, count in found),
-        key=lambda p: p.sublattice,
-    )
+        parts = sorted(
+            (Part(members, lift, scale, count, elements, order=order, covers=covers)
+             for members, order, covers, lift, count
+             in walk_parts(structure, ints, vertex_bits, linearizations)),
+            key=lambda p: p.sublattice,
+        )
     if sum(p.linearization_count for p in parts) != linearizations:
         raise InternalClosureFailure("parts do not account for every linearization")
     return Subdivision(structure, values, parts)

@@ -233,8 +233,8 @@ class MarkedPart(Part):
     the lattice points and the structure of its marked section."""
 
     def __init__(self, part, structure, restricted_affine, points):
-        super().__init__(part.sublattice, part.order, part.covers, part.lift, part.scale,
-                         part.linearization_count)
+        super().__init__(part.sublattice, part.lift, part.scale, part.linearization_count,
+                         part.elements, part.linearization, part.order, part.covers)
         self.structure = structure
         self.restricted_affine = restricted_affine
         self.points = tuple(sorted(points))

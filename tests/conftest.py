@@ -13,6 +13,7 @@ from itertools import permutations, product
 import pytest
 
 from posetdegen.degeneration import (
+    Part,
     WeightVector,
     as_weight,
     canonical_interior_weight,
@@ -316,6 +317,41 @@ def naive_subdivide_report(structure, values):
     `naive_subdivide_dict` through `json.dumps`."""
     report = naive_subdivide_dict(structure, values)
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def eager_chain_part(part):
+    """A part that carries its linearization, rebuilt as the interior path
+    built every part before orders were made on demand: the chain's Poset,
+    above[p] the elements after p, and its consecutive pairs, sorted, with
+    no linearization left to read."""
+    ext = part.linearization
+    n = len(part.elements)
+    full = (1 << n) - 1
+    above = [0] * n
+    mask = 0
+    for p in ext:
+        mask |= 1 << p
+        above[p] = full ^ mask
+    return Part(part.sublattice, part.lift, part.scale, part.linearization_count,
+                part.elements, order=Poset(part.elements, above),
+                covers=sorted(zip(ext, ext[1:])))
+
+
+def eager_subdivide(subdivide):
+    """`subdivide` with each part that carries its linearization replaced by
+    `eager_chain_part`; returns the wrapper and the list of the parts it
+    replaced."""
+    replaced = []
+
+    def run(structure, w):
+        sub = subdivide(structure, w)
+        fine = [p for p in sub.parts if p.linearization is not None]
+        replaced.extend(fine)
+        sub.parts = tuple(p if p.linearization is None else eager_chain_part(p)
+                          for p in sub.parts)
+        return sub
+
+    return run, replaced
 
 
 def naive_covers(poset):

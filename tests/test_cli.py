@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -27,6 +29,7 @@ from posetdegen.posets import (
 )
 
 from conftest import (
+    eager_subdivide,
     naive_subdivide_dict,
     naive_subdivide_report,
     nth_finite_difference,
@@ -150,6 +153,18 @@ def test_part_report_reads_the_carried_covers(monkeypatch):
     assert part["added_covers"] == []
 
 
+def test_part_report_of_an_interior_subdivision_builds_no_order():
+    s = order_structure(build_poset(
+        ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]))
+    sub = degeneration.subdivide(s, degeneration.canonical_interior_weight(s))
+    chunks = cli.parts_json(cli.PartsReport(s, sub.parts, [(5, 5)] * 2))
+    assert all(vars(part).keys().isdisjoint({"order", "covers"}) for part in sub.parts)
+    parts = json.loads("".join(chunks))["parts"]
+    assert [part["order_covers"] for part in parts] == [
+        [["a", "b"], ["b", "c"], ["c", "d"]], [["a", "c"], ["b", "d"], ["c", "b"]]]
+    assert [part["added_covers"] for part in parts] == [[["b", "c"]], [["c", "b"]]]
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
@@ -244,6 +259,58 @@ def test_subdivide_report_bytes_match_the_old_report_path(tmp_path, capsysbinary
         assert out.read_bytes() == expected
         assert main(["subdivide", poset, "--weights", weights]) == 0
         assert capsysbinary.readouterr() == (expected, b"")
+
+
+@pytest.mark.parametrize("elements, digest", [([], "5382e9ca8f04ced3"), (["a"], "85af73bf4120df30")],
+                         ids=["empty", "one"])
+def test_subdivide_of_the_smallest_posets_keeps_its_bytes(tmp_path, capsysbinary, elements,
+                                                           digest):
+    # one part with the empty linearization, or a linearization of one
+    # element: no covers; the digests are those of the reports written when
+    # every part was built with its order
+    poset = write(tmp_path, "p.json", {"elements": elements})
+    weights = write(tmp_path, "w.json", {"weights": {}})
+    assert main(["subdivide", poset, "--weights", weights, "--default-zero"]) == 0
+    out, err = capsysbinary.readouterr()
+    assert err == b"" and hashlib.sha256(out).hexdigest()[:16] == digest
+
+
+def test_interior_components_and_flag_degenerations_keep_their_bytes(
+        tmp_path, capsysbinary, monkeypatch):
+    # the reports read each part's order or covers; each is run once as it
+    # is and once with every linearization part rebuilt as an eager one
+    grid = build_poset(["a", "b", "c", "d", "e", "f"],
+                       [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f"),
+                        ("a", "d"), ("b", "e"), ("c", "f")])
+    runs = []
+    for structure in (order_structure(grid), chain_structure(grid)):
+        poset = structure_file(tmp_path, structure)
+        values = degeneration.canonical_interior_weight(structure).values
+        for signed in (values, [-v for v in values]):
+            weights = write(tmp_path, f"w{len(runs)}.json", {"weights": {
+                k: str(v) for k, v in zip(cli.structure_keys(structure), signed)}})
+            runs.append(["components", poset, "--weights", weights])
+    for mode in ("gt", "fflv"):
+        flag = build_flag_poset(4, (0, 1, 3, 4))
+        std = marked.standardize(flag.structure(mode))
+        canonical = degeneration.canonical_interior_weight(std.quotient).values
+        keys = cli.jlambda_keys(flag.structure(mode))[1]
+        weights = write(tmp_path, f"w{len(runs)}.json", {"weights": {
+            k: str(canonical[q]) for k, q in zip(keys, std.lattice_map)}})
+        runs.append(["flag", "--n", "4", "--dims", "0,1,3,4", "--mode", mode,
+                     "--action", "degenerate", "--weights", weights])
+    reports = []
+    for argv in runs:
+        assert main(argv) == 0
+        reports.append(capsysbinary.readouterr())
+    eager, replaced = eager_subdivide(degeneration.subdivide)
+    monkeypatch.setattr(degeneration, "subdivide", eager)
+    monkeypatch.setattr(marked, "subdivide", eager)
+    for argv, report in zip(runs, reports):
+        before = len(replaced)
+        assert main(argv) == 0
+        assert capsysbinary.readouterr() == report
+        assert len(replaced) > before  # the weight was interior
 
 
 @pytest.mark.parametrize("payload", [SQUARE, DIAMOND_MARKED], ids=["unmarked", "marked"])
@@ -370,6 +437,29 @@ def test_weights_missing_key_is_parse_error(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["position"] == "outside"
+
+
+DUPLICATE_KEYS = {
+    "weights": ("w.json", '{"weights": {"": "0", "a": "1", "a": "5", "b": "1", "a,b": "3"}}',
+                "a"),
+    "marking": ("p.json", '{"elements": ["bot", "top"], "covers": [["bot", "top"]],'
+                ' "marked": {"bot": 1, "top": 0, "top": 1}}', "top"),
+    "elements": ("p.json", '{"elements": ["a", "b"], "elements": ["a"]}', "elements"),
+}
+
+
+@pytest.mark.parametrize("name, text, key", DUPLICATE_KEYS.values(), ids=DUPLICATE_KEYS)
+def test_duplicate_keys_are_one_parse_error_line(tmp_path, capsys, name, text, key):
+    # json.load keeps the last value of a repeated key; a file is refused
+    # instead, whichever object repeats it
+    poset = write(tmp_path, "p.json", SQUARE)
+    weights = write(tmp_path, "w.json", {"weights": {}})
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["subdivide", poset, "--weights", weights, "--default-zero"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {path}: duplicate key {key!r}\n"
 
 
 @pytest.mark.parametrize("a", ["0.10000000000000000001", '"0.10000000000000000001"'],
@@ -772,6 +862,90 @@ def test_unwritable_out_is_one_parse_error_line(tmp_path, capsys, target):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+FILE_SIZE_LIMIT = """
+import resource, signal, sys
+from posetdegen.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
+def test_failed_out_write_keeps_the_previous_report(tmp_path):
+    # a process that may write no file beyond 4,096 bytes: the longer report
+    # fails with "File too large", and the old report stays
+    target = tmp_path / "prev.json"
+    target.write_bytes(b'{"old": true}\n')
+    target.chmod(0o640)
+    argv = ["--out", str(target), "polytope", "--kind", "gt", "--n", "4", "--dims", "0,1,2,3,4"]
+    proc = subprocess.run([sys.executable, "-c", FILE_SIZE_LIMIT] + argv, capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == f"parse error: cannot write {target}: [Errno 27] File too large\n"
+    assert target.read_bytes() == b'{"old": true}\n'
+    assert os.listdir(tmp_path) == ["prev.json"]
+    # without the limit the report replaces the old one and keeps its mode
+    assert main(argv) == 0
+    assert len(target.read_bytes()) > 4096
+    assert json.loads(target.read_bytes())["kind"] == "gt"
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["prev.json"]
+
+
+def test_out_through_a_link_replaces_the_file_it_names(tmp_path, capsys):
+    poset = write(tmp_path, "p.json", SQUARE)
+    target = tmp_path / "report.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["--out", str(link), "ideals", poset]) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["ideals"] == ["", "a", "b", "a,b"]
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "p.json", "report.json"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_out_is_refused_not_replaced(tmp_path, capsys):
+    poset = write(tmp_path, "p.json", SQUARE)
+    target = tmp_path / "report.json"
+    target.write_text("old")
+    target.chmod(0o444)
+    assert main(["--out", str(target), "ideals", poset]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"parse error: cannot write {target}: [Errno 13] Permission denied: '{target}'\n"
+    assert target.read_text() == "old" and target.stat().st_mode & 0o777 == 0o444
+    assert sorted(os.listdir(tmp_path)) == ["p.json", "report.json"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write in a read-only directory")
+def test_writable_out_in_a_read_only_directory_is_written(tmp_path, capsys):
+    # no new file can be made beside it, so the file is written directly
+    poset = write(tmp_path, "p.json", SQUARE)
+    folder = tmp_path / "ro"
+    folder.mkdir()
+    target = folder / "report.json"
+    target.write_text("old")
+    folder.chmod(0o555)
+    try:
+        assert main(["--out", str(target), "ideals", poset]) == 0
+        assert json.loads(target.read_text())["ideals"] == ["", "a", "b", "a,b"]
+        assert os.listdir(folder) == ["report.json"]
+    finally:
+        folder.chmod(0o755)
+
+
+def test_out_name_too_long_to_extend_is_written(tmp_path, capsys):
+    # a name that fits where the new file's longer name beside it does not
+    poset = write(tmp_path, "p.json", SQUARE)
+    target = tmp_path / ("r" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 5))
+    target.write_text("old")
+    assert main(["--out", str(target), "ideals", poset]) == 0
+    assert json.loads(target.read_text())["ideals"] == ["", "a", "b", "a,b"]
+    assert sorted(os.listdir(tmp_path)) == ["p.json", target.name]
+
+
 def test_roundtrip_poset_file(tmp_path, capsys):
     # emitting the validated structure and re-parsing it is the identity
     poset = write(tmp_path, "p.json", DIAMOND_MARKED)
@@ -929,7 +1103,8 @@ LONE_DASHES = {
 
 @pytest.mark.parametrize("argv", LONE_DASHES.values(), ids=LONE_DASHES)
 def test_option_valued_two_dashes_is_one_parse_error_line(tmp_path, capsys, argv):
-    # argparse drops the value of "--opt=--" and stores [] for the option
+    # argparse 3.11 drops the value of "--opt=--" and stores [] for the
+    # option, 3.13 stores "--"; either way it is refused
     poset = write(tmp_path, "p.json", DIAMOND_MARKED)
     assert main([arg.format(poset=poset) for arg in argv]) == 4
     captured = capsys.readouterr()

@@ -27,6 +27,7 @@ from posetdegen.posets import (
 )
 
 from conftest import (
+    eager_chain_part,
     minimal_cone_shift,
     naive_cone_position,
     naive_covers,
@@ -291,6 +292,31 @@ def test_subdivide_matches_grouping_oracle():
             for signed in (w, [-v for v in w]):
                 assert cone_position(s, signed).tight == ()
                 assert len(check(s, signed).parts) == len(linear_extension_indices(s.poset))
+
+
+def test_linearization_parts_match_the_eager_build():
+    # interior weights and their negations: one part per linearization, in
+    # the order linear_extension_indices lists them, which is sublattice
+    # order with no sort; the order and covers built on demand equal the
+    # chain Poset and sorted consecutive pairs built for every part before
+    rng = random.Random(23)
+    structures = [s for poset in small_poset_corpus(4) for s in valid_weak_structures(poset)]
+    structures += prefix_sharing_structures(rng, 6)
+    for s in structures:
+        exts = linear_extension_indices(s.poset)
+        canonical = list(canonical_interior_weight(s).values)
+        for w in (canonical, interior_perturbation(s, rng)):
+            for signed in (w, [-v for v in w]):
+                sub = subdivide(s, signed)
+                assert [p.linearization for p in sub.parts] == exts
+                sublattices = [p.sublattice for p in sub.parts]
+                assert sublattices == sorted(sublattices)
+                for part in sub.parts:
+                    assert "order" not in vars(part) and "covers" not in vars(part)
+                    old = eager_chain_part(part)
+                    assert part.order == old.order
+                    assert part.covers == old.covers
+                    assert part.added_covers(s.poset) == old.added_covers(s.poset)
 
 
 def test_cone_position_matches_fraction_oracle():
