@@ -172,14 +172,13 @@ def parse_weights_file(path, keys, default_zero=False):
 
 
 def structure_keys(structure):
-    lat = structure.lattice
-    return [lat.label_key(i) for i in range(len(lat))]
+    return list(structure.lattice.keys)
 
 
 def jlambda_keys(structure):
     std = marked.standardize(structure)
-    lat = structure.lattice
-    return std, [lat.label_key(i) for i in std.jlambda]
+    keys = structure.lattice.keys
+    return std, [keys[i] for i in std.jlambda]
 
 
 def hasse_lines(elements, covers, indent="  "):
@@ -349,7 +348,7 @@ def parts_json(report):
     label_rank = [0] * poset.n
     for r, i in enumerate(sorted(range(poset.n), key=poset.elements.__getitem__)):
         label_rank[i] = r
-    keyed = sorted((lat.label_key(pos), pos) for pos in range(len(lat)))
+    keyed = sorted(zip(lat.keys, range(len(lat))))
     key_texts = [",\n        " + encode_basestring_ascii(key) for key, _ in keyed]
     key_rank = [0] * len(keyed)
     for r, (_, pos) in enumerate(keyed):
@@ -496,7 +495,7 @@ def cmd_validate(args):
     report = {
         "valid": True,
         "elements": list(structure.poset.elements),
-        "ideal_count": len(structure.lattice),
+        "ideal_count": structure.ideal_count,
         "marked": sorted(
             structure.poset.elements[i] for i in mask_bits(structure.marked)
         ),
@@ -544,11 +543,10 @@ def cmd_polytope(args):
             "vertices": point_list(poly.vertices),
         }
     poly = polytopes.build_polytope(structure, args.kind)
-    lat = poly.structure.lattice
     return {
         "kind": args.kind,
         "vertices": point_list(poly.vertices),
-        "vertex_keys": [lat.label_key(i) for i in range(len(lat))],
+        "vertex_keys": list(poly.structure.lattice.keys),
     }
 
 

@@ -25,7 +25,8 @@ from functools import cached_property
 from math import lcm
 
 from .errors import InternalClosureFailure, KindMismatch, OutsideCone
-from .lattice import IdealLattice, star, star_closure_failure, sublattice_to_order
+from .lattice import (IdealLattice, pair_stars, star_closure_failure, star_error,
+                      sublattice_to_order)
 from .posets import Poset, linear_extension_indices, mask_bits
 
 
@@ -72,30 +73,31 @@ class IdealPresentation:
 
 
 def ideal_presentation(structure, kind):
-    """One generator per unordered incomparable pair of ideals."""
+    """One generator per unordered incomparable pair of ideals, in the order
+    of `pair_stars`, whose one pass gives each pair's union and star; the
+    hibi kind pairs the union with the meet instead."""
     if kind not in IdealPresentation.KINDS:
         raise KindMismatch(f"unknown presentation kind {kind!r}")
-    lat = structure.lattice
     if kind == "hibili" and structure.weak_above != structure.poset.above:
         raise KindMismatch("hibili presentation requires <' = <")
-    gens = []
-    for a, b in lat.incomparable_pairs:
-        union = lat.position[lat.masks[a] | lat.masks[b]]
-        if kind == "monomial":
-            gens.append(((a, b), None))
-        elif kind == "hibi":
-            meet = lat.position[lat.masks[a] & lat.masks[b]]
-            gens.append(((a, b), (union, meet)))
-        else:  # hibili (with <' = <) and relative both use the structure's star
-            gens.append(((a, b), (union, star(a, b, structure))))
+    pairs = pair_stars(structure)
+    if kind == "monomial":
+        gens = [((a, b), None) for a, b, _, _ in pairs]
+    elif kind == "hibi":
+        masks, position = structure.lattice.masks, structure.lattice.position
+        gens = [((a, b), (union, position[masks[a] & masks[b]]))
+                for a, b, union, _ in pairs]
+    else:  # hibili (with <' = <) and relative both use the structure's star
+        gens = [((a, b), (union, s)) for a, b, union, s in pairs]
     return IdealPresentation(kind, gens)
 
 
 class ConePosition:
-    def __init__(self, position, violated, tight):
+    def __init__(self, position, violated, tight, pairs):
         self.position = position  # 'interior' | 'boundary' | 'outside'
         self.violated = tuple(violated)
         self.tight = tuple(tight)
+        self.pairs = pairs  # the number of incomparable pairs, one inequality each
 
     def __repr__(self):
         return f"ConePosition({self.position}, violated={self.violated}, tight={self.tight})"
@@ -109,27 +111,26 @@ def integer_weight(values):
 
 
 def cone_position(structure, w):
-    """Evaluate w against the defining inequalities of the distinguished cone.
+    """Evaluate w against the defining inequalities of the distinguished cone,
+    one per incomparable pair, in one pass of `pair_stars`.
 
     The slacks are compared in integers: w is scaled once by
     `integer_weight`, whose scale is positive, so no slack changes sign."""
     values, _ = integer_weight(as_weight(structure, w))
-    lat = structure.lattice
-    position, masks = lat.position, lat.masks
     violated = []
     tight = []
-    for a, b in lat.incomparable_pairs:
-        slack = (values[position[masks[a] | masks[b]]] + values[star(a, b, structure)]
-                 - values[a] - values[b])
+    pairs = 0
+    for pairs, (a, b, union, s) in enumerate(pair_stars(structure), 1):
+        slack = values[union] + values[s] - values[a] - values[b]
         if slack < 0:
             violated.append((a, b))
         elif slack == 0:
             tight.append((a, b))
     if violated:
-        return ConePosition("outside", violated, tight)
+        return ConePosition("outside", violated, tight, pairs)
     if tight:
-        return ConePosition("boundary", (), tight)
-    return ConePosition("interior", (), ())
+        return ConePosition("boundary", (), tight, pairs)
+    return ConePosition("interior", (), (), pairs)
 
 
 def canonical_interior_weight(structure):
@@ -366,8 +367,7 @@ def walk_parts(structure, values, vertex_bits, linearizations):
         part_lattice = IdealLattice(order, member_masks)
         failure = star_closure_failure(structure.with_order(order, part_lattice))
         if failure is not None:
-            x, y = (part_lattice.label_key(pos) for pos in failure)
-            raise InternalClosureFailure(f"star of {x!r} and {y!r} left the lattice")
+            raise star_error(part_lattice, *failure)
         covers = order.covers()
         parts.append((tuple(members), order, covers, affine,
                       part_lattice.maximal_chain_count()))
@@ -414,7 +414,7 @@ def subdivide(structure, w):
     ints, scale = integer_weight(values)
     pos = cone_position(structure, ints)
     lat = structure.lattice
-    pairs = len(lat.incomparable_pairs)
+    pairs = pos.pairs
     if pos.position == "outside" and len(pos.violated) + len(pos.tight) < pairs:
         raise OutsideCone(
             [(lat.label_key(a), lat.label_key(b)) for a, b in pos.violated]

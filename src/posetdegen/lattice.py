@@ -31,14 +31,14 @@ class IdealLattice:
         return ",".join(labels)
 
     @cached_property
-    def incomparable_pairs(self):
-        out = []
-        for a in range(len(self.masks)):
-            for b in range(a + 1, len(self.masks)):
-                m1, m2 = self.masks[a], self.masks[b]
-                if m1 & ~m2 and m2 & ~m1:
-                    out.append((a, b))
-        return out
+    def keys(self):
+        """`label_key` of every position, in lattice order: each mask is
+        read once through the element bits taken in label order."""
+        labels = self.poset.elements
+        ranked = [(1 << i, labels[i]) for i in sorted(range(self.poset.n),
+                                                      key=labels.__getitem__)]
+        return tuple([",".join([label for bit, label in ranked if mask & bit])
+                      for mask in self.masks])
 
     @cached_property
     def zeta_steps(self):
@@ -106,20 +106,34 @@ class IdealLattice:
 
 
 def enumerate_ideals(poset):
-    """All order ideals of (P,<), complete and duplicate-free."""
-    seen = {0}
-    queue = [0]
+    """All order ideals of (P,<), sorted by size, then by mask.
+
+    Listed level by level: a level maps each ideal of one size to its
+    addable elements, the minimal ones outside it.  Adding i keeps the
+    others addable and can newly make addable only upper covers of i, so a
+    child's addable mask is built from its parent's, once per child.  The
+    ideals of a level all have the same size, so a plain int sort orders it.
+    """
     below = poset.below
-    n = poset.n
-    while queue:
-        cur = queue.pop()
-        for i in range(n):
-            if not cur >> i & 1 and below[i] & ~cur == 0:
-                nxt = cur | 1 << i
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    masks = sorted(seen, key=lambda m: (bin(m).count("1"), m))
+    upper_covers = [[(1 << j, below[j]) for j in mask_bits(row)] for row in poset.upper_covers]
+    masks = [0]
+    level = {0: poset.minimals}
+    while level:
+        nxt = {}
+        for ideal, addable in level.items():
+            rest = addable
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                child = ideal | bit
+                if child not in nxt:
+                    grown = addable ^ bit
+                    for up, need in upper_covers[bit.bit_length() - 1]:
+                        if need & ~child == 0:
+                            grown |= up
+                    nxt[child] = grown
+        level = nxt
+        masks += sorted(nxt)
     return IdealLattice(poset, masks)
 
 
@@ -131,9 +145,50 @@ def star(pos1, pos2, structure):
     try:
         return lat.position[structure.weak_down_closure(gens)]
     except KeyError:
-        raise InternalClosureFailure(
-            f"star of {lat.label_key(pos1)!r} and {lat.label_key(pos2)!r} left the lattice"
-        ) from None
+        raise star_error(lat, pos1, pos2) from None
+
+
+def star_error(lat, pos1, pos2):
+    """The one-line error for a star of two positions that left the lattice."""
+    return InternalClosureFailure(
+        f"star of {lat.label_key(pos1)!r} and {lat.label_key(pos2)!r} left the lattice"
+    )
+
+
+def pair_stars(structure):
+    """(a, b, J1 ∪ J2, J1 * J2) in lattice positions for every incomparable
+    pair of ideals J1, J2 at positions a < b, a first, then b.
+
+    The masks sort by size, so the mask at b is not inside the one at a:
+    the pair is incomparable exactly when J1 is not inside J2.  For trivial
+    <' the star is J1 ∩ J2; otherwise it is the <'-down-closure of gens =
+    J1 ∩ J2 ∩ (max' J1 ∪ max' J2), closed once for each distinct gens.  A
+    star that leaves the lattice raises, as in `star`.
+    """
+    lat = structure.lattice
+    masks, position = lat.masks, lat.position
+    size = len(masks)
+    if not any(structure.weak_above):
+        for a, m1 in enumerate(masks):
+            for b in range(a + 1, size):
+                m2 = masks[b]
+                if m1 & ~m2:
+                    yield a, b, position[m1 | m2], position[m1 & m2]
+        return
+    tops = structure.weak_maxima
+    stars = {}
+    for a, m1 in enumerate(masks):
+        x1 = tops[a]
+        for b in range(a + 1, size):
+            m2 = masks[b]
+            if m1 & ~m2:
+                gens = m1 & m2 & (x1 | tops[b])
+                s = stars.get(gens)
+                if s is None:
+                    s = stars[gens] = position.get(structure.weak_down_closure(gens))
+                    if s is None:
+                        raise star_error(lat, a, b)
+                yield a, b, position[m1 | m2], s
 
 
 def star_closure_failure(structure):
@@ -145,8 +200,10 @@ def star_closure_failure(structure):
     <-ideal) and < a chain (n(n-1)/2 relations; no incomparable pair).
     Otherwise the cheaper of two exact pair counts decides: the n·C(n, 2)
     pairs of `two_generated_star_failure`, whose passing proves closure,
-    against the |J|(|J|-1)/2 pairs of `first_star_failure`.  A failure is
-    always named by the scan, so it names the same pair either way.
+    against the |J|(|J|-1)/2 pairs of `first_star_failure`.  |J| is
+    `RelativeStructure.ideal_count`, which lists no ideal of a disconnected
+    poset, so a passing two-generated check leaves J(P) unlisted.  A failure
+    is always named by the scan, so it names the same pair either way.
     """
     weak = structure.weak_above
     above = structure.poset.above
@@ -155,7 +212,7 @@ def star_closure_failure(structure):
     n = structure.poset.n
     if sum(bin(row).count("1") for row in above) == n * (n - 1) // 2:
         return None  # < is a chain, so its ideals are all comparable
-    size = len(structure.lattice)
+    size = structure.ideal_count
     if n * n * (n - 1) // 2 < size * (size - 1) // 2:
         if two_generated_star_failure(structure) is None:
             return None

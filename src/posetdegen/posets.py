@@ -74,17 +74,25 @@ class Poset:
     def maximals(self):
         return sum(1 << i for i in range(self.n) if self.above[i] == 0)
 
-    def covers(self):
-        """Cover pairs (i, j) with i < j and nothing strictly between: the
-        j of row i are above[i] minus everything above an element of it."""
+    @cached_property
+    def upper_covers(self):
+        """For each element i, the mask of the j with i < j and nothing
+        strictly between: above[i] minus everything above an element of it."""
         above = self.above
         out = []
-        for i, row in enumerate(above):
+        for row in above:
             reach = 0
-            for k in mask_bits(row):
-                reach |= above[k]
-            out.extend((i, j) for j in mask_bits(row & ~reach))
-        return out
+            rest = row
+            while rest:
+                low = rest & -rest
+                reach |= above[low.bit_length() - 1]
+                rest ^= low
+            out.append(row & ~reach)
+        return tuple(out)
+
+    def covers(self):
+        """Cover pairs (i, j): i < j with nothing strictly between, by i, then j."""
+        return [(i, j) for i, row in enumerate(self.upper_covers) for j in mask_bits(row)]
 
     def cover_labels(self):
         return [(self.elements[i], self.elements[j]) for i, j in self.covers()]
@@ -198,9 +206,7 @@ def linear_extension_indices(poset):
     """
     n = poset.n
     below = poset.below
-    upper_covers = [[] for _ in range(n)]
-    for i, j in poset.covers():
-        upper_covers[i].append(j)
+    upper_covers = [mask_bits(row) for row in poset.upper_covers]
     out = []
     current = []
     placed = 0
@@ -257,6 +263,47 @@ class RelativeStructure:
         from .lattice import enumerate_ideals
 
         return enumerate_ideals(self.poset)
+
+    @cached_property
+    def ideal_count(self):
+        """|J(P,<)|, without listing J(P) when P is disconnected.
+
+        J(P ⊔ Q) is J(P) × J(Q), so the count is the product over the
+        components of the comparability graph: a chain of k elements counts
+        k + 1, any other component the ideals listed on its own.  A lattice
+        already built, or a connected P, gives `len(lattice)`, and the
+        connected case keeps the lattice it lists."""
+        if "lattice" in self.__dict__:
+            return len(self.lattice)
+        from .lattice import enumerate_ideals
+
+        poset = self.poset
+        linked = [a | b for a, b in zip(poset.above, poset.below)]
+        components = []
+        left = poset.full
+        while left:
+            component = frontier = left & -left
+            while frontier:
+                reach = 0
+                for i in mask_bits(frontier):
+                    reach |= linked[i]
+                frontier = reach & ~component
+                component |= frontier
+            left ^= component
+            components.append(mask_bits(component))
+        if len(components) < 2:
+            return len(self.lattice)
+        count = 1
+        for members in components:
+            k = len(members)
+            if sum(bin(linked[i]).count("1") for i in members) == k * (k - 1):
+                count *= k + 1
+            else:
+                index = {i: r for r, i in enumerate(members)}
+                above = [sum(1 << index[j] for j in mask_bits(poset.above[i]))
+                         for i in members]
+                count *= len(enumerate_ideals(Poset(members, above)))
+        return count
 
     def weak_down_closure(self, mask):
         out = mask

@@ -40,6 +40,19 @@ from posetdegen.linalg import solve
 from posetdegen.polytopes import indicator, unpack
 
 
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def naive_mask_bits(mask):
     """Shift-loop oracle for `mask_bits`: one step per bit up to the highest."""
     out = []
@@ -144,11 +157,40 @@ def linear_extensions(poset):
     return [tuple(poset.elements[i] for i in ext) for ext in linear_extension_indices(poset)]
 
 
+def naive_enumerate_ideals(poset):
+    """DFS oracle for `enumerate_ideals`: every ideal reached by adding one
+    element whose lower set is inside, sorted by (size, mask)."""
+    seen = {0}
+    queue = [0]
+    below = poset.below
+    while queue:
+        cur = queue.pop()
+        for i in range(poset.n):
+            if not cur >> i & 1 and below[i] & ~cur == 0:
+                nxt = cur | 1 << i
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return tuple(sorted(seen, key=lambda m: (bin(m).count("1"), m)))
+
+
+def incomparable_pairs(lat):
+    """Oracle for the scan order of `pair_stars`: every pair (a, b) of
+    lattice positions, a < b, whose ideals are incomparable."""
+    out = []
+    for a in range(len(lat.masks)):
+        for b in range(a + 1, len(lat.masks)):
+            m1, m2 = lat.masks[a], lat.masks[b]
+            if m1 & ~m2 and m2 & ~m1:
+                out.append((a, b))
+    return out
+
+
 def naive_star_closure_failure(structure):
     """Pairwise oracle: the first incomparable pair of lattice positions whose
     star is not an ideal, or None."""
     lat = structure.lattice
-    for a, b in lat.incomparable_pairs:
+    for a, b in incomparable_pairs(lat):
         if star_mask(lat.masks[a], lat.masks[b], structure) not in lat.position:
             return a, b
     return None
@@ -604,7 +646,7 @@ def minimal_cone_shift(structure, values):
     lat = structure.lattice
     canonical = as_weight(structure, canonical_interior_weight(structure))
     t = 0
-    for a, b in lat.incomparable_pairs:
+    for a, b in incomparable_pairs(lat):
         union = lat.position[lat.masks[a] | lat.masks[b]]
         s = star(a, b, structure)
         slack_w = values[a] + values[b] - values[union] - values[s]
@@ -622,7 +664,7 @@ def naive_cone_position(structure, values):
     lat = structure.lattice
     values = as_weight(structure, values)
     violated, tight = [], []
-    for a, b in lat.incomparable_pairs:
+    for a, b in incomparable_pairs(lat):
         union = lat.position[lat.masks[a] | lat.masks[b]]
         slack = values[union] + values[star(a, b, structure)] - values[a] - values[b]
         if slack < 0:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from posetdegen import build_flag_poset, cli, degeneration, errors, marked, polytopes
+from posetdegen import lattice as lattice_module
 from posetdegen.cli import main
 from posetdegen.errors import TheoremViolation
 from posetdegen.lattice import sublattice_to_order
@@ -29,7 +30,9 @@ from posetdegen.posets import (
 )
 
 from conftest import (
+    counted,
     eager_subdivide,
+    incomparable_pairs,
     naive_subdivide_dict,
     naive_subdivide_report,
     nth_finite_difference,
@@ -165,7 +168,7 @@ def test_part_report_of_an_interior_subdivision_builds_no_order():
     assert [part["added_covers"] for part in parts] == [[["b", "c"]], [["c", "b"]]]
 
 
-JSON_VALUES = st.recursive(
+REPORT_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.dictionaries(st.text(), inner)),
@@ -174,7 +177,7 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=150, deadline=None)
-@given(report=JSON_VALUES)
+@given(report=REPORT_VALUES)
 @example(report={"é\x00\u2028\U0001f600": ["\x1f\"\\", "\ud800"], "": {}, "a": []})
 @example(report=[[True, 1, 0, False], [1, 2], ["x", "y"], ["x", 1], [None], (), [[]]])
 @example(report={"b": {"c": [1, {"d": (2, 3)}]}, "a": -10 ** 30})
@@ -398,19 +401,19 @@ def test_marking_strings_of_integers_are_accepted(tmp_path, capsys):
 
 
 LABELS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
-JSON_VALUES = st.recursive(
+FILE_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3) | LABELS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(LABELS, inner, max_size=3),
     max_leaves=6,
 )
 LABEL_PAIRS = st.lists(st.lists(LABELS, min_size=2, max_size=2), max_size=6)
-POSET_FILES = JSON_VALUES | st.fixed_dictionaries({}, optional={
-    "elements": st.lists(LABELS, max_size=6) | JSON_VALUES,
-    "covers": LABEL_PAIRS | JSON_VALUES,
-    "weak_covers": LABEL_PAIRS | JSON_VALUES,
+POSET_FILES = FILE_VALUES | st.fixed_dictionaries({}, optional={
+    "elements": st.lists(LABELS, max_size=6) | FILE_VALUES,
+    "covers": LABEL_PAIRS | FILE_VALUES,
+    "weak_covers": LABEL_PAIRS | FILE_VALUES,
     "marked": st.dictionaries(LABELS, st.integers(-2, 2) | st.integers(-2, 2).map(str))
-    | JSON_VALUES,
+    | FILE_VALUES,
 })
 
 
@@ -426,6 +429,20 @@ def test_validate_antichain_of_twelve(tmp_path, capsys):
     poset = write(tmp_path, "p.json", {"elements": [f"a{i}" for i in range(12)]})
     code, out = run(capsys, ["validate", poset])
     assert code == 0 and json.loads(out)["ideal_count"] == 4096
+
+
+@pytest.mark.parametrize("pairs, weak_pairs, expected", [(0, 0, 2 ** 40), (20, 10, 3 ** 20)])
+def test_validate_of_a_disconnected_poset_lists_no_ideal(tmp_path, capsys, monkeypatch,
+                                                         pairs, weak_pairs, expected):
+    # a 40-element antichain, and a 20-pair matching with <' on half the
+    # pairs: |J| is the product over the components, and no ideal is listed
+    calls = counted(monkeypatch, lattice_module, "enumerate_ideals")
+    labels = [f"a{k}" for k in range(40)]
+    covers = [[f"a{k}", f"a{k + 20}"] for k in range(pairs)]
+    payload = {"elements": labels, "covers": covers, "weak_covers": covers[:weak_pairs]}
+    code, out = run(capsys, ["validate", write(tmp_path, "p.json", payload)])
+    assert code == 0 and json.loads(out)["ideal_count"] == expected
+    assert calls == []
 
 
 def test_weights_missing_key_is_parse_error(tmp_path, capsys):
@@ -633,7 +650,7 @@ def test_components_generators_use_base_keys(tmp_path, capsys):
             meet = lat.label_key(lat.position[star_mask(m1, m2, part)])
             assert trail == [union, meet]
             leads.add(frozenset((k1, k2)))
-        assert len(leads) == len(lat.incomparable_pairs)
+        assert len(leads) == len(incomparable_pairs(lat))
         assert not set(comp["vanishing"]) & set(position)
 
 

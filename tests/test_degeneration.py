@@ -27,7 +27,9 @@ from posetdegen.posets import (
 )
 
 from conftest import (
+    counted,
     eager_chain_part,
+    incomparable_pairs,
     minimal_cone_shift,
     naive_cone_position,
     naive_covers,
@@ -94,7 +96,7 @@ def test_cone_canonical_interior_everywhere():
             w = canonical_interior_weight(s)
             pos = cone_position(s, w)
             assert pos.position in ("interior", "boundary")
-            if s.lattice.incomparable_pairs:
+            if incomparable_pairs(s.lattice):
                 assert pos.position == "interior"
 
 
@@ -142,19 +144,6 @@ def test_subdivide_outside_raises():
     with pytest.raises(OutsideCone) as info:
         subdivide(s, w)
     assert info.value.witnesses == (("a", "c"), ("a", "b,c"), ("a,b", "b,c"))
-
-
-def counted(monkeypatch, module, name):
-    """Replace module.name by a wrapper that records each call's arguments."""
-    calls = []
-    real = getattr(module, name)
-
-    def wrapper(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
 
 
 def grid33():
@@ -409,9 +398,10 @@ def test_two_sided_lift_trips_the_regularity_check(monkeypatch):
     w = [0] * len(s.lattice)
     w[key(s, ["a"])] = 5
     w[key(s, ["b"])] = -5
-    tight = s.lattice.incomparable_pairs[:1]
+    pairs = incomparable_pairs(s.lattice)
     monkeypatch.setattr(degeneration, "cone_position",
-                        lambda structure, values: ConePosition("boundary", (), tight))
+                        lambda structure, values: ConePosition("boundary", (), pairs[:1],
+                                                               len(pairs)))
     with pytest.raises(InternalClosureFailure, match="both sides"):
         subdivide(s, w)
 

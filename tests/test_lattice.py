@@ -1,21 +1,31 @@
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetdegen import (
     antichain_poset,
     build_poset,
     chain_poset,
     chain_structure,
+    cone_position,
     enumerate_ideals,
+    ideal_presentation,
     order_structure,
     star,
     sublattice_to_order,
 )
 from posetdegen import lattice as lattice_module
-from posetdegen.errors import ConditionViolated, HeightDeficient, NotASublattice
-from posetdegen.lattice import star_closure_failure, two_generated_star_failure
+from posetdegen.errors import (
+    ConditionViolated,
+    HeightDeficient,
+    InternalClosureFailure,
+    NotASublattice,
+)
+from posetdegen.lattice import pair_stars, star_closure_failure, two_generated_star_failure
 from posetdegen.posets import (
+    Poset,
     RelativeStructure,
     linear_extension_indices,
     mask_bits,
@@ -24,7 +34,11 @@ from posetdegen.posets import (
 )
 
 from conftest import (
+    counted,
+    incomparable_pairs,
+    make_poset,
     max_antichain,
+    naive_enumerate_ideals,
     naive_prescribed_multichain_count,
     naive_star_closure_failure,
     random_poset,
@@ -51,6 +65,112 @@ def test_grid_ideal_count_is_binomial():
         ("p1.3", "p2.3"), ("p1.4", "p2.4"), ("p1.5", "p2.5"),
     ]
     assert len(enumerate_ideals(build_poset(elements, covers))) == 10
+
+
+def unlatticed(poset):
+    """A structure over `poset` with trivial <' and no lattice built yet."""
+    return RelativeStructure(poset, (0,) * poset.n)
+
+
+@st.composite
+def posets(draw, max_n=9):
+    """A poset on up to `max_n` elements, indexed in a random order, so that
+    index order need not be a linear extension."""
+    n = draw(st.integers(0, max_n))
+    rank = draw(st.permutations(range(n)))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                rows[rank[i]] |= 1 << rank[j]
+    return make_poset(n, transitive_closure(rows, n))
+
+
+def test_enumerate_ideals_matches_the_dfs_oracle_on_the_corpus():
+    for poset in small_poset_corpus(5):
+        masks = naive_enumerate_ideals(poset)
+        assert enumerate_ideals(poset).masks == masks
+        assert unlatticed(poset).ideal_count == len(masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poset=posets())
+def test_enumerate_ideals_and_ideal_count_match_the_dfs_oracle(poset):
+    masks = naive_enumerate_ideals(poset)
+    assert enumerate_ideals(poset).masks == masks
+    assert unlatticed(poset).ideal_count == len(masks)
+
+
+def test_ideal_count_of_disjoint_unions_lists_no_ideal_of_the_union(monkeypatch):
+    rng = random.Random(21)
+    for _ in range(60):
+        parts = [random_poset(rng, rng.randint(1, 5), rng.choice([0.0, 0.4, 1.0]))
+                 for _ in range(rng.randint(2, 4))]
+        n = sum(part.n for part in parts)
+        place = rng.sample(range(n), n)  # each part's elements, scattered
+        rows = [0] * n
+        start = 0
+        for part in parts:
+            for i, row in enumerate(part.above):
+                rows[place[start + i]] = sum(1 << place[start + j] for j in mask_bits(row))
+            start += part.n
+        union = make_poset(n, rows)
+        expected = prod(len(enumerate_ideals(part)) for part in parts)
+        assert len(enumerate_ideals(union)) == expected
+        calls = counted(monkeypatch, lattice_module, "enumerate_ideals")
+        s = unlatticed(union)
+        assert s.ideal_count == expected
+        assert "lattice" not in vars(s)
+        assert all(poset.n < n for poset, in calls)
+        monkeypatch.undo()
+        assert s.ideal_count == len(s.lattice)
+
+
+def test_ideal_count_of_a_connected_poset_keeps_its_lattice():
+    s = unlatticed(make_poset(3, (0b110, 0, 0)))
+    assert s.ideal_count == 5
+    assert vars(s)["lattice"].masks == naive_enumerate_ideals(s.poset)
+
+
+def test_pair_stars_match_star_and_the_definition():
+    for poset in small_poset_corpus(5):
+        for s in valid_weak_structures(poset):
+            lat = s.lattice
+            rows = list(pair_stars(s))
+            assert [(a, b) for a, b, _, _ in rows] == incomparable_pairs(lat)
+            for a, b, union, st_ab in rows:
+                m1, m2 = lat.masks[a], lat.masks[b]
+                assert lat.masks[union] == m1 | m2
+                assert st_ab == star(a, b, s)
+                assert lat.masks[st_ab] == star_mask(m1, m2, s)
+
+
+def test_a_star_that_leaves_the_lattice_raises_the_one_line_error(monkeypatch):
+    grid = build_poset(["a", "b", "c", "d"],
+                       [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    s = chain_structure(grid)
+    lat = s.lattice
+    a, b = incomparable_pairs(lat)[0]
+    monkeypatch.setattr(RelativeStructure, "weak_down_closure", lambda self, mask: 1 << 3)
+    with pytest.raises(InternalClosureFailure) as single:
+        star(a, b, s)
+    message = "star of 'a,b' and 'a,c' left the lattice"
+    assert str(single.value) == message
+    for scan in (lambda: list(pair_stars(s)), lambda: cone_position(s, [0] * len(lat)),
+                 lambda: ideal_presentation(s, "relative")):
+        with pytest.raises(InternalClosureFailure) as info:
+            scan()
+        assert str(info.value) == message
+
+
+def test_keys_are_the_label_keys():
+    rng = random.Random(7)
+    names = ["a", "b10", "b2", "B", "é", "z", "ab", "a1", "a10", "a2", "x.y", "0"]
+    for _ in range(40):
+        n = rng.randint(0, len(names))
+        poset = random_poset(rng, n, rng.choice([0.0, 0.3]))
+        lat = enumerate_ideals(Poset(rng.sample(names, n), poset.above))
+        assert lat.keys == tuple(lat.label_key(i) for i in range(len(lat)))
 
 
 def test_lattice_sorted_and_closed():
@@ -104,7 +224,7 @@ def test_star_indicator_identity_exhaustive():
     for poset in small_poset_corpus(5):
         for s in valid_weak_structures(poset):
             lat = s.lattice
-            for a, b in lat.incomparable_pairs:
+            for a, b in incomparable_pairs(lat):
                 m1, m2 = lat.masks[a], lat.masks[b]
                 left = [0] * poset.n
                 for m in (s.max_weak(m1), s.max_weak(m2)):
