@@ -176,9 +176,8 @@ def structure_keys(structure):
 
 
 def jlambda_keys(structure):
-    std = marked.standardize(structure)
     keys = structure.lattice.keys
-    return std, [keys[i] for i in std.jlambda]
+    return [keys[i] for i in marked.standardize(structure).jlambda]
 
 
 def hasse_lines(elements, covers, indent="  "):
@@ -308,15 +307,13 @@ def report_json(report):
 class PartsReport:
     """The report of `subdivide`: the parts of a subdivision of `structure`
     (for a marked structure, of its standardized quotient), the (vertices,
-    lattice points) count of each, and for a marked structure the number of
-    parts dropped as lower-dimensional.  `emit_report` renders it with
+    lattice points) count of each.  `emit_report` renders it with
     `parts_json`."""
 
-    def __init__(self, structure, parts, counts, dropped=None):
+    def __init__(self, structure, parts, counts):
         self.structure = structure
         self.parts = parts
         self.counts = counts
-        self.dropped = dropped
 
 
 def joined_list(items, pad):
@@ -371,8 +368,8 @@ def parts_json(report):
         return f'{normal_sep}"{fmt_ratio(x, scale)}"'
 
     head = "{\n"
-    if report.dropped is not None:
-        head += f'  "dropped_lower_dimensional": {report.dropped},\n'
+    if structure.marked:  # no section is lower-dimensional (mrpp_subdivide)
+        head += '  "dropped_lower_dimensional": 0,\n'
     chunks = [head + '  "parts": [']
     sep = "\n"
     for part, (vertices, points) in zip(report.parts, report.counts):
@@ -545,7 +542,7 @@ def cmd_polytope(args):
     poly = polytopes.build_polytope(structure, args.kind)
     return {
         "kind": args.kind,
-        "vertices": point_list(poly.vertices),
+        "vertices": [list(v) for v in poly.vertices],
         "vertex_keys": list(poly.structure.lattice.keys),
     }
 
@@ -565,12 +562,8 @@ def cmd_ehrhart(args):
 def cmd_normality(args):
     reject_negative_dilation(args)
     structure = parse_poset_file(args.file)
-    ok, failure = polytopes.check_normality(structure, args.max_dilation)
-    report = {"normal": ok, "max_dilation": args.max_dilation}
-    if not ok:
-        report["failing_dilation"] = failure[0]
-        report["failing_point"] = list(failure[1])
-    return report
+    polytopes.check_normality(structure, args.max_dilation)
+    return {"normal": True, "max_dilation": args.max_dilation}
 
 
 def cmd_cone_check(args):
@@ -589,11 +582,11 @@ def cmd_cone_check(args):
 def cmd_subdivide(args):
     structure = parse_poset_file(args.file)
     if structure.marked:
-        std, keys = jlambda_keys(structure)
+        keys = jlambda_keys(structure)
         w = parse_weights_file(args.weights, keys, args.default_zero)
         sub = marked.mrpp_subdivide(structure, w)
         counts = [(len(part.vertices), len(part.points)) for part in sub.parts]
-        return PartsReport(sub.standardized.quotient, sub.parts, counts, sub.dropped)
+        return PartsReport(sub.standardized.quotient, sub.parts, counts)
     keys = structure_keys(structure)
     w = parse_weights_file(args.weights, keys, args.default_zero)
     sub = degeneration.subdivide(structure, w)
@@ -685,10 +678,8 @@ def cmd_flag(args):
         }
     # degenerate
     structure = data.structure(args.mode)
-    std, keys = jlambda_keys(structure)
-    w = parse_weights_file(args.weights, keys, args.default_zero)
-    report = flagmod.flag_degeneration(data, args.mode, w)
-    return {"mode": args.mode, "parts": report.parts}
+    w = parse_weights_file(args.weights, jlambda_keys(structure), args.default_zero)
+    return {"mode": args.mode, "parts": flagmod.flag_degeneration(data, args.mode, w)}
 
 
 class Parser(argparse.ArgumentParser):

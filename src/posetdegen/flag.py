@@ -293,16 +293,9 @@ def flag_polytope(flag, mode):
     return build_mrpp(flag.structure(mode))
 
 
-class DegenerationReport:
-    def __init__(self, flag, mode, subdivision, parts):
-        self.flag = flag
-        self.mode = mode
-        self.subdivision = subdivision
-        self.parts = parts  # list of dicts, ready for serialization
-
-
 def flag_degeneration(flag, mode, w):
-    """Subdivide the GT/FFLV polytope and report the components by name."""
+    """Subdivide the GT/FFLV polytope and report the components by name: a
+    list of part dicts, ready for serialization."""
     structure = flag.structure(mode)
     sub = mrpp_subdivide(structure, w)
     std = sub.standardized
@@ -326,4 +319,4 @@ def flag_degeneration(flag, mode, w):
                 "vanishing_variables": sorted(vanishing),
             }
         )
-    return DegenerationReport(flag, mode, sub, parts)
+    return parts

@@ -245,10 +245,9 @@ class MarkedPart(Part):
 
 
 class MarkedSubdivision:
-    def __init__(self, standardized, parts, dropped):
+    def __init__(self, standardized, parts):
         self.standardized = standardized
         self.parts = tuple(parts)
-        self.dropped = dropped  # big parts whose section is lower-dimensional
 
     def __len__(self):
         return len(self.parts)
@@ -271,8 +270,26 @@ def mrpp_subdivide(structure, w):
     """Subdivide the standardized MRPP under a weight over J_lambda.
 
     The non-marked relative polytope of the quotient is subdivided with the
-    transported weights; each part is intersected with the marked section and
-    kept when the section is full-dimensional.
+    transported weights, and each part is intersected with the marked
+    section.  Every section is full-dimensional; one that is not raises
+    TheoremViolation.
+
+    The proof.  A part is R(Q,<'',<<') for an order <'' extending the
+    quotient's <<, so the minimal and maximal elements of <'' are extremal
+    in << and are marked.  The standard quotient's marked elements form a
+    chain with pairwise distinct values (the last two checks of
+    `standardize`), and by dominance the values strictly decrease along it.
+    For an unmarked p let L_p be the largest lambda_b over marked b above p
+    in <'', and U_p the smallest lambda_a over marked a below p: a <'' b
+    forces a << b, so L_p < U_p.  Set x_p = (1 - t_p)*L_p + t_p*U_p with
+    t_p in (0, 1) strictly decreasing along a linear extension of <''.  For
+    a cover q <'' p the bounds give L_q >= L_p, U_q >= U_p and t_q > t_p
+    when both are unmarked, x_p < U_p <= lambda_q when only q is marked,
+    x_q > L_q >= lambda_p when only p is, and lambda_q > lambda_p when both
+    are: x_q > x_p in every case.  So the marked order polytope
+    O(Q,<'',lambda) has dimension |Q minus Q*|, and so has the
+    Ehrhart-equivalent section MRPP(Q,<'',<<',lambda).  The case <'' = <<
+    gives the same dimension for the whole MRPP.
     """
     std = standardize(structure)
     quotient = std.quotient
@@ -287,25 +304,23 @@ def mrpp_subdivide(structure, w):
     big = subdivide(quotient, wq)
 
     whole = MarkedPolytope(quotient, mrpp_points(quotient))
-    keep = []
-    dropped = 0
+    parts = []
     seen_affines = set()
     covered = set()
     for part in big.parts:
         section_structure = structure_of_part(quotient, part)
         pts = mrpp_points(section_structure)
         if marked_dimension(section_structure, pts) != whole.dimension:
-            dropped += 1
-            continue
+            raise TheoremViolation("a part meets the marked section in lower dimension")
         raff = restricted_affine(quotient, part.affine)
         if raff in seen_affines:
             raise InternalClosureFailure("two section parts share an affine lift")
         seen_affines.add(raff)
         covered.update(pts)
-        keep.append(MarkedPart(part, section_structure, raff, pts))
+        parts.append(MarkedPart(part, section_structure, raff, pts))
     if covered != set(whole.points):
         raise InternalClosureFailure("section parts do not cover the marked polytope")
-    return MarkedSubdivision(std, keep, dropped)
+    return MarkedSubdivision(std, parts)
 
 
 def _mcop_chains(poset, anchors, middle):

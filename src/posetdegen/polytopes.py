@@ -7,21 +7,21 @@ Lattice points of dilations and of marked polytopes are sums of the vectors
 (`IdealLattice.prescribed_multichain_count`) or enumerates their sums
 (`packed_multichains`).  `check_peeling` certifies once per structure that
 distinct chains give distinct points, so Ehrhart counts are counts of
-chains, with no point built, and normality compares the number of 2-fold
-sums of dilation 1 with the count of dilation 2, which settles every
-dilation (`check_normality`).  Printed points are enumerated in a packed
-integer encoding so that set arithmetic stays cheap; public functions
-decode to coordinate tuples.  A chain of k steps packs k.bit_length() bits
-per coordinate, rounded up to whole bytes, so that a code decodes with
-`int.to_bytes`.
+chains, with no point built.  Normality is a theorem (every linearization
+simplex is unimodular); `check_normality` certifies it by counting the
+2-fold sums of dilation 1 against the count of dilation 2.  Printed points
+are enumerated in a packed integer encoding so that set arithmetic stays
+cheap; public functions decode to coordinate tuples.  A chain of k steps
+packs k.bit_length() bits per coordinate, rounded up to whole bytes, so
+that a code decodes with `int.to_bytes`.
 """
 
 from itertools import combinations_with_replacement
 
-from .errors import InternalClosureFailure, InvalidStructure
+from .errors import InternalClosureFailure, InvalidStructure, TheoremViolation
 from .posets import RelativeStructure, mask_bits
 
-PACK_BITS = 8  # bits per coordinate below 256 steps; check_normality compares dilations in it
+PACK_BITS = 8  # bits per coordinate below 256 steps
 
 
 def pack_bits(steps):
@@ -65,22 +65,20 @@ def structure_for_kind(structure, kind):
 class LatticePolytope:
     """Vertex presentation of an order/chain/relative poset polytope."""
 
-    def __init__(self, structure, kind, vertices, vertex_labels):
+    def __init__(self, structure, kind, vertices):
         self.structure = structure
         self.kind = kind
-        self.vertices = tuple(vertices)
-        self.vertex_labels = tuple(vertex_labels)
+        self.vertices = tuple(vertices)  # in lattice order: vertex i is that of ideal i
 
 
 def build_polytope(structure, kind="relative"):
     """Vertices {1_{max_<' J}} over the ideal lattice, for the requested kind."""
     s = structure_for_kind(structure, kind)
     n = s.poset.n
-    lat = s.lattice
     vertices = [indicator(top, n) for top in s.weak_maxima]
     if len(set(vertices)) != len(vertices):
         raise InternalClosureFailure("vertex map J -> 1_{max' J} is not injective")
-    return LatticePolytope(s, kind, vertices, lat.masks)
+    return LatticePolytope(s, kind, vertices)
 
 
 def packed_multichains(structure, marked, reqs):
@@ -166,44 +164,36 @@ def ehrhart_values(structure, m_max):
 
 
 def check_normality(structure, k_max):
-    """Verify each dilation k <= k_max equals the k-fold Minkowski sum of
-    dilation 1, from the 2-fold sums alone.
+    """Certify that each dilation k <= k_max is the k-fold Minkowski sum of
+    dilation 1; returns True, or raises TheoremViolation.
 
-    Each point of dilation k is a chain sum, so a sum of k points of
-    dilation 1: dilation k lies inside the k-fold sums.  With `check_peeling`
-    the multichain count is the size of dilation k, so dilation 2 equals the
-    2-fold sums exactly when they are as many.
+    Normality is a theorem.  Take a linearization p_1, ..., p_n of (P,<) and
+    its chain of ideals J_k = {p_1, ..., p_k}, and write v_J = 1_{max' J}.
+    Then v_{J_k} - v_{J_{k-1}} = e_{p_k} - 1_{knocked_k}, where knocked_k
+    are the elements of max' J_{k-1} below p_k in <', all among
+    p_1, ..., p_{k-1}: in that basis order the differences are unitriangular
+    (the forward substitution of `affine_lift_on_chain`).  So every
+    linearization simplex is unimodular.  These simplices triangulate
+    R(P,<,<'): this is the canonical triangulation, whose linearization
+    count `subdivide` certifies.  A polytope with a unimodular triangulation
+    has the integer decomposition property (Bruns and Gubeladze, Polytopes,
+    Rings, and K-Theory, 2009): a lattice point of dilation k lies in k
+    times one simplex, its barycentric coordinates there are integers, so it
+    is a sum of k vertices.
 
-    That settles every k, by straightening (Hibi 1987).  Write
-    v_K = 1_{max' K} and suppose the 2-fold sums are dilation 2.  For
-    incomparable ideals I and J, v_I + v_J = v_A + v_B for a chain A ⊆ B.
-    Both sums have the support max' I ∪ max' J = max' A ∪ max' B.  By
-    `check_peeling` (down_<(max' K) = K for every ideal K) its down-closure
-    is I ∪ J; it lies in B and contains max' B, so its down-closure is also
-    B.  So B = I ∪ J, strictly larger than I and than J.  Now straighten any
-    k vertices: replace an incomparable pair {I, J} by {A, I ∪ J}, which
-    keeps the sum.  Sort the ideal sizes in decreasing order.  A replacement
-    adds the size |I ∪ J|, above |I| and |J|, and no size above it
-    (|A| <= |B|), so the sorted size vector grows strictly in lexicographic
-    order.  There are finitely many such vectors, so straightening stops, at
-    k pairwise comparable ideals: a chain.  So every k-fold sum lies in
-    dilation k, and no k > 2 needs a sum or a point.
-
-    Dilation 2 is built only when the sizes differ, to name the smallest
-    code in which the sets differ.
-
-    Returns (True, None) or (False, (2, failing_point)).
+    The certificate checked at run time: `check_peeling`, and the 2-fold
+    sums of dilation 1 counted against the multichain count of dilation 2,
+    which `check_peeling` makes the size of dilation 2.  Every chain sum is
+    a 2-fold sum, so equal counts make the sets equal.
     """
     check_peeling(structure)
     if k_max < 2:
-        return True, None
+        return True
     base = packed_dilation(structure, 1)
-    sums = {a + b for a, b in combinations_with_replacement(base, 2)}
-    if len(sums) == structure.lattice.multichain_count(2):
-        return True, None
-    diff = packed_dilation(structure, 2).symmetric_difference(sums)
-    if not diff:
-        raise InternalClosureFailure(
-            f"dilation 2 has {len(sums)} points, not its multichain count"
+    sums = len({a + b for a, b in combinations_with_replacement(base, 2)})
+    count = structure.lattice.multichain_count(2)
+    if sums != count:
+        raise TheoremViolation(
+            f"dilation 2 has {count} points but {sums} 2-fold sums of dilation 1"
         )
-    return False, (2, unpack(min(diff), structure.poset.n))
+    return True

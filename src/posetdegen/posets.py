@@ -340,10 +340,6 @@ class RelativeStructure:
             self.poset, self.__dict__.get("lattice")
         )
 
-    def key(self):
-        return (self.poset.key(), self.weak_above, self.marked,
-                tuple(sorted(self.marking.items())))
-
     def __repr__(self):
         weak = ",".join(
             f"{self.poset.elements[i]}<'{self.poset.elements[j]}"

@@ -34,7 +34,7 @@ from posetdegen.marked import (
     mcop_build,
     mrpp_subdivide,
 )
-from posetdegen import polytopes
+from posetdegen import marked, polytopes
 from posetdegen.errors import InternalClosureFailure, InvalidStructure
 from posetdegen.linalg import solve
 from posetdegen.polytopes import indicator, unpack
@@ -51,6 +51,14 @@ def counted(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def shorten_part_sections(monkeypatch, quotient):
+    """Patch marked.marked_dimension so that the marked section of every part
+    whose order is not the quotient's reads one dimension short."""
+    real = marked.marked_dimension
+    monkeypatch.setattr(marked, "marked_dimension",
+                        lambda s, points: real(s, points) - (s.poset != quotient.poset))
 
 
 def naive_mask_bits(mask):
@@ -343,7 +351,7 @@ def naive_subdivide_dict(structure, values):
                                if i not in part.sublattice])
             for part in sub.parts
         ]
-        return {"parts": parts, "dropped_lower_dimensional": sub.dropped}
+        return {"parts": parts, "dropped_lower_dimensional": 0}
     lat = structure.lattice
     parts = [
         naive_part_report(structure, part, len(part.sublattice), len(part.sublattice),

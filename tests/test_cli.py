@@ -33,10 +33,12 @@ from conftest import (
     counted,
     eager_subdivide,
     incomparable_pairs,
+    naive_mcop_recognize,
     naive_subdivide_dict,
     naive_subdivide_report,
     nth_finite_difference,
     sample_cone_weight,
+    shorten_part_sections,
     star_mask,
 )
 
@@ -88,6 +90,57 @@ def test_polytope_and_ehrhart(tmp_path, capsys):
     ]
     code, out = run(capsys, ["ehrhart", poset, "--max-dilation", "3"])
     assert json.loads(out)["ehrhart"] == {"0": 1, "1": 4, "2": 9, "3": 16}
+
+
+GRID22 = {
+    "elements": ["a", "b", "c", "d"],
+    "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]],
+}
+
+
+def strictly_below(covers):
+    """The pairs (p, q) with p < q in the order that `covers` generate."""
+    pairs = {tuple(c) for c in covers}
+    while True:
+        longer = {(p, r) for p, q in pairs for q2, r in pairs if q == q2} - pairs
+        if not longer:
+            return pairs
+        pairs |= longer
+
+
+@pytest.mark.parametrize("kind", ["order", "chain", "relative"])
+def test_polytope_vertex_i_is_that_of_vertex_key_i(tmp_path, capsys, kind):
+    # vertex i is 1_{max' J} for the ideal J that key i names
+    payload = dict(GRID22, weak_covers=[["b", "d"], ["c", "d"]])
+    poset = write(tmp_path, "p.json", payload)
+    code, out = run(capsys, ["polytope", poset, "--kind", kind])
+    assert code == 0
+    report = json.loads(out)
+    weak = strictly_below({"order": [], "chain": payload["covers"],
+                           "relative": payload["weak_covers"]}[kind])
+    assert len(report["vertices"]) == len(report["vertex_keys"]) == 6
+    for key, vertex in zip(report["vertex_keys"], report["vertices"]):
+        ideal = set(key.split(",")) if key else set()
+        assert vertex == [int(e in ideal and not any((e, f) in weak for f in ideal))
+                          for e in GRID22["elements"]]
+
+
+@pytest.mark.parametrize("kind, weak_covers, relative_weak_covers", [
+    ("order", GRID22["covers"], []),
+    ("chain", [], GRID22["covers"]),
+], ids=["order", "chain"])
+def test_polytope_kind_equals_relative_with_its_weak_order(tmp_path, capsys, kind, weak_covers,
+                                                           relative_weak_covers):
+    # --kind order (chain) re-weakens a file's <' to trivial (to <), so it
+    # prints what --kind relative prints for the file with that <'
+    reports = []
+    for argv_kind, weak in ((kind, weak_covers), ("relative", relative_weak_covers)):
+        poset = write(tmp_path, f"{argv_kind}.json", dict(GRID22, weak_covers=weak))
+        code, out = run(capsys, ["polytope", poset, "--kind", argv_kind])
+        assert code == 0
+        reports.append(json.loads(out))
+    for key in ("vertices", "vertex_keys"):
+        assert reports[0][key] == reports[1][key]
 
 
 def grid_file(rows, cols):
@@ -253,7 +306,7 @@ def test_subdivide_report_bytes_match_the_old_report_path(tmp_path, capsysbinary
     for structure, values in cases:
         poset = structure_file(tmp_path, structure)
         parsed = cli.parse_poset_file(poset)
-        keys = cli.jlambda_keys(parsed)[1] if parsed.marked else cli.structure_keys(parsed)
+        keys = cli.jlambda_keys(parsed) if parsed.marked else cli.structure_keys(parsed)
         weights = write(tmp_path, "w.json",
                         {"weights": {k: str(v) for k, v in zip(keys, values)}})
         expected = naive_subdivide_report(parsed, [Fraction(v) for v in values])
@@ -297,7 +350,7 @@ def test_interior_components_and_flag_degenerations_keep_their_bytes(
         flag = build_flag_poset(4, (0, 1, 3, 4))
         std = marked.standardize(flag.structure(mode))
         canonical = degeneration.canonical_interior_weight(std.quotient).values
-        keys = cli.jlambda_keys(flag.structure(mode))[1]
+        keys = cli.jlambda_keys(flag.structure(mode))
         weights = write(tmp_path, f"w{len(runs)}.json", {"weights": {
             k: str(canonical[q]) for k, q in zip(keys, std.lattice_map)}})
         runs.append(["flag", "--n", "4", "--dims", "0,1,3,4", "--mode", mode,
@@ -321,7 +374,7 @@ def test_subdivide_text_format_renders_the_dict_report(tmp_path, capsys, payload
     poset = write(tmp_path, "p.json", payload)
     parsed = cli.parse_poset_file(poset)
     if parsed.marked:
-        std, keys = cli.jlambda_keys(parsed)
+        std, keys = marked.standardize(parsed), cli.jlambda_keys(parsed)
         canonical = degeneration.canonical_interior_weight(std.quotient).values
         values = [canonical[q] for q in std.lattice_map]
     else:
@@ -685,6 +738,33 @@ def test_theorem_violation_exits_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: TheoremViolation:") and err.count("\n") == 1
 
 
+def test_lower_dimensional_section_exits_5(tmp_path, capsys, monkeypatch):
+    # a marked subdivide whose parts' sections read one dimension short
+    poset = write(tmp_path, "p.json", DIAMOND_MARKED)
+    parsed = cli.parse_poset_file(poset)
+    std = marked.standardize(parsed)
+    canonical = degeneration.canonical_interior_weight(std.quotient).values
+    weights = write(tmp_path, "w.json", {"weights": {
+        k: str(canonical[q]) for k, q in zip(cli.jlambda_keys(parsed), std.lattice_map)}})
+    shorten_part_sections(monkeypatch, std.quotient)
+    assert main(["subdivide", poset, "--weights", weights]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: TheoremViolation:")
+    assert err.count("\n") == 1
+
+
+def test_normality_certificate_failure_exits_5(tmp_path, capsys, monkeypatch):
+    # a dilation-2 count that the 2-fold sums do not reach
+    real = lattice_module.IdealLattice.multichain_count
+    monkeypatch.setattr(lattice_module.IdealLattice, "multichain_count",
+                        lambda self, m: real(self, m) + 1)
+    poset = write(tmp_path, "p.json", SQUARE)
+    assert main(["normality", poset, "--max-dilation", "3"]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: TheoremViolation:")
+    assert err.count("\n") == 1
+
+
 def error_classes(base=errors.PosetDegenError):
     """`base` and every subclass of it, recursively."""
     yield base
@@ -809,7 +889,7 @@ def test_normality_command(tmp_path, capsys):
     poset = write(tmp_path, "p.json", SQUARE)
     code, out = run(capsys, ["normality", poset, "--max-dilation", "3"])
     assert code == 0
-    assert json.loads(out)["normal"] is True
+    assert out == '{\n  "max_dilation": 3,\n  "normal": true\n}\n'
 
 
 def test_normality_of_the_4x4_grid_up_to_dilation_40(tmp_path, capsys):
@@ -839,6 +919,24 @@ def test_negative_max_dilation_is_a_parse_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error:") and captured.err.count("\n") == 1
+
+
+def test_mcop_recognize_reports_no_split(tmp_path, capsys):
+    # no chain/order split of e1, e2 has these three points
+    poset = write(tmp_path, "p.json", {
+        "elements": ["e0", "e1", "e2", "e3"],
+        "covers": [["e0", "e1"], ["e1", "e2"], ["e2", "e3"]],
+        "weak_covers": [["e1", "e3"]],
+        "marked": {"e0": 2, "e3": 1},
+    })
+    code, out = run(capsys, ["polytope", poset, "--kind", "mrpp"])
+    assert code == 0
+    assert json.loads(out)["lattice_points"] == [[2, 0, 1, 1], [2, 1, 1, 1], [2, 1, 2, 1]]
+    code, out = run(capsys, ["mcop-recognize", poset])
+    assert code == 0
+    assert json.loads(out) == {"found": False}
+    structure = cli.parse_poset_file(poset)
+    assert naive_mcop_recognize(structure, marked.build_mrpp(structure)) is None
 
 
 def test_mcop_polytope_command(tmp_path, capsys):

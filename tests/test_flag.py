@@ -247,19 +247,19 @@ def test_flag_degeneration_zero_weight():
     f = build_flag_poset(4, (0, 2, 4))
     s = f.structure("fflv")
     std = standardize(s)
-    report = flag_degeneration(f, "fflv", [0] * len(std.jlambda))
-    assert len(report.parts) == 1
-    assert report.parts[0]["added_covers"] == []
-    assert report.parts[0]["vanishing_variables"] == []
+    parts = flag_degeneration(f, "fflv", [0] * len(std.jlambda))
+    assert len(parts) == 1
+    assert parts[0]["added_covers"] == []
+    assert parts[0]["vanishing_variables"] == []
 
 
 def test_flag_degeneration_notmcop_report():
     f = build_flag_poset(5, (0, 2, 5))
     s = f.structure("fflv")
     std, w = notmcop_weight(s)
-    report = flag_degeneration(f, "fflv", w)
-    assert len(report.parts) == 2
-    nine = [p for p in report.parts if p["vertices"] == 9][0]
+    parts = flag_degeneration(f, "fflv", w)
+    assert len(parts) == 2
+    nine = [p for p in parts if p["vertices"] == 9][0]
     assert nine["added_covers"] == [("p2.3", "p1.5")]
     assert nine["lattice_points"] == 9
     assert nine["vanishing_variables"] == ["5,2"]  # psi_FFLV name of J_1
@@ -272,9 +272,9 @@ def test_flag_degeneration_canonical_components_are_chains():
     s = f.structure("gt")
     std = standardize(s)
     w = canonical_interior_weight(std.quotient)
-    report = flag_degeneration(f, "gt", [w.values[q] for q in std.lattice_map])
-    # every kept component is a section of a linearization simplex
-    for part in report.parts:
+    parts = flag_degeneration(f, "gt", [w.values[q] for q in std.lattice_map])
+    # every component is a section of a linearization simplex
+    for part in parts:
         assert part["vertices"] == part["lattice_points"]
 
 

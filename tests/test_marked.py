@@ -18,7 +18,7 @@ from posetdegen import (
     validate_relative_structure,
 )
 from posetdegen import lattice as lattice_module
-from posetdegen.errors import NotAPartition, NotDominant
+from posetdegen.errors import NotAPartition, NotDominant, TheoremViolation
 from posetdegen.linalg import extreme_points
 from posetdegen.marked import _mcop_inequalities, mcop_split, mrpp_points
 from posetdegen.posets import chain_structure, mask_bits
@@ -36,6 +36,7 @@ from conftest import (
     naive_mcop_recognize,
     naive_mrpp_points,
     random_poset,
+    shorten_part_sections,
 )
 
 
@@ -365,11 +366,21 @@ def test_mrpp_subdivide_canonical_counts_sections():
     std = standardize(s)
     w = canonical_interior_weight(std.quotient)
     sub = mrpp_subdivide(s, [w.values[q] for q in std.lattice_map])
-    assert len(sub.parts) + sub.dropped == 2  # two linearizations of the diamond
+    assert len(sub.parts) == 2  # two linearizations of the diamond, both full-dimensional
     covered = set()
     for part in sub.parts:
         covered.update(part.points)
     assert covered == set(build_mrpp(std.quotient).points)
+
+
+def test_mrpp_subdivide_lower_dimensional_section_raises(monkeypatch):
+    # every section is full-dimensional by theory; an injected short one is a bug
+    s = marked_diamond_chain()
+    std = standardize(s)
+    w = canonical_interior_weight(std.quotient)
+    shorten_part_sections(monkeypatch, std.quotient)
+    with pytest.raises(TheoremViolation, match="lower dimension"):
+        mrpp_subdivide(s, [w.values[q] for q in std.lattice_map])
 
 
 def test_mcop_marked_order_polytope_inequalities():

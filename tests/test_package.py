@@ -28,3 +28,20 @@ def test_no_floating_point_in_library():
         and node.func.id == "float"
     ]
     assert found == []
+
+
+PUBLIC_NAMES = {
+    "Poset", "RelativeStructure", "WeightVector", "antichain_poset", "build_flag_poset",
+    "build_mrpp", "build_polytope", "build_poset", "canonical_interior_weight", "chain_poset",
+    "chain_structure", "check_normality", "cone_position", "degeneration", "ehrhart_values",
+    "enumerate_ideals", "errors", "flag", "flag_degeneration", "flag_polytope",
+    "fundamental_decomposition", "ideal_presentation", "lattice", "linalg", "marked",
+    "mcop_build", "mcop_recognize", "mrpp_subdivide", "order_structure", "polytopes", "posets",
+    "standardize", "star", "subdivide", "sublattice_to_order", "validate_relative_structure",
+    "zhu_components",
+}
+
+
+def test_public_api_only_shrinks():
+    # a new export has to be added here on purpose
+    assert set(posetdegen.__all__) <= PUBLIC_NAMES

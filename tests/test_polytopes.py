@@ -16,7 +16,7 @@ from posetdegen import (
     order_structure,
     validate_relative_structure,
 )
-from posetdegen.errors import InternalClosureFailure
+from posetdegen.errors import InternalClosureFailure, TheoremViolation
 from posetdegen.lattice import IdealLattice
 from posetdegen.polytopes import (
     indicator,
@@ -210,20 +210,20 @@ def count_one_too_high(monkeypatch):
     monkeypatch.setattr(IdealLattice, "multichain_count", lambda self, m: real(self, m) + 1)
 
 
-def test_normality_failure_names_the_same_point_as_the_set_oracle(monkeypatch):
-    # a dilation with points that no sum reaches: the count is higher than
-    # the sums, and the failure path names the smallest code, as the oracle
+def test_normality_failure_seen_by_the_set_oracle_raises(monkeypatch):
+    # a dilation with points that no sum reaches: the set oracle names the
+    # smallest of them, and the count, one higher than the sums, trips the trap
     s = chain_structure(grid22())
     add_stray_points(monkeypatch, 2, [(0, 0, 0, 3), (3, 0, 0, 0)])
-    expected = naive_check_normality(s, 3)
-    assert expected == (False, (2, (3, 0, 0, 0)))
+    assert naive_check_normality(s, 3) == (False, (2, (3, 0, 0, 0)))
     count_one_too_high(monkeypatch)
-    assert check_normality(s, 3) == expected
+    with pytest.raises(TheoremViolation, match="dilation 2 has 21 points but 20 2-fold sums"):
+        check_normality(s, 3)
 
 
 def test_normality_count_disagreeing_with_enumeration_raises(monkeypatch):
     count_one_too_high(monkeypatch)
-    with pytest.raises(InternalClosureFailure, match="not its multichain count"):
+    with pytest.raises(TheoremViolation, match="2-fold sums of dilation 1"):
         check_normality(chain_structure(grid22()), 2)
 
 
@@ -291,11 +291,14 @@ def test_one_step_chains_build_no_superset_lists():
 
 
 def test_check_normality_matches_the_set_oracle(corpus5):
+    # the oracle builds every dilation and finds each a k-fold sum, as the
+    # unimodular canonical triangulation proves
     for poset in corpus5:
         dilations = range(1, 5) if poset.n <= 4 else range(1, 4)
         for s in valid_weak_structures(poset):
             for k in dilations:
-                assert check_normality(s, k) == naive_check_normality(s, k)
+                assert naive_check_normality(s, k) == (True, None)
+                assert check_normality(s, k) is True
 
 
 @pytest.mark.parametrize("k_max", [2, 50])
@@ -308,15 +311,15 @@ def test_normality_builds_dilation_1_alone_for_any_k(monkeypatch, k_max):
         return real(structure, m)
 
     monkeypatch.setattr(polytopes, "packed_dilation", recording)
-    assert check_normality(chain_structure(grid23()), k_max) == (True, None)
+    assert check_normality(chain_structure(grid23()), k_max) is True
     assert built == [1]
 
 
 def test_normality_examples():
-    assert check_normality(order_structure(chain_poset(["a", "b", "c"])), 3)[0]
-    assert check_normality(chain_structure(grid22()), 3)[0]
+    assert check_normality(order_structure(chain_poset(["a", "b", "c"])), 3) is True
+    assert check_normality(chain_structure(grid22()), 3) is True
     p2relative = chain_structure(grid23())
-    assert check_normality(p2relative, 2)[0]
+    assert check_normality(p2relative, 2) is True
 
 
 def test_transfer_map_zero_and_chain_top():
