@@ -171,13 +171,11 @@ def parse_weights_file(path, keys, default_zero=False):
     return values
 
 
-def structure_keys(structure):
-    return list(structure.lattice.keys)
-
-
-def jlambda_keys(structure):
-    keys = structure.lattice.keys
-    return [keys[i] for i in marked.standardize(structure).jlambda]
+def jlambda_keys(std):
+    """The ideal keys of J_lambda of a standardized structure, the keys of
+    a marked structure's weights."""
+    keys = std.base.lattice.keys
+    return [keys[i] for i in std.jlambda]
 
 
 def hasse_lines(elements, covers, indent="  "):
@@ -503,7 +501,7 @@ def cmd_validate(args):
 
 def cmd_ideals(args):
     structure = parse_poset_file(args.file)
-    return {"ideals": structure_keys(structure)}
+    return {"ideals": list(structure.lattice.keys)}
 
 
 def cmd_polytope(args):
@@ -568,7 +566,7 @@ def cmd_normality(args):
 
 def cmd_cone_check(args):
     structure = parse_poset_file(args.file)
-    keys = structure_keys(structure)
+    keys = structure.lattice.keys
     w = parse_weights_file(args.weights, keys, args.default_zero)
     pos = degeneration.cone_position(structure, w)
     pair = lambda ab: [keys[ab[0]], keys[ab[1]]]
@@ -582,13 +580,12 @@ def cmd_cone_check(args):
 def cmd_subdivide(args):
     structure = parse_poset_file(args.file)
     if structure.marked:
-        keys = jlambda_keys(structure)
-        w = parse_weights_file(args.weights, keys, args.default_zero)
-        sub = marked.mrpp_subdivide(structure, w)
+        std = marked.standardize(structure)
+        w = parse_weights_file(args.weights, jlambda_keys(std), args.default_zero)
+        sub = marked.mrpp_subdivide(std, w)
         counts = [(len(part.vertices), len(part.points)) for part in sub.parts]
-        return PartsReport(sub.standardized.quotient, sub.parts, counts)
-    keys = structure_keys(structure)
-    w = parse_weights_file(args.weights, keys, args.default_zero)
+        return PartsReport(std.quotient, sub.parts, counts)
+    w = parse_weights_file(args.weights, structure.lattice.keys, args.default_zero)
     sub = degeneration.subdivide(structure, w)
     counts = [(len(part.sublattice),) * 2 for part in sub.parts]
     return PartsReport(structure, sub.parts, counts)
@@ -596,7 +593,7 @@ def cmd_subdivide(args):
 
 def cmd_components(args):
     structure = parse_poset_file(args.file)
-    keys = structure_keys(structure)
+    keys = structure.lattice.keys
     w = parse_weights_file(args.weights, keys, args.default_zero)
     _, comps = degeneration.zhu_components(structure, w)
     out = []
@@ -617,7 +614,7 @@ def cmd_components(args):
 def cmd_ideal_gens(args):
     structure = parse_poset_file(args.file)
     pres = degeneration.ideal_presentation(structure, args.kind)
-    keys = structure_keys(structure)
+    keys = structure.lattice.keys
     gens = []
     for (a, b), rhs in pres.generators:
         entry = {"lead": [keys[a], keys[b]]}
@@ -665,8 +662,7 @@ def parse_dims(text):
 def cmd_flag(args):
     data = flagmod.build_flag_poset(args.n, parse_dims(args.dims))
     if args.action == "ideals":
-        structure = data.structure(args.mode)
-        return {"ideals": structure_keys(structure)}
+        return {"ideals": list(data.structure(args.mode).lattice.keys)}
     if args.action == "polytope":
         poly = flagmod.flag_polytope(data, args.mode)
         return {
@@ -677,9 +673,9 @@ def cmd_flag(args):
             "lattice_points": point_list(poly.points),
         }
     # degenerate
-    structure = data.structure(args.mode)
-    w = parse_weights_file(args.weights, jlambda_keys(structure), args.default_zero)
-    return {"mode": args.mode, "parts": flagmod.flag_degeneration(data, args.mode, w)}
+    std = marked.standardize(data.structure(args.mode))
+    w = parse_weights_file(args.weights, jlambda_keys(std), args.default_zero)
+    return {"mode": args.mode, "parts": flagmod.flag_degeneration(data, args.mode, std, w)}
 
 
 class Parser(argparse.ArgumentParser):

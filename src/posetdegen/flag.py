@@ -10,8 +10,8 @@ markings of the increasing chain of marked ideals.
 from functools import cached_property
 from itertools import combinations
 
-from .errors import InvalidDims, InvalidIndex, ModeDimsMismatch
-from .marked import build_mrpp, mrpp_subdivide, standardize
+from .errors import InvalidDims, InvalidIndex, InvalidStructure, ModeDimsMismatch
+from .marked import build_mrpp, mrpp_subdivide
 from .posets import Poset, mask_bits, validate_relative_structure
 
 
@@ -35,14 +35,7 @@ class FlagData:
                 for b in range(d + 1, n + 1):
                     pairs.add((a, b))
         self.pairs = sorted(pairs)
-        elements = [element_label(a, b) for a, b in self.pairs]
-        n_el = len(elements)
-        above = [0] * n_el
-        for x, (a1, b1) in enumerate(self.pairs):
-            for y, (a2, b2) in enumerate(self.pairs):
-                if x != y and a1 <= a2 and b1 <= b2:
-                    above[x] |= 1 << y
-        self.poset = Poset(elements, tuple(above))
+        self.poset = _pair_poset(self.pairs)
         self.marked_labels = tuple(
             element_label(self.dims[i - 1] + 1, self.dims[i])
             for i in range(1, self.l + 1)
@@ -52,26 +45,14 @@ class FlagData:
         }
         self.marked_mask = sum(1 << self.poset.index(x) for x in self.marked_labels)
 
-    def grid_labels(self, k):
-        """Labels of the subposet P_k = {p_{a,b} : a <= k < b}."""
-        return [element_label(a, b) for a, b in self.pairs if a <= k < b]
-
     @cached_property
     def grass_poset(self):
-        """The unmarked grid P_k for Grassmannian dims {0, k, n}."""
+        """The unmarked grid P_k = {p_{a,b} : a <= k < b} for Grassmannian
+        dims {0, k, n}."""
         if self.l != 2:
             raise ModeDimsMismatch("Grassmannian maps require dims of the form {0,k,n}")
         k = self.dims[1]
-        labels = self.grid_labels(k)
-        idx = {lab: t for t, lab in enumerate(labels)}
-        above = [0] * len(labels)
-        for lab in labels:
-            i = self.poset.index(lab)
-            for j in mask_bits(self.poset.above[i]):
-                other = self.poset.elements[j]
-                if other in idx:
-                    above[idx[lab]] |= 1 << idx[other]
-        return Poset(labels, tuple(above))
+        return _pair_poset([(a, b) for a, b in self.pairs if a <= k < b])
 
     def structure(self, mode):
         """The validated relative structure of the GT or FFLV polytope."""
@@ -87,6 +68,16 @@ class FlagData:
         else:
             raise ModeDimsMismatch(f"unknown mode {mode!r}")
         return validate_relative_structure(self.poset, weak, self.marking)
+
+
+def _pair_poset(pairs):
+    """The poset on the labels of the pairs (a, b), ordered componentwise."""
+    above = [
+        sum(1 << y for y, (a2, b2) in enumerate(pairs)
+            if (a1, b1) != (a2, b2) and a1 <= a2 and b1 <= b2)
+        for a1, b1 in pairs
+    ]
+    return Poset([element_label(a, b) for a, b in pairs], tuple(above))
 
 
 def build_flag_poset(n, dims):
@@ -117,20 +108,34 @@ def _reordered_tuple(subset, k):
 class PlueckerMap:
     """A bijection between Pluecker indices and order ideals.
 
-    Modes O and C live on the Grassmannian grid P_k; modes GT and FFLV on all
-    of P_d.  `to_ideal` returns a frozenset of element labels, `from_ideal`
-    the canonical index tuple.
+    GT and FFLV index the ideals of all of P_d, one formula each, read off
+    `FlagData.pairs` and masks.  O and C are their slices at level 1 on the
+    Grassmannian grid P_k of dims {0, k, n}: P_d is P_k with the marked
+    corner p_{1,k} below all of it and p_{k+1,n} above, so the ideals of P_k
+    plus p_{1,k} are the ideals of P_d holding one corner, and the O (C)
+    ideal of a k-index is its GT (FFLV) ideal less p_{1,k}.  `to_ideal`
+    returns a frozenset of element labels, `from_ideal` the canonical index
+    tuple.
     """
 
     def __init__(self, flag, mode):
+        if mode not in ("O", "C", "GT", "FFLV"):
+            raise ModeDimsMismatch(f"unknown map mode {mode!r}")
         self.flag = flag
         self.mode = mode
+        self.fflv = mode in ("C", "FFLV")
+        self.corners = [1 << flag.poset.index(x) for x in flag.marked_labels]
+        # the lengths of the indices, and the corner that O and C leave out
+        self.levels, self.corner = flag.dims, 0
         if mode in ("O", "C"):
-            self.poset = flag.grass_poset
-        elif mode in ("GT", "FFLV"):
-            self.poset = flag.poset
-        else:
-            raise ModeDimsMismatch(f"unknown map mode {mode!r}")
+            if flag.l != 2:
+                raise ModeDimsMismatch("Grassmannian maps require dims of the form {0,k,n}")
+            self.levels, self.corner = flag.dims[1:2], self.corners[0]
+
+    def _canonical(self, index):
+        if self.fflv:
+            return _reordered_tuple(index, len(index))
+        return tuple(sorted(index))
 
     def variables(self):
         """All index tuples, in the canonical order of each variable.
@@ -139,153 +144,78 @@ class PlueckerMap:
         index bijection, which the acceptance tests round-trip through
         `to_ideal` and `from_ideal` in every mode."""
         n = self.flag.n
-        if self.mode == "O":
-            k = self.flag.dims[1]
-            return [tuple(c) for c in combinations(range(1, n + 1), k)]
-        if self.mode == "C":
-            k = self.flag.dims[1]
-            return [
-                _reordered_tuple(set(c), k)
-                for c in combinations(range(1, n + 1), k)
-            ]
-        out = []
-        for k in self.flag.dims:
-            for c in combinations(range(1, n + 1), k):
-                if self.mode == "GT":
-                    out.append(tuple(c))
-                else:
-                    out.append(_reordered_tuple(set(c), k))
-        return out
-
-    def _check_tuple(self, index, k=None):
-        if len(set(index)) != len(index) or any(
-            not 1 <= a <= self.flag.n for a in index
-        ):
-            raise InvalidIndex(f"bad Pluecker index {index}")
-        if k is not None and len(index) != k:
-            raise InvalidIndex(f"index {index} has wrong length")
+        return [self._canonical(c)
+                for k in self.levels for c in combinations(range(1, n + 1), k)]
 
     def to_ideal(self, index):
         """The order ideal, as a frozenset of labels, of a Pluecker index.
 
-        Commands only go the other way (`from_ideal` names the vanishing
-        variables); this direction stays public because the paper's index
-        bijections are stated from indices to ideals, and the acceptance
-        tests check them and their round trip through `from_ideal`."""
+        Commands only go the other way (`flag_degeneration` names the
+        vanishing variables); this direction stays public because the
+        paper's index bijections are stated from indices to ideals, and the
+        acceptance tests check them and their round trip through
+        `from_ideal`."""
         index = tuple(index)
-        flag = self.flag
-        if self.mode in ("O", "GT"):
-            if sorted(index) != list(index):
-                raise InvalidIndex(f"{self.mode} indices are increasing tuples")
-        if self.mode == "O":
-            k = flag.dims[1]
-            self._check_tuple(index, k)
-            members = {
-                element_label(i, j)
-                for (i, j) in ((i, j) for i in range(1, k + 1) for j in range(k + 1, flag.n + 1))
-                if j <= index[k - i] + i - 1
-            }
-            return frozenset(members)
-        if self.mode == "GT":
-            k = len(index)
-            if k not in flag.dims:
-                raise InvalidIndex(f"tuple length {k} is not one of the dims")
-            self._check_tuple(index)
-            members = {
-                element_label(a, b)
-                for (a, b) in flag.pairs
-                if a <= k and b <= index[k - a] + a - 1
-            }
-            return frozenset(members)
-        if self.mode == "C":
-            k = flag.dims[1]
-            self._check_tuple(index, k)
-            if _reordered_tuple(set(index), k) != index:
-                raise InvalidIndex(f"{index} is not in the canonical C ordering")
-            gens = [element_label(i, a) for i, a in enumerate(index, start=1) if a > k]
-            poset = flag.grass_poset
-            mask = poset.down_closure(sum(1 << poset.index(g) for g in gens))
-            return frozenset(poset.elements[i] for i in mask_bits(mask))
-        # FFLV
         k = len(index)
-        if k not in flag.dims:
+        flag = self.flag
+        if k not in self.levels:
             raise InvalidIndex(f"tuple length {k} is not one of the dims")
-        self._check_tuple(index)
-        if _reordered_tuple(set(index), k) != index:
-            raise InvalidIndex(f"{index} is not in the canonical FFLV ordering")
-        level = flag.dims.index(k)
-        gens = [element_label(i, a) for i, a in enumerate(index, start=1) if a > k]
-        gens += list(flag.marked_labels[:level])
-        poset = flag.poset
-        mask = poset.down_closure(sum(1 << poset.index(g) for g in gens))
-        return frozenset(poset.elements[i] for i in mask_bits(mask))
+        if len(set(index)) != k or any(not 1 <= a <= flag.n for a in index):
+            raise InvalidIndex(f"bad Pluecker index {index}")
+        if self._canonical(index) != index:
+            raise InvalidIndex(f"{index} is not in the canonical {self.mode} ordering")
+        if self.fflv:
+            # generated by the entries beyond k and the level's top corner
+            level = flag.dims.index(k)
+            gens = self.corners[level - 1] if level else 0
+            for i, a in enumerate(index, start=1):
+                if a > k:
+                    gens |= 1 << flag.poset.index(element_label(i, a))
+            mask = flag.poset.down_closure(gens)
+        else:
+            mask = sum(1 << t for t, (a, b) in enumerate(flag.pairs)
+                       if a <= k and b <= index[k - a] + a - 1)
+        return frozenset(flag.poset.elements[t] for t in mask_bits(mask & ~self.corner))
 
     def from_ideal(self, members):
-        members = frozenset(members)
-        flag = self.flag
-        poset = self.poset
+        poset = self.flag.poset
         mask = 0
         for label in members:
             mask |= 1 << poset.index(label)
+        if self.corner and mask & self.flag.marked_mask:
+            raise InvalidIndex("the given set is not inside the grid P_k")
+        mask |= self.corner
         if not poset.is_ideal(mask):
             raise InvalidIndex("the given set is not an order ideal")
-        if self.mode == "O":
-            k = flag.dims[1]
-            return tuple(
-                k + 1 - i + self._row_length(mask, i, k) for i in range(k, 0, -1)
-            )
-        if self.mode == "GT":
-            level = sum(
-                1 for lab in flag.marked_labels if (1 << flag.poset.index(lab)) & mask
-            )
-            k = flag.dims[level]
-            if k == 0:
-                return ()
-            return tuple(
-                k + 1 - i + self._row_length(mask, i, k) for i in range(k, 0, -1)
-            )
-        if self.mode == "C":
-            k = flag.dims[1]
-            maxes = {}
-            for i in mask_bits(mask):
-                if poset.above[i] & mask == 0:
-                    a, b = _split_label(poset.elements[i])
-                    maxes[a] = b
-            return tuple(maxes.get(i, i) for i in range(1, k + 1))
-        # FFLV: the unmarked <'-maximal elements are the generating entries
-        level = sum(
-            1 for lab in flag.marked_labels if (1 << poset.index(lab)) & mask
-        )
-        k = flag.dims[level]
-        if k == 0:
-            return ()
-        maxes = {}
-        for i in mask_bits(mask & ~flag.marked_mask):
-            if poset.above[i] & mask == 0:
-                a, b = _split_label(poset.elements[i])
-                if b > k:
-                    maxes[a] = b
-        out = tuple(maxes.get(i, i) for i in range(1, k + 1))
-        if _reordered_tuple(set(out), k) != out:
-            raise InvalidIndex("ideal does not correspond to an FFLV variable")
-        return out
+        return self._mask_index(mask)
 
-    def _row_length(self, mask, i, k):
-        poset = self.poset
-        count = 0
-        for j in range(k + 1, self.flag.n + 1):
-            label = element_label(i, j)
-            if label in poset._index and mask >> poset.index(label) & 1:
-                count += 1
-        return count
+    def _mask_index(self, mask):
+        """The canonical index of the ideal `mask` of P_d, whose marked
+        corners give its level and so the length k of the index.  GT: the
+        entry k + 1 - i is k + 1 - i plus the number of p_{i,b}, b > k, in
+        the ideal.  FFLV: entry i is b for the maximal element p_{i,b},
+        b > k, of the ideal and i when row i has none; the marked corners
+        in the ideal all have b <= k."""
+        flag = self.flag
+        k = flag.dims[bin(mask & flag.marked_mask).count("1")]
+        pairs = flag.pairs
+        if self.fflv:
+            above = flag.poset.above
+            tops = dict(pairs[t] for t in mask_bits(mask)
+                        if not above[t] & mask and pairs[t][1] > k)
+            index = tuple(tops.get(i, i) for i in range(1, k + 1))
+            if _reordered_tuple(index, k) != index:
+                raise InvalidIndex("ideal does not correspond to an FFLV variable")
+            return index
+        rows = [0] * (k + 1)
+        for t in mask_bits(mask):
+            a, b = pairs[t]
+            if a <= k < b:
+                rows[a] += 1
+        return tuple(k + 1 - i + rows[i] for i in range(k, 0, -1))
 
     def variable_name(self, index):
         return ",".join(str(a) for a in index)
-
-
-def _split_label(label):
-    i, j = label[1:].split(".")
-    return int(i), int(j)
 
 
 def flag_polytope(flag, mode):
@@ -293,30 +223,33 @@ def flag_polytope(flag, mode):
     return build_mrpp(flag.structure(mode))
 
 
-def flag_degeneration(flag, mode, w):
-    """Subdivide the GT/FFLV polytope and report the components by name: a
-    list of part dicts, ready for serialization."""
-    structure = flag.structure(mode)
-    sub = mrpp_subdivide(structure, w)
-    std = sub.standardized
+def flag_degeneration(flag, mode, std, w):
+    """Subdivide the GT/FFLV polytope, whose structure `std` standardizes,
+    under a weight over J_lambda, and report the components by name: a list
+    of part dicts, ready for serialization.
+
+    Standardizing a flag structure changes nothing: every ideal of P_d meets
+    the marked chain in a prefix, so J_lambda is all of J(P_d), and the
+    principal ideals keep the elements apart.  So the quotient's masks are
+    masks of P_d; each lattice position is named once, and a part's
+    vanishing variables are the names of the positions outside it.
+    """
+    quotient = std.quotient
+    if quotient.poset != flag.poset:
+        raise InvalidStructure("the standardization is not that of the flag's structure")
+    sub = mrpp_subdivide(std, w)
     pmap = PlueckerMap(flag, "GT" if mode == "gt" else "FFLV")
-    lat = std.quotient.lattice
+    names = [pmap.variable_name(pmap._mask_index(mask)) for mask in quotient.lattice.masks]
+    by_name = sorted(range(len(names)), key=names.__getitem__)
     parts = []
     for part in sub.parts:
         inside = set(part.sublattice)
-        vanishing = []
-        for pos in range(len(lat)):
-            if pos not in inside:
-                members = frozenset(
-                    std.quotient.poset.elements[i] for i in mask_bits(lat.masks[pos])
-                )
-                vanishing.append(pmap.variable_name(pmap.from_ideal(members)))
         parts.append(
             {
-                "added_covers": sorted(part.added_covers(std.quotient.poset)),
+                "added_covers": sorted(part.added_covers(quotient.poset)),
                 "vertices": len(part.vertices),
                 "lattice_points": len(part.points),
-                "vanishing_variables": sorted(vanishing),
+                "vanishing_variables": [names[pos] for pos in by_name if pos not in inside],
             }
         )
     return parts

@@ -149,10 +149,13 @@ def star(pos1, pos2, structure):
 
 
 def star_error(lat, pos1, pos2):
-    """The one-line error for a star of two positions that left the lattice."""
-    return InternalClosureFailure(
+    """The one-line error for a star of two positions that left the lattice;
+    its `pair` is (pos1, pos2)."""
+    error = InternalClosureFailure(
         f"star of {lat.label_key(pos1)!r} and {lat.label_key(pos2)!r} left the lattice"
     )
+    error.pair = pos1, pos2
+    return error
 
 
 def pair_stars(structure):
@@ -161,25 +164,34 @@ def pair_stars(structure):
 
     The masks sort by size, so the mask at b is not inside the one at a:
     the pair is incomparable exactly when J1 is not inside J2.  For trivial
-    <' the star is J1 ∩ J2; otherwise it is the <'-down-closure of gens =
-    J1 ∩ J2 ∩ (max' J1 ∪ max' J2), closed once for each distinct gens.  A
-    star that leaves the lattice raises, as in `star`.
+    <' the star is J1 ∩ J2; otherwise `_star_scan` gives it.  A star that
+    leaves the lattice raises, as in `star`.
     """
+    if any(structure.weak_above):
+        return _star_scan(structure)
+    return _meet_scan(structure.lattice)
+
+
+def _meet_scan(lat):
+    masks, position = lat.masks, lat.position
+    for a, m1 in enumerate(masks):
+        for b in range(a + 1, len(masks)):
+            m2 = masks[b]
+            if m1 & ~m2:
+                yield a, b, position[m1 | m2], position[m1 & m2]
+
+
+def _star_scan(structure):
+    """The rows of `pair_stars` for any <'.  The star is the <'-down-closure
+    of gens = J1 ∩ J2 ∩ (max' J1 ∪ max' J2) alone, so it is closed once for
+    each distinct gens."""
     lat = structure.lattice
     masks, position = lat.masks, lat.position
-    size = len(masks)
-    if not any(structure.weak_above):
-        for a, m1 in enumerate(masks):
-            for b in range(a + 1, size):
-                m2 = masks[b]
-                if m1 & ~m2:
-                    yield a, b, position[m1 | m2], position[m1 & m2]
-        return
     tops = structure.weak_maxima
     stars = {}
     for a, m1 in enumerate(masks):
         x1 = tops[a]
-        for b in range(a + 1, size):
+        for b in range(a + 1, len(masks)):
             m2 = masks[b]
             if m1 & ~m2:
                 gens = m1 & m2 & (x1 | tops[b])
@@ -221,26 +233,13 @@ def star_closure_failure(structure):
 
 def first_star_failure(structure):
     """First incomparable pair (a, b) of lattice positions, a < b, whose star
-    is not an ideal of <, by scanning every pair; None when there is none.
-
-    J1 * J2 is the <'-down-closure of gens = J1 ∩ J2 ∩ (max' J1 ∪ max' J2)
-    alone, so each distinct gens is closed once.
-    """
-    lat = structure.lattice
-    masks = lat.masks
-    position = lat.position
-    tops = structure.weak_maxima
-    closed = set()
-    for a, m1 in enumerate(masks):
-        x1 = tops[a]
-        for b in range(a + 1, len(masks)):
-            m2 = masks[b]
-            if m1 & ~m2 and m2 & ~m1:
-                gens = m1 & m2 & (x1 | tops[b])
-                if gens not in closed:
-                    if structure.weak_down_closure(gens) not in position:
-                        return a, b
-                    closed.add(gens)
+    is not an ideal of <, by the scan of `pair_stars` for any <'; None when
+    there is none."""
+    try:
+        for _ in _star_scan(structure):
+            pass
+    except InternalClosureFailure as failure:
+        return failure.pair
     return None
 
 

@@ -232,11 +232,10 @@ class MarkedPart(Part):
     """A part of the quotient's subdivision, at the standardized level, with
     the lattice points and the structure of its marked section."""
 
-    def __init__(self, part, structure, restricted_affine, points):
+    def __init__(self, part, structure, points):
         super().__init__(part.sublattice, part.lift, part.scale, part.linearization_count,
                          part.elements, part.linearization, part.order, part.covers)
         self.structure = structure
-        self.restricted_affine = restricted_affine
         self.points = tuple(sorted(points))
 
     @cached_property
@@ -245,8 +244,7 @@ class MarkedPart(Part):
 
 
 class MarkedSubdivision:
-    def __init__(self, standardized, parts):
-        self.standardized = standardized
+    def __init__(self, parts):
         self.parts = tuple(parts)
 
     def __len__(self):
@@ -254,8 +252,10 @@ class MarkedSubdivision:
 
 
 def restricted_affine(structure, affine):
-    """Affine function modulo the fixed marked coordinates: the canonical key
-    on the section subspace x_p = lambda_p."""
+    """An affine function (a, b) modulo the fixed marked coordinates: the
+    canonical key on the section subspace x_p = lambda_p.  The parts of one
+    subdivision share one scale, so their integer lifts compare as their
+    affine functions do."""
     a, b = affine
     free = tuple(
         a[i] for i in range(structure.poset.n) if not structure.marked >> i & 1
@@ -266,8 +266,9 @@ def restricted_affine(structure, affine):
     return free, const
 
 
-def mrpp_subdivide(structure, w):
-    """Subdivide the standardized MRPP under a weight over J_lambda.
+def mrpp_subdivide(std, w):
+    """Subdivide the MRPP of a standardized structure (`standardize`) under
+    a weight over J_lambda.
 
     The non-marked relative polytope of the quotient is subdivided with the
     transported weights, and each part is intersected with the marked
@@ -291,7 +292,6 @@ def mrpp_subdivide(structure, w):
     Ehrhart-equivalent section MRPP(Q,<'',<<',lambda).  The case <'' = <<
     gives the same dimension for the whole MRPP.
     """
-    std = standardize(structure)
     quotient = std.quotient
     values = list(w.values) if hasattr(w, "values") else [Fraction(v) for v in w]
     if len(values) != len(std.jlambda):
@@ -312,15 +312,15 @@ def mrpp_subdivide(structure, w):
         pts = mrpp_points(section_structure)
         if marked_dimension(section_structure, pts) != whole.dimension:
             raise TheoremViolation("a part meets the marked section in lower dimension")
-        raff = restricted_affine(quotient, part.affine)
+        raff = restricted_affine(quotient, part.lift)
         if raff in seen_affines:
             raise InternalClosureFailure("two section parts share an affine lift")
         seen_affines.add(raff)
         covered.update(pts)
-        parts.append(MarkedPart(part, section_structure, raff, pts))
+        parts.append(MarkedPart(part, section_structure, pts))
     if covered != set(whole.points):
         raise InternalClosureFailure("section parts do not cover the marked polytope")
-    return MarkedSubdivision(std, parts)
+    return MarkedSubdivision(parts)
 
 
 def _mcop_chains(poset, anchors, middle):

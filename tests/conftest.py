@@ -33,6 +33,7 @@ from posetdegen.marked import (
     fundamental_decomposition,
     mcop_build,
     mrpp_subdivide,
+    standardize,
 )
 from posetdegen import marked, polytopes
 from posetdegen.errors import InternalClosureFailure, InvalidStructure
@@ -342,8 +343,9 @@ def naive_subdivide_dict(structure, values):
     built with `naive_part_report` and one `label_key` call per vanishing
     ideal."""
     if structure.marked:
-        sub = mrpp_subdivide(structure, values)
-        quotient = sub.standardized.quotient
+        std = standardize(structure)
+        sub = mrpp_subdivide(std, values)
+        quotient = std.quotient
         qlat = quotient.lattice
         parts = [
             naive_part_report(quotient, part, len(part.vertices), len(part.points),

@@ -226,7 +226,7 @@ def test_criterion_6_notmcop_exact_reproduction():
         Fraction(1) if lat.label_key(pos) == target_key else Fraction(0)
         for pos in std.jlambda
     ]
-    sub = mrpp_subdivide(s, w)
+    sub = mrpp_subdivide(std, w)
     assert len(sub.parts) == 2
     big = max(sub.parts, key=lambda p: len(p.vertices))
     small = min(sub.parts, key=lambda p: len(p.vertices))
@@ -325,10 +325,15 @@ def test_criterion_10_pluecker_roundtrips():
     for n in range(2, 7):
         for k in range(1, n):
             f = build_flag_poset(n, (0, k, n))
-            for mode in ("O", "C"):
-                m = PlueckerMap(f, mode)
+            corner = f"p1.{k}"
+            for mode, full in (("O", "GT"), ("C", "FFLV")):
+                # O and C are the level-k slices of GT and FFLV, less p_{1,k}
+                m, g = PlueckerMap(f, mode), PlueckerMap(f, full)
+                assert m.variables() == [v for v in g.variables() if len(v) == k]
                 for v in m.variables():
-                    assert m.from_ideal(m.to_ideal(v)) == v
+                    ideal = m.to_ideal(v)
+                    assert corner not in ideal and ideal | {corner} == g.to_ideal(v)
+                    assert m.from_ideal(ideal) == v
                     total += 1
         for dims in all_dims(n):
             f = build_flag_poset(n, dims)

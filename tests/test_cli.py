@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from posetdegen import build_flag_poset, cli, degeneration, errors, marked, polytopes
-from posetdegen import lattice as lattice_module
+from posetdegen import flag as flag_module, lattice as lattice_module
 from posetdegen.cli import main
 from posetdegen.errors import TheoremViolation
 from posetdegen.lattice import sublattice_to_order
@@ -306,7 +306,8 @@ def test_subdivide_report_bytes_match_the_old_report_path(tmp_path, capsysbinary
     for structure, values in cases:
         poset = structure_file(tmp_path, structure)
         parsed = cli.parse_poset_file(poset)
-        keys = cli.jlambda_keys(parsed) if parsed.marked else cli.structure_keys(parsed)
+        keys = (cli.jlambda_keys(marked.standardize(parsed)) if parsed.marked
+                else parsed.lattice.keys)
         weights = write(tmp_path, "w.json",
                         {"weights": {k: str(v) for k, v in zip(keys, values)}})
         expected = naive_subdivide_report(parsed, [Fraction(v) for v in values])
@@ -344,13 +345,13 @@ def test_interior_components_and_flag_degenerations_keep_their_bytes(
         values = degeneration.canonical_interior_weight(structure).values
         for signed in (values, [-v for v in values]):
             weights = write(tmp_path, f"w{len(runs)}.json", {"weights": {
-                k: str(v) for k, v in zip(cli.structure_keys(structure), signed)}})
+                k: str(v) for k, v in zip(structure.lattice.keys, signed)}})
             runs.append(["components", poset, "--weights", weights])
     for mode in ("gt", "fflv"):
         flag = build_flag_poset(4, (0, 1, 3, 4))
         std = marked.standardize(flag.structure(mode))
         canonical = degeneration.canonical_interior_weight(std.quotient).values
-        keys = cli.jlambda_keys(flag.structure(mode))
+        keys = cli.jlambda_keys(std)
         weights = write(tmp_path, f"w{len(runs)}.json", {"weights": {
             k: str(canonical[q]) for k, q in zip(keys, std.lattice_map)}})
         runs.append(["flag", "--n", "4", "--dims", "0,1,3,4", "--mode", mode,
@@ -374,11 +375,12 @@ def test_subdivide_text_format_renders_the_dict_report(tmp_path, capsys, payload
     poset = write(tmp_path, "p.json", payload)
     parsed = cli.parse_poset_file(poset)
     if parsed.marked:
-        std, keys = marked.standardize(parsed), cli.jlambda_keys(parsed)
+        std = marked.standardize(parsed)
+        keys = cli.jlambda_keys(std)
         canonical = degeneration.canonical_interior_weight(std.quotient).values
         values = [canonical[q] for q in std.lattice_map]
     else:
-        keys = cli.structure_keys(parsed)
+        keys = parsed.lattice.keys
         values = degeneration.canonical_interior_weight(parsed).values
     weights = write(tmp_path, "w.json", {"weights": {k: str(v) for k, v in zip(keys, values)}})
     code, out = run(capsys, ["--format", "text", "subdivide", poset, "--weights", weights])
@@ -738,6 +740,27 @@ def test_theorem_violation_exits_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: TheoremViolation:") and err.count("\n") == 1
 
 
+def test_marked_commands_standardize_once(tmp_path, capsys, monkeypatch):
+    # the J_lambda weight keys and the subdivision share one standardization,
+    # and the degenerate command validates its flag structure once
+    standardized = counted(monkeypatch, marked, "standardize")
+    validated = counted(monkeypatch, flag_module, "validate_relative_structure")
+    weights = write(tmp_path, "w.json", {"weights": {}})
+    for mode in ("gt", "fflv"):
+        standardized.clear()
+        validated.clear()
+        code, out = run(capsys, ["flag", "--n", "4", "--dims", "0,2,4", "--mode", mode,
+                                 "--action", "degenerate", "--weights", weights,
+                                 "--default-zero"])
+        assert code == 0 and len(json.loads(out)["parts"]) == 1
+        assert len(standardized) == len(validated) == 1
+    standardized.clear()
+    poset = write(tmp_path, "p.json", DIAMOND_MARKED)
+    code, out = run(capsys, ["subdivide", poset, "--weights", weights, "--default-zero"])
+    assert code == 0 and len(json.loads(out)["parts"]) == 1
+    assert len(standardized) == 1
+
+
 def test_lower_dimensional_section_exits_5(tmp_path, capsys, monkeypatch):
     # a marked subdivide whose parts' sections read one dimension short
     poset = write(tmp_path, "p.json", DIAMOND_MARKED)
@@ -745,7 +768,7 @@ def test_lower_dimensional_section_exits_5(tmp_path, capsys, monkeypatch):
     std = marked.standardize(parsed)
     canonical = degeneration.canonical_interior_weight(std.quotient).values
     weights = write(tmp_path, "w.json", {"weights": {
-        k: str(canonical[q]) for k, q in zip(cli.jlambda_keys(parsed), std.lattice_map)}})
+        k: str(canonical[q]) for k, q in zip(cli.jlambda_keys(std), std.lattice_map)}})
     shorten_part_sections(monkeypatch, std.quotient)
     assert main(["subdivide", poset, "--weights", weights]) == 5
     out, err = capsys.readouterr()

@@ -11,7 +11,7 @@ from posetdegen import (
     flag_polytope,
     mcop_recognize,
 )
-from posetdegen.errors import InvalidDims, ModeDimsMismatch
+from posetdegen.errors import InvalidDims, InvalidStructure, ModeDimsMismatch
 from posetdegen.flag import PlueckerMap
 from posetdegen.marked import build_mrpp, mrpp_points, standardize, mrpp_subdivide
 
@@ -225,7 +225,7 @@ def test_notmcop_example_full_reproduction():
     f = build_flag_poset(5, (0, 2, 5))
     s = f.structure("fflv")
     std, w = notmcop_weight(s)
-    sub = mrpp_subdivide(s, w)
+    sub = mrpp_subdivide(std, w)
     assert len(sub.parts) == 2
     big = max(sub.parts, key=lambda p: len(p.vertices))
     small = min(sub.parts, key=lambda p: len(p.vertices))
@@ -247,17 +247,21 @@ def test_flag_degeneration_zero_weight():
     f = build_flag_poset(4, (0, 2, 4))
     s = f.structure("fflv")
     std = standardize(s)
-    parts = flag_degeneration(f, "fflv", [0] * len(std.jlambda))
+    parts = flag_degeneration(f, "fflv", std, [0] * len(std.jlambda))
     assert len(parts) == 1
     assert parts[0]["added_covers"] == []
     assert parts[0]["vanishing_variables"] == []
+    # the names are read off masks of P_d, so another flag's quotient is refused
+    other = standardize(build_flag_poset(4, (0, 1, 3, 4)).structure("fflv"))
+    with pytest.raises(InvalidStructure, match="not that of the flag's structure"):
+        flag_degeneration(f, "fflv", other, [0] * len(other.jlambda))
 
 
 def test_flag_degeneration_notmcop_report():
     f = build_flag_poset(5, (0, 2, 5))
     s = f.structure("fflv")
     std, w = notmcop_weight(s)
-    parts = flag_degeneration(f, "fflv", w)
+    parts = flag_degeneration(f, "fflv", std, w)
     assert len(parts) == 2
     nine = [p for p in parts if p["vertices"] == 9][0]
     assert nine["added_covers"] == [("p2.3", "p1.5")]
@@ -272,7 +276,7 @@ def test_flag_degeneration_canonical_components_are_chains():
     s = f.structure("gt")
     std = standardize(s)
     w = canonical_interior_weight(std.quotient)
-    parts = flag_degeneration(f, "gt", [w.values[q] for q in std.lattice_map])
+    parts = flag_degeneration(f, "gt", std, [w.values[q] for q in std.lattice_map])
     # every component is a section of a linearization simplex
     for part in parts:
         assert part["vertices"] == part["lattice_points"]
@@ -293,7 +297,7 @@ def test_mcop_recognize_matches_bit_order_oracle_on_flags():
                     assert mcop_recognize(s, target) == split
     s = build_flag_poset(5, (0, 2, 5)).structure("fflv")
     std, w = notmcop_weight(s)
-    big = max(mrpp_subdivide(s, w).parts, key=lambda p: len(p.vertices))
+    big = max(mrpp_subdivide(std, w).parts, key=lambda p: len(p.vertices))
     part_structure = std.quotient.with_order(big.order)
     target = build_mrpp(part_structure)
     assert naive_mcop_recognize(part_structure, target) is None

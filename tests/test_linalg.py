@@ -328,7 +328,7 @@ def test_tight_cover_dimension_matches_rank_on_every_section(monkeypatch):
         std = standardize(s)
         canonical = canonical_interior_weight(std.quotient).values
         for w in ([0] * len(std.jlambda), [canonical[q] for q in std.lattice_map]):
-            mrpp_subdivide(s, w)
+            mrpp_subdivide(std, w)
     assert sum(seen) > 100 and not all(seen)
 
 

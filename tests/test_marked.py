@@ -17,8 +17,8 @@ from posetdegen import (
     standardize,
     validate_relative_structure,
 )
-from posetdegen import lattice as lattice_module
-from posetdegen.errors import NotAPartition, NotDominant, TheoremViolation
+from posetdegen import lattice as lattice_module, marked
+from posetdegen.errors import InternalClosureFailure, NotAPartition, NotDominant, TheoremViolation
 from posetdegen.linalg import extreme_points
 from posetdegen.marked import _mcop_inequalities, mcop_split, mrpp_points
 from posetdegen.posets import chain_structure, mask_bits
@@ -303,8 +303,9 @@ def test_fundexample_embedding_and_collapse():
 
 
 def test_mrpp_subdivide_enumerates_each_order_once(monkeypatch):
-    # the quotient's ideals once, each walked part's once (by subdivide's
-    # certificate); the sections reuse those lattices
+    # the quotient's ideals once (by standardize's validation), each walked
+    # part's once (by subdivide's certificate); the sections reuse those
+    # lattices
     f = build_flag_poset(5, (0, 2, 5))
     s = f.structure("fflv")
     std = standardize(s)
@@ -318,7 +319,7 @@ def test_mrpp_subdivide_enumerates_each_order_once(monkeypatch):
                         lambda poset: calls.append(poset) or real(poset))
     for w, parts, enumerations in ((notmcop, 2, 3), (interior, 5, 1)):
         calls.clear()
-        assert len(mrpp_subdivide(s, w).parts) == parts
+        assert len(mrpp_subdivide(standardize(s), w).parts) == parts
         assert len(calls) == len(set(calls)) == enumerations
 
 
@@ -332,14 +333,14 @@ def test_mcop_split_of_sections_and_mixed_rows():
     std = standardize(s)
     fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
     notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
-    parts = mrpp_subdivide(s, notmcop).parts
+    parts = mrpp_subdivide(std, notmcop).parts
     assert len(parts) == 2 and all(mcop_split(part.structure) is None for part in parts)
     s = build_flag_poset(4, (0, 1, 2, 3, 4)).structure("gt")
     std = standardize(s)
     canonical = canonical_interior_weight(std.quotient).values
     free = std.quotient.poset.full & ~std.quotient.marked
     for w, count in (([canonical[q] for q in std.lattice_map], 12), ([0] * len(std.jlambda), 1)):
-        parts = mrpp_subdivide(s, w).parts
+        parts = mrpp_subdivide(std, w).parts
         assert len(parts) == count
         for part in parts:
             assert mcop_split(part.structure) == (0, free)
@@ -356,7 +357,7 @@ def test_mcop_split_of_sections_and_mixed_rows():
 def test_mrpp_subdivide_zero_single_part():
     s = marked_diamond_chain()
     std = standardize(s)
-    sub = mrpp_subdivide(s, [0] * len(std.jlambda))
+    sub = mrpp_subdivide(std, [0] * len(std.jlambda))
     assert len(sub.parts) == 1
     assert set(sub.parts[0].points) == set(build_mrpp(std.quotient).points)
 
@@ -365,7 +366,7 @@ def test_mrpp_subdivide_canonical_counts_sections():
     s = marked_diamond_chain()
     std = standardize(s)
     w = canonical_interior_weight(std.quotient)
-    sub = mrpp_subdivide(s, [w.values[q] for q in std.lattice_map])
+    sub = mrpp_subdivide(std, [w.values[q] for q in std.lattice_map])
     assert len(sub.parts) == 2  # two linearizations of the diamond, both full-dimensional
     covered = set()
     for part in sub.parts:
@@ -380,7 +381,27 @@ def test_mrpp_subdivide_lower_dimensional_section_raises(monkeypatch):
     w = canonical_interior_weight(std.quotient)
     shorten_part_sections(monkeypatch, std.quotient)
     with pytest.raises(TheoremViolation, match="lower dimension"):
-        mrpp_subdivide(s, [w.values[q] for q in std.lattice_map])
+        mrpp_subdivide(std, [w.values[q] for q in std.lattice_map])
+
+
+def test_mrpp_subdivide_parts_sharing_a_restricted_lift_raise(monkeypatch):
+    # lifts that differ only by a multiple of x_bot - lambda_bot agree on the
+    # marked section, so two such parts would be one section twice
+    s = marked_diamond_chain()
+    std = standardize(s)
+    bot = std.quotient.poset.index("bot")
+    real = marked.subdivide
+
+    def shared(structure, weights):
+        sub = real(structure, weights)
+        a, b = sub.parts[0].lift
+        sub.parts[1].lift = (a[:bot] + (a[bot] + 1,) + a[bot + 1:], b - 2)
+        return sub
+
+    monkeypatch.setattr(marked, "subdivide", shared)
+    w = canonical_interior_weight(std.quotient)
+    with pytest.raises(InternalClosureFailure, match="share an affine lift"):
+        mrpp_subdivide(std, [w.values[q] for q in std.lattice_map])
 
 
 def test_mcop_marked_order_polytope_inequalities():

@@ -1,4 +1,5 @@
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import posetdegen
@@ -45,3 +46,20 @@ PUBLIC_NAMES = {
 def test_public_api_only_shrinks():
     # a new export has to be added here on purpose
     assert set(posetdegen.__all__) <= PUBLIC_NAMES
+
+
+def test_bench_spans_resolve_in_the_library():
+    # the traced benchmark wraps each span by name and fails on one that a
+    # refactor renamed away; its tables are read as literals, not imported
+    tracer = Path(__file__).parents[1] / "bench" / "tracer.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANS", "REQUIRED")
+    }
+    spans = tables["SPANS"]
+    for name in spans:
+        module, function = name.split(".")
+        assert callable(getattr(import_module(f"posetdegen.{module}"), function, None)), name
+    assert {span for required in tables["REQUIRED"].values() for span in required} <= set(spans)
