@@ -5,9 +5,10 @@ Exit codes: 0 success, 2 validation failure, 3 weight outside the cone,
 library fired); each error class in `errors` carries its code and its one
 line on stderr.  All rationals are serialized exactly ("p/q", plain integers
 without the denominator); a report holds only strings, integers, booleans
-and None in dicts and lists, and the writer refuses anything else, floats
-included.  A `subdivide` report, one block per part, is written from text
-encoded once per lattice, one chunk per part, with the same bytes.
+and None in dicts and lists, and its writer (`jsontext.report_json`)
+refuses anything else, floats included.  A `subdivide` report, one block
+per part, is written from text encoded once per lattice, one chunk per
+part, with the same bytes.
 """
 
 import argparse
@@ -19,12 +20,13 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from . import degeneration, flag as flagmod, marked, polytopes
 from .errors import ParseError, PosetDegenError
+from .jsontext import report_json
 from .posets import build_poset, mask_bits, validate_relative_structure
 
 INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
@@ -221,87 +223,6 @@ def render_text(report):
     return "\n".join(out) + "\n"
 
 
-SCALAR_WRITERS = {str: encode_basestring_ascii, int: int.__repr__}
-ROW_TYPES = {list, tuple}
-
-
-def report_json(report):
-    """The text of json.dumps(report, sort_keys=True, indent=2), written
-    directly: dicts with str keys, lists and tuples, str, int, bool and None.
-    Anything else, floats and Fractions included, raises TypeError.
-
-    A list of only str or only int is joined in one step.  A list of rows,
-    non-empty lists that together hold only str or only int (cover pairs,
-    points), goes into the output one row at a time.  Rows of labels recur
-    (the same covers in part after part), so each distinct one is formatted
-    once per indent; rows of ints (points) are formatted as they come."""
-    out = []
-    label_rows = {}  # indent -> {row of labels: its text after a comma}
-
-    def scalars(items):
-        """The writer of every item, if they are all str or all int; else None."""
-        kinds = set(map(type, items))
-        return SCALAR_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
-
-    def write(obj, newline):
-        kind = type(obj)
-        if kind is str:  # most leaves: tested before the isinstance branches
-            out.append(encode_basestring_ascii(obj))
-        elif kind is int:
-            out.append(int.__repr__(obj))
-        elif isinstance(obj, (list, tuple)):
-            if not obj:
-                out.append("[]")
-                return
-            inner = newline + "  "
-            leaf = scalars(obj)
-            if leaf is not None:
-                out.append(f"[{inner}{(',' + inner).join(map(leaf, obj))}{newline}]")
-                return
-            if set(map(type, obj)) <= ROW_TYPES and all(obj):
-                leaf = scalars(chain.from_iterable(obj))
-            if leaf is not None:
-                row = inner + "  "
-                sep = "," + row
-                labels = None
-                if leaf is encode_basestring_ascii:
-                    labels = label_rows.setdefault(inner, {})
-                for k, x in enumerate(obj):
-                    text = labels.get(x := tuple(x)) if labels is not None else None
-                    if text is None:
-                        text = f",{inner}[{row}{sep.join(map(leaf, x))}{inner}]"
-                        if labels is not None:
-                            labels[x] = text
-                    out.append(text if k else "[" + text[1:])
-            else:
-                for k, x in enumerate(obj):
-                    out.append(("[" if k == 0 else ",") + inner)
-                    write(x, inner)
-            out.append(newline + "]")
-        elif isinstance(obj, dict):
-            if not obj:
-                out.append("{}")
-                return
-            inner = newline + "  "
-            for k, key in enumerate(sorted(obj)):
-                if not isinstance(key, str):
-                    raise TypeError(f"a report key must be a str, not {type(key).__name__}")
-                out.append(f"{'{' if k == 0 else ','}{inner}{encode_basestring_ascii(key)}: ")
-                write(obj[key], inner)
-            out.append(newline + "}")
-        elif isinstance(obj, str):
-            out.append(encode_basestring_ascii(obj))
-        elif obj is None or obj is True or obj is False:
-            out.append("null" if obj is None else "true" if obj else "false")
-        elif isinstance(obj, int):
-            out.append(int.__repr__(obj))
-        else:
-            raise TypeError(f"a report cannot hold {kind.__name__}")
-
-    write(report, "\n")
-    return "".join(out)
-
-
 class PartsReport:
     """The report of `subdivide`: the parts of a subdivision of `structure`
     (for a marked structure, of its standardized quotient), the (vertices,
@@ -482,7 +403,8 @@ def write_out(out, data):
 
 
 def point_list(points):
-    return [list(p) for p in sorted(points)]
+    """Sorted point tuples as lists, which `render_text` renders."""
+    return list(map(list, points))
 
 
 def cmd_validate(args):
@@ -615,12 +537,9 @@ def cmd_ideal_gens(args):
     structure = parse_poset_file(args.file)
     pres = degeneration.ideal_presentation(structure, args.kind)
     keys = structure.lattice.keys
-    gens = []
-    for (a, b), rhs in pres.generators:
-        entry = {"lead": [keys[a], keys[b]]}
-        if rhs is not None:
-            entry["trail"] = [keys[rhs[0]], keys[rhs[1]]]
-        gens.append(entry)
+    gens = [{"lead": [keys[a], keys[b]]} if rhs is None
+            else {"lead": [keys[a], keys[b]], "trail": [keys[rhs[0]], keys[rhs[1]]]}
+            for (a, b), rhs in pres.generators]
     return {"kind": args.kind, "generators": gens}
 
 

@@ -184,12 +184,6 @@ class Part:
         ext = self.linearization
         return sorted(zip(ext, ext[1:]))
 
-    @cached_property
-    def affine(self):
-        """The affine function as (a: tuple of Fractions over P, b: Fraction)."""
-        a, b = self.lift
-        return tuple(Fraction(x, self.scale) for x in a), Fraction(b, self.scale)
-
     def added_covers(self, base_poset):
         """Cover pairs of the recovered order that are not relations of the base."""
         labels, above = self.elements, base_poset.above

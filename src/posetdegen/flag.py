@@ -7,7 +7,6 @@ p_{d_{i-1}+1, d_i} with marking value l - i + 1, the sum of the fundamental
 markings of the increasing chain of marked ideals.
 """
 
-from functools import cached_property
 from itertools import combinations
 
 from .errors import InvalidDims, InvalidIndex, InvalidStructure, ModeDimsMismatch
@@ -44,15 +43,6 @@ class FlagData:
             label: self.l - i for i, label in enumerate(self.marked_labels)
         }
         self.marked_mask = sum(1 << self.poset.index(x) for x in self.marked_labels)
-
-    @cached_property
-    def grass_poset(self):
-        """The unmarked grid P_k = {p_{a,b} : a <= k < b} for Grassmannian
-        dims {0, k, n}."""
-        if self.l != 2:
-            raise ModeDimsMismatch("Grassmannian maps require dims of the form {0,k,n}")
-        k = self.dims[1]
-        return _pair_poset([(a, b) for a, b in self.pairs if a <= k < b])
 
     def structure(self, mode):
         """The validated relative structure of the GT or FFLV polytope."""

@@ -318,6 +318,13 @@ def naive_prescribed_multichain_count(lattice, marked, reqs):
     return sum(counts)
 
 
+def part_affine(part):
+    """A part's affine function in Fractions: (a over P, b), its integer
+    lift over its scale."""
+    a, b = part.lift
+    return tuple(Fraction(x, part.scale) for x in a), Fraction(b, part.scale)
+
+
 def naive_part_report(structure, part, vertices, lattice_points, vanishing_keys):
     """One part of a `subdivide` report the long way: covers by the triple
     loop, the affine function in Fractions, the vanishing keys sorted here."""
@@ -332,8 +339,8 @@ def naive_part_report(structure, part, vertices, lattice_points, vanishing_keys)
         "lattice_points": lattice_points,
         "vanishing_variables": sorted(vanishing_keys),
         "affine": {
-            "normal": [fmt(a) for a in part.affine[0]],
-            "constant": fmt(part.affine[1]),
+            "normal": [fmt(a) for a in part_affine(part)[0]],
+            "constant": fmt(part_affine(part)[1]),
         },
     }
 
@@ -466,6 +473,16 @@ def flag_weight(n, dims):
     """The gl_n weight sum of fundamental weights omega_{d_i}, i = 1..l-1."""
     inner = list(dims)[1:-1]
     return tuple(sum(1 for d in inner if d >= j) for j in range(1, n + 1))
+
+
+def grass_poset(flag):
+    """The unmarked grid P_k = {p_{a,b} : a <= k < b} of a flag with dims
+    {0, k, n}: P_d less its two marked corners, as an induced sub-poset."""
+    assert flag.l == 2, "Grassmannian dims {0, k, n}"
+    poset = flag.poset
+    keep = [i for i in range(poset.n) if not flag.marked_mask >> i & 1]
+    above = [sum(1 << y for y, j in enumerate(keep) if poset.above[i] >> j & 1) for i in keep]
+    return Poset([poset.elements[i] for i in keep], tuple(above))
 
 
 def gt_pattern_count(weight):

@@ -229,8 +229,24 @@ REPORT_VALUES = st.recursive(
 )
 
 
+STR_LEAVES = st.text(st.sampled_from('a%s"\\\x1f\u00e9\u2028\ud800\U0001f600'), max_size=4)
+INT_LEAVES = st.integers(-10 ** 40, 10 ** 40) | st.sampled_from([-1, 0, 10 ** 300])
+
+
+@st.composite
+def uniform_lists(draw):
+    """Two or more items of one shape, rows or records of rows under one key
+    set, whose leaves are all str or all int."""
+    leaf = draw(st.sampled_from([STR_LEAVES, INT_LEAVES]))
+    row = st.lists(leaf, min_size=1, max_size=4)
+    row = row | row.map(tuple)
+    keys = draw(st.none() | st.lists(STR_LEAVES, min_size=1, max_size=3, unique=True))
+    item = row if keys is None else st.fixed_dictionaries({k: row for k in keys})
+    return draw(st.lists(item, min_size=2, max_size=6))
+
+
 @settings(max_examples=150, deadline=None)
-@given(report=REPORT_VALUES)
+@given(report=REPORT_VALUES | uniform_lists())
 @example(report={"é\x00\u2028\U0001f600": ["\x1f\"\\", "\ud800"], "": {}, "a": []})
 @example(report=[[True, 1, 0, False], [1, 2], ["x", "y"], ["x", 1], [None], (), [[]]])
 @example(report={"b": {"c": [1, {"d": (2, 3)}]}, "a": -10 ** 30})
@@ -241,6 +257,16 @@ REPORT_VALUES = st.recursive(
 @example(report=[[["a"]]])
 @example(report=[[-10 ** 30, 0]])
 @example(report={"a": [["x", "y"], ["x", "y"]], "b": [("x", "y")], "c": {"d": [["x", "y"]]}})
+@example(report=[[1, 2], [3, True]])
+@example(report=[{"a": ["x"]}, {"b": ["y"]}])
+@example(report=[{"%s": ["a"]}, {"%s": ["b"]}])
+@example(report=[["a", "b"], ["c"]])
+@example(report=[{"": None}, {"0": None}])
+@example(report=[{}, {}])
+@example(report=[{"a": ["x"], "b": []}, {"a": ["y"], "b": []}])
+@example(report=[{"a": [1], "b": ["x"]}, {"a": [2], "b": ["y"]}])
+@example(report={"x": [[i, -i, 10 ** 30] for i in range(200)]})
+@example(report=[{"k%": ["a%d"] * (i % 3 + 1), "j": ("\ud800",)} for i in range(150)])
 def test_report_writer_equals_json_dumps(report):
     assert cli.report_json(report) == json.dumps(report, sort_keys=True, indent=2)
 
@@ -249,6 +275,7 @@ def test_report_writer_equals_json_dumps(report):
     1.5, [0, 2.0], {"a": {"b": [float("nan")]}}, Fraction(1, 2), [Fraction(2)],
     {1: "a"}, {"a": b"bytes"}, {"a": {"x"}},
     [[1.5]], [[1, Fraction(1, 2)]], [["a"], [1.0]], [[1], [2], [3, 4.0]],
+    [{"a": [1]}, {"a": [1.5]}], [["x"], ["y", Fraction(1, 2)]],
 ])
 def test_report_writer_refuses_other_types(report):
     # json.dumps would render a float, a non-str key or nothing at all; a
@@ -675,6 +702,74 @@ def test_components_and_ideal_gens(tmp_path, capsys):
     code, out = run(capsys, ["ideal-gens", poset, "--kind", "hibi"])
     gens = json.loads(out)["generators"]
     assert gens == [{"lead": ["a", "b"], "trail": ["a,b", ""]}]
+
+
+def test_ideal_gens_monomial_lists_each_incomparable_pair_once(tmp_path, capsys):
+    path = write(tmp_path, "p.json", {"elements": ["a", "b", "c"]})
+    code, out = run(capsys, ["ideal-gens", path, "--kind", "monomial"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["kind"] == "monomial"
+    gens = report["generators"]
+    assert gens and all(list(g) == ["lead"] for g in gens)  # no "trail"
+    lat = cli.parse_poset_file(path).lattice
+    pairs = {frozenset((lat.keys[a], lat.keys[b])) for a, b in incomparable_pairs(lat)}
+    leads = [frozenset(g["lead"]) for g in gens]
+    assert len(leads) == len(pairs) == 9 and set(leads) == pairs
+
+
+ROUND_TRIP_FILES = {
+    "antichain": {"elements": ["a", "b", "c"]},
+    "marked": DIAMOND_MARKED,
+    "weak": {key: DIAMOND_MARKED[key] for key in ("elements", "covers", "weak_covers")},
+    # standardizes to the classes {a,b,c}, {d}, {e}: rows of two lengths
+    "merged": {"elements": ["a", "b", "c", "d", "e"],
+               "covers": [["a", "b"], ["b", "c"], ["d", "e"]],
+               "marked": {"a": 1, "c": 1, "d": 2, "e": 0}},
+    # w_J = |J & {a,b}|^2 on the antichain {a,b,c}: two parts, tight pairs
+    "weights": {"weights": {",".join(ideal): str(len(set(ideal) & {"a", "b"}) ** 2)
+                            for r in range(4) for ideal in combinations("abc", r)}},
+}
+FLAG_3 = ["--n", "3", "--dims", "0,1,2,3"]
+ROUND_TRIP_COMMANDS = {
+    "validate": ["validate", "{marked}"],
+    "ideals": ["ideals", "{weak}"],
+    "polytope-order": ["polytope", "{antichain}", "--kind", "order"],
+    "polytope-relative": ["polytope", "{weak}", "--kind", "relative"],
+    "polytope-mrpp": ["polytope", "{marked}", "--kind", "mrpp"],
+    "polytope-gt": ["polytope", "--kind", "gt", *FLAG_3],
+    "polytope-fflv": ["polytope", "--kind", "fflv", *FLAG_3],
+    "ehrhart": ["ehrhart", "{weak}", "--max-dilation", "3"],
+    "normality": ["normality", "{weak}", "--max-dilation", "2"],
+    "cone-check": ["cone-check", "{antichain}", "--weights", "{weights}"],
+    "components": ["components", "{antichain}", "--weights", "{weights}"],
+    "standardize": ["standardize", "{merged}"],
+    "mcop-recognize": ["mcop-recognize", "{marked}"],
+    "flag-polytope": ["flag", *FLAG_3, "--mode", "fflv", "--action", "polytope"],
+    "flag-degenerate": ["flag", *FLAG_3, "--mode", "gt", "--action", "degenerate",
+                        "--weights", "{flag_weights}"],
+    **{f"ideal-gens-{kind}": ["ideal-gens", "{antichain}", "--kind", kind]
+       for kind in ("hibi", "hibili", "relative", "monomial")},
+}
+
+
+@pytest.mark.parametrize("name, argv", ROUND_TRIP_COMMANDS.items(), ids=ROUND_TRIP_COMMANDS)
+def test_every_command_report_round_trips_through_json(tmp_path, capsys, name, argv):
+    # the writer's bytes on the shapes the commands really emit; point lists
+    # come out sorted without being sorted again
+    files = {stem: write(tmp_path, f"{stem}.json", payload)
+             for stem, payload in ROUND_TRIP_FILES.items()}
+    std = marked.standardize(build_flag_poset(3, (0, 1, 2, 3)).structure("gt"))
+    canonical = {key: str((3 - len(key.split(","))) ** 2 if key else 9)
+                 for key in cli.jlambda_keys(std)}
+    files["flag_weights"] = write(tmp_path, "fw.json", {"weights": canonical})
+    code, out = run(capsys, [arg.format(**files) for arg in argv])
+    assert code == 0
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if name in ("polytope-mrpp", "polytope-gt", "polytope-fflv", "flag-polytope"):
+        for points in (report["lattice_points"], report.get("vertices", [])):
+            assert points == sorted(points)
 
 
 def test_components_generators_use_base_keys(tmp_path, capsys):

@@ -35,6 +35,7 @@ from conftest import (
     naive_covers,
     naive_star_closure_failure,
     naive_subdivide,
+    part_affine,
     posets_up_to_iso,
     random_poset,
     sample_cone_weight,
@@ -211,7 +212,7 @@ def test_subdivide_zero_weight_walks_without_linearizations(monkeypatch):
 
 
 def part_table(sub):
-    return [(p.sublattice, p.order, p.affine, p.linearization_count) for p in sub.parts]
+    return [(p.sublattice, p.order, part_affine(p), p.linearization_count) for p in sub.parts]
 
 
 def prefix_sharing_structures(rng, count):
@@ -417,8 +418,8 @@ def test_subdivide_negated_weight_evaluates_the_cone_once(monkeypatch):
         assert [(p.sublattice, p.order, p.linearization_count) for p in minus.parts] == [
             (p.sublattice, p.order, p.linearization_count) for p in plus.parts
         ]
-        assert [p.affine for p in minus.parts] == [
-            (tuple(-x for x in p.affine[0]), -p.affine[1]) for p in plus.parts
+        assert [part_affine(p) for p in minus.parts] == [
+            (tuple(-x for x in a), -b) for a, b in map(part_affine, plus.parts)
         ]
 
 
@@ -435,7 +436,7 @@ def test_subdivide_soundness_sampled():
             assert cone_position(s, w).position in ("interior", "boundary")
             sub = subdivide(s, w)
             assert sum(p.linearization_count for p in sub.parts) == exts
-            affines = {p.affine for p in sub.parts}
+            affines = set(map(part_affine, sub.parts))
             assert len(affines) == len(sub.parts)
             for part in sub.parts:
                 assert s.poset.is_weaker_than(part.order)

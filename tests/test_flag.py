@@ -15,7 +15,13 @@ from posetdegen.errors import InvalidDims, InvalidStructure, ModeDimsMismatch
 from posetdegen.flag import PlueckerMap
 from posetdegen.marked import build_mrpp, mrpp_points, standardize, mrpp_subdivide
 
-from conftest import flag_weight, lattice_points, naive_mcop_recognize, weyl_dimension
+from conftest import (
+    flag_weight,
+    grass_poset,
+    lattice_points,
+    naive_mcop_recognize,
+    weyl_dimension,
+)
 
 
 def all_dims(n):
@@ -53,7 +59,7 @@ def test_flag_poset_examples():
     assert len(middle) == 10
 
     f3 = build_flag_poset(7, (0, 3, 7))
-    assert len(f3.grass_poset.elements) == 12  # the 3x4 grid P_3
+    assert len(grass_poset(f3).elements) == 12  # the 3x4 grid P_3
     assert len(f3.poset.elements) == 14
 
 
@@ -113,7 +119,7 @@ def test_all_maps_biject_small():
     for n in range(2, 7):
         for k in range(1, n):
             f = build_flag_poset(n, (0, k, n))
-            lat = enumerate_ideals(f.grass_poset)
+            lat = enumerate_ideals(grass_poset(f))
             for mode in ("O", "C"):
                 m = PlueckerMap(f, mode)
                 variables = m.variables()
@@ -137,7 +143,7 @@ def test_gl_binomials_pull_back_to_hibi_generators():
     # psi_O(min tuple) and psi_O(max tuple) are meet and join of the images
     f = build_flag_poset(4, (0, 2, 4))
     m = PlueckerMap(f, "O")
-    poset = f.grass_poset
+    poset = grass_poset(f)
     for t1 in m.variables():
         for t2 in m.variables():
             j1 = sum(1 << poset.index(e) for e in m.to_ideal(t1))
@@ -201,7 +207,7 @@ def test_grassmannian_vertex_labels_match_grid_ideals():
     f = build_flag_poset(5, (0, 2, 5))
     poly = flag_polytope(f, "fflv")
     poset = f.poset
-    grid = f.grass_poset
+    grid = grass_poset(f)
     grid_cols = [poset.index(e) for e in grid.elements]
     projected = {tuple(p[i] for i in grid_cols) for p in poly.points}
     from posetdegen.posets import chain_structure
