@@ -194,21 +194,25 @@ def hasse_lines(elements, covers, indent="  "):
 
 
 def render_text(report):
+    """The text format of a report: dicts by sorted key, lists and tuples
+    alike as "-" items, nested ones indented; a "hasse" entry's lines
+    first."""
     out = []
+    nested = (dict, list, tuple)
 
     def walk(obj, depth):
         pad = "  " * depth
         if isinstance(obj, dict):
             for key in sorted(obj):
                 value = obj[key]
-                if isinstance(value, (dict, list)):
+                if isinstance(value, nested):
                     out.append(f"{pad}{key}:")
                     walk(value, depth + 1)
                 else:
                     out.append(f"{pad}{key}: {value}")
-        elif isinstance(obj, list):
+        elif isinstance(obj, (list, tuple)):
             for value in obj:
-                if isinstance(value, (dict, list)):
+                if isinstance(value, nested):
                     out.append(f"{pad}-")
                     walk(value, depth + 1)
                 else:
@@ -402,16 +406,11 @@ def write_out(out, data):
                 pass
 
 
-def point_list(points):
-    """Sorted point tuples as lists, which `render_text` renders."""
-    return list(map(list, points))
-
-
 def cmd_validate(args):
     structure = parse_poset_file(args.file)
     report = {
         "valid": True,
-        "elements": list(structure.poset.elements),
+        "elements": structure.poset.elements,
         "ideal_count": structure.ideal_count,
         "marked": sorted(
             structure.poset.elements[i] for i in mask_bits(structure.marked)
@@ -423,7 +422,7 @@ def cmd_validate(args):
 
 def cmd_ideals(args):
     structure = parse_poset_file(args.file)
-    return {"ideals": list(structure.lattice.keys)}
+    return {"ideals": structure.lattice.keys}
 
 
 def cmd_polytope(args):
@@ -434,19 +433,14 @@ def cmd_polytope(args):
         poly = flagmod.flag_polytope(data, args.kind)
         return {
             "kind": args.kind,
-            "elements": list(data.poset.elements),
-            "lattice_points": point_list(poly.points),
-            "vertices": point_list(poly.vertices),
+            "elements": data.poset.elements,
+            "lattice_points": poly.points,
+            "vertices": poly.vertices,
         }
     structure = parse_poset_file(args.file)
     if args.kind == "mrpp":
         poly = marked.build_mrpp(structure)
-        return {
-            "kind": "mrpp",
-            "lattice_points": point_list(poly.points),
-            "vertices": point_list(poly.vertices),
-        }
-    if args.kind == "mcop":
+    elif args.kind == "mcop":
         chain_part = args.chain_set.split(",") if args.chain_set else []
         order_part = args.order_set.split(",") if args.order_set else []
         marking = {
@@ -454,17 +448,14 @@ def cmd_polytope(args):
             for i in mask_bits(structure.marked)
         }
         poly = marked.mcop_build(structure.poset, marking, chain_part, order_part)
+    else:
+        poly = polytopes.build_polytope(structure, args.kind)
         return {
-            "kind": "mcop",
-            "lattice_points": point_list(poly.points),
-            "vertices": point_list(poly.vertices),
+            "kind": args.kind,
+            "vertices": poly.vertices,
+            "vertex_keys": poly.structure.lattice.keys,
         }
-    poly = polytopes.build_polytope(structure, args.kind)
-    return {
-        "kind": args.kind,
-        "vertices": [list(v) for v in poly.vertices],
-        "vertex_keys": list(poly.structure.lattice.keys),
-    }
+    return {"kind": args.kind, "lattice_points": poly.points, "vertices": poly.vertices}
 
 
 def reject_negative_dilation(args):
@@ -527,7 +518,7 @@ def cmd_components(args):
                     [[keys[a], keys[b]], [keys[u], keys[s]]]
                     for (a, b), (u, s) in comp.presentation.generators
                 ],
-                "order_covers": [list(c) for c in sorted(comp.part.order.cover_labels())],
+                "order_covers": sorted(comp.part.order.cover_labels()),
             }
         )
     return {"components": out}
@@ -553,8 +544,8 @@ def cmd_standardize(args):
             sorted(structure.poset.elements[i] for i in mask_bits(m))
             for m in std.class_masks
         ],
-        "quotient_elements": list(q.poset.elements),
-        "quotient_covers": [list(c) for c in sorted(q.poset.cover_labels())],
+        "quotient_elements": q.poset.elements,
+        "quotient_covers": sorted(q.poset.cover_labels()),
         "mu": {
             q.poset.elements[i]: q.marking[i] for i in mask_bits(q.marked)
         },
@@ -568,7 +559,7 @@ def cmd_mcop_recognize(args):
     found = marked.mcop_recognize(structure, target)
     if found is None:
         return {"found": False}
-    return {"found": True, "chain": list(found[0]), "order": list(found[1])}
+    return {"found": True, "chain": found[0], "order": found[1]}
 
 
 def parse_dims(text):
@@ -581,15 +572,15 @@ def parse_dims(text):
 def cmd_flag(args):
     data = flagmod.build_flag_poset(args.n, parse_dims(args.dims))
     if args.action == "ideals":
-        return {"ideals": list(data.structure(args.mode).lattice.keys)}
+        return {"ideals": data.structure(args.mode).lattice.keys}
     if args.action == "polytope":
         poly = flagmod.flag_polytope(data, args.mode)
         return {
             "mode": args.mode,
-            "elements": list(data.poset.elements),
+            "elements": data.poset.elements,
             "marked": {k: data.marking[k] for k in data.marked_labels},
             "lattice_point_count": len(poly.points),
-            "lattice_points": point_list(poly.points),
+            "lattice_points": poly.points,
         }
     # degenerate
     std = marked.standardize(data.structure(args.mode))

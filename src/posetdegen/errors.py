@@ -76,10 +76,6 @@ class OutsideCone(PosetDegenError):
         super().__init__(f"{message}; violated pairs: {self.witnesses}")
 
 
-class NotDominant(ValidationError):
-    pass
-
-
 class NotAPartition(ValidationError):
     pass
 

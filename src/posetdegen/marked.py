@@ -2,18 +2,17 @@
 standardization to quotient structures, MRPP subdivisions and the
 chain-order polytope comparison."""
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import add, eq, le, lt, sub
 
 from . import linalg
-from .degeneration import Part, first_linearization, structure_of_part, subdivide
+from .degeneration import Part, Subdivision, first_linearization, structure_of_part, subdivide
 from .errors import (
+    DuplicateLabel,
     InternalClosureFailure,
     InvalidStructure,
     NotAPartition,
-    NotDominant,
     TheoremViolation,
 )
 from .posets import (
@@ -39,10 +38,12 @@ class FundamentalDecomposition:
         self.marked_mask = marked_mask
 
     def chain_masks(self):
-        """D(lambda): the term ideals together with the empty set and all of P*."""
-        masks = {0, self.marked_mask}
-        masks.update(k for k, _ in self.terms)
-        return tuple(sorted(masks, key=lambda m: bin(m).count("1")))
+        """D(lambda): the term ideals together with the empty set and all of
+        P*, distinct and increasing."""
+        masks = [0, *(k for k, _ in self.terms)]
+        if masks[-1] != self.marked_mask:
+            masks.append(self.marked_mask)
+        return tuple(masks)
 
     def steps(self):
         """J_d & P* for each step of the multichains summed to the lattice
@@ -51,32 +52,37 @@ class FundamentalDecomposition:
 
 
 def fundamental_decomposition(structure, scale=1):
-    """Layer decomposition of the (scaled) marking of a marked structure."""
+    """Layer decomposition of the (scaled) marking of a marked structure.
+
+    The layer of level l holds the marked elements whose shifted value is
+    at least l, so it only changes at a value: each distinct positive
+    shifted value hi, with the next smaller one lo (0 at the floor), gives
+    the layer of the values >= hi with multiplicity hi - lo."""
     if structure.marked == 0:
         raise InvalidStructure("structure carries no marking")
     marked = structure.marked
     values = {i: scale * structure.marking[i] for i in mask_bits(marked)}
     shift = -min(0, min(values.values()))
-    shifted = {i: v + shift for i, v in values.items()}
-    peak = max(shifted.values())
+    by_value = {}
+    for i, v in values.items():
+        by_value[v + shift] = by_value.get(v + shift, 0) | 1 << i
+    levels = sorted(by_value, reverse=True)
     terms = []
-    for level in range(peak, 0, -1):
-        layer = sum(1 << i for i, v in shifted.items() if v >= level)
-        if terms and terms[-1][0] == layer:
-            terms[-1][1] += 1
-        else:
-            terms.append([layer, 1])
-    return FundamentalDecomposition(
-        [(k, a) for k, a in terms], shift, marked
-    )
+    layer = 0
+    for hi, lo in zip(levels, levels[1:] + [0]):
+        layer |= by_value[hi]
+        if hi > 0:
+            terms.append((layer, hi - lo))
+    return FundamentalDecomposition(terms, shift, marked)
 
 
 class MarkedPolytope:
-    """An MRPP presented by its full integer point set (vertices on demand)."""
+    """An MRPP presented by its full integer point set, sorted and distinct
+    as `mrpp_points` gives it (vertices on demand, in the same order)."""
 
     def __init__(self, structure, points):
         self.structure = structure
-        self.points = tuple(sorted(points))
+        self.points = tuple(points)
 
     def __len__(self):
         return len(self.points)
@@ -91,7 +97,8 @@ class MarkedPolytope:
 
 
 def mrpp_points(structure, scale=1):
-    """Integer points of R_{scale*lambda}: sums over prescribed-intersection multichains."""
+    """Integer points of R_{scale*lambda}: sums over prescribed-intersection
+    multichains, sorted; the one sort of a point set in this module."""
     fd = fundamental_decomposition(structure, scale)
     n = structure.poset.n
     reqs = fd.steps()
@@ -157,7 +164,7 @@ def standardize(structure):
     by_sig = {}
     for p in range(n):
         by_sig.setdefault(signatures[p], []).append(p)
-    classes = sorted(by_sig.values(), key=lambda members: members[0])
+    classes = list(by_sig.values())  # by least member, as p ascends
     class_masks = [sum(1 << p for p in members) for members in classes]
     class_of = {}
     for c, members in enumerate(classes):
@@ -166,6 +173,10 @@ def standardize(structure):
 
     labels = ["|".join(poset.elements[p] for p in members) for members in classes]
     q = len(classes)
+    if len(set(labels)) < q:
+        seen = set()
+        label = next(x for x in labels if x in seen or seen.add(x))
+        raise DuplicateLabel(f"two classes of the quotient are both labelled {label!r}")
     above = [0] * q
     for a in range(q):
         for b in range(q):
@@ -230,25 +241,18 @@ def standardize(structure):
 
 class MarkedPart(Part):
     """A part of the quotient's subdivision, at the standardized level, with
-    the lattice points and the structure of its marked section."""
+    the lattice points (sorted and distinct) and the structure of its marked
+    section."""
 
     def __init__(self, part, structure, points):
         super().__init__(part.sublattice, part.lift, part.scale, part.linearization_count,
                          part.elements, part.linearization, part.order, part.covers)
         self.structure = structure
-        self.points = tuple(sorted(points))
+        self.points = tuple(points)
 
     @cached_property
     def vertices(self):
         return marked_vertices(self.structure, self.points)
-
-
-class MarkedSubdivision:
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def __len__(self):
-        return len(self.parts)
 
 
 def restricted_affine(structure, affine):
@@ -268,7 +272,9 @@ def restricted_affine(structure, affine):
 
 def mrpp_subdivide(std, w):
     """Subdivide the MRPP of a standardized structure (`standardize`) under
-    a weight over J_lambda.
+    a weight over J_lambda, a sequence of rationals; returns the
+    `Subdivision` of the quotient, with its weight over the quotient's
+    lattice and `MarkedPart`s.
 
     The non-marked relative polytope of the quotient is subdivided with the
     transported weights, and each part is intersected with the marked
@@ -293,14 +299,11 @@ def mrpp_subdivide(std, w):
     gives the same dimension for the whole MRPP.
     """
     quotient = std.quotient
-    values = list(w.values) if hasattr(w, "values") else [Fraction(v) for v in w]
-    if len(values) != len(std.jlambda):
-        raise ValueError(
-            f"weight has {len(values)} entries, J_lambda has {len(std.jlambda)}"
-        )
-    wq = [Fraction(0)] * len(quotient.lattice)
-    for k, qpos in enumerate(std.lattice_map):
-        wq[qpos] = Fraction(values[k])
+    if len(w) != len(std.jlambda):
+        raise ValueError(f"weight has {len(w)} entries, J_lambda has {len(std.jlambda)}")
+    wq = [0] * len(quotient.lattice)
+    for qpos, value in zip(std.lattice_map, w):
+        wq[qpos] = value
     big = subdivide(quotient, wq)
 
     whole = MarkedPolytope(quotient, mrpp_points(quotient))
@@ -320,7 +323,7 @@ def mrpp_subdivide(std, w):
         parts.append(MarkedPart(part, section_structure, pts))
     if covered != set(whole.points):
         raise InternalClosureFailure("section parts do not cover the marked polytope")
-    return MarkedSubdivision(parts)
+    return Subdivision(quotient, big.weight, parts)
 
 
 def _mcop_chains(poset, anchors, middle):
@@ -341,13 +344,11 @@ def _mcop_chains(poset, anchors, middle):
     of `mcop_recognize`), the chains are chains of covers of every split
     that extends this one.
     """
-    up = [[] for _ in range(poset.n)]
-    for i, j in poset.covers():
-        up[i].append(j)
+    up = poset.upper_covers
     out = []
 
     def walk(a, mids, last):
-        for q in up[last]:
+        for q in mask_bits(up[last]):
             if anchors >> q & 1:
                 out.append((a, mids, q))
             elif middle >> q & 1:
@@ -430,7 +431,7 @@ def _free_blocks(n, marked, tight):
 
 
 def _order_vertices(structure, points):
-    """The sorted vertices of conv(points), the distinct lattice points of a
+    """The vertices of conv(points), the sorted distinct lattice points of a
     marked order polytope (`mcop_split` gives C = 0): the points whose
     tight-cover partition has no free block (`_free_blocks`), that is, at
     which every element reaches a marked one along tight covers.
@@ -473,12 +474,13 @@ def _order_vertices(structure, points):
     vertex = every
     for r in reach:
         vertex &= r
-    return tuple(sorted(compress(points, vertex.to_bytes(len(points), "little"))))
+    return tuple(compress(points, vertex.to_bytes(len(points), "little")))
 
 
 def marked_vertices(structure, points):
-    """The sorted vertices of conv(points), the MRPP of the structure for the
-    marking on the points' marked coordinates.
+    """The vertices of conv(points), the MRPP of the structure for the
+    marking on the points' marked coordinates, in the order of `points`
+    (sorted and distinct, so they come out sorted).
 
     MCOP-shaped structures (`mcop_split`) give MCOP(C, O), which is this
     MRPP (Fang, Fourier, Litza and Pegel 2020).  The theorem wants every
@@ -500,10 +502,10 @@ def marked_vertices(structure, points):
     """
     split = mcop_split(structure)
     if split is None or not points:
-        return tuple(sorted(linalg.extreme_points(points)))
+        return tuple(linalg.extreme_points(points))
     if not split[0]:
         return _order_vertices(structure, points)
-    return tuple(sorted(linalg.extreme_points(points, _mcop_rows(structure, split, points[0]))))
+    return tuple(linalg.extreme_points(points, _mcop_rows(structure, split, points[0])))
 
 
 def _mcop_rows(structure, split, point):
@@ -549,9 +551,10 @@ def mcop_build(poset, marking, chain_part, order_part):
 
     (1) bounding-box enumeration against the defining inequalities and
     (2) the MRPP with p <' q iff p < q and p not in P* u O.
-    Their disagreement raises TheoremViolation.
+    Their disagreement raises TheoremViolation; otherwise the result holds
+    the MRPP's sorted points.  Validating (2) checks the marking, dominance
+    included.
     """
-    marking = dict(marking)
     marked_mask = 0
     for label in marking:
         marked_mask |= 1 << poset.index(label)
@@ -563,13 +566,6 @@ def mcop_build(poset, marking, chain_part, order_part):
     free = poset.full & ~marked_mask
     if c_mask & o_mask or (c_mask | o_mask) != free:
         raise NotAPartition("C and O must partition the unmarked elements")
-    values = {poset.index(k): int(v) for k, v in marking.items()}
-    for i in values:
-        for j in mask_bits(poset.above[i] & marked_mask):
-            if values[i] < values[j]:
-                raise NotDominant(
-                    f"marking increases along {poset.elements[i]} < {poset.elements[j]}"
-                )
 
     # construction (2): the MRPP of the order weakened away from P* u O
     weak_pairs = [
@@ -585,7 +581,7 @@ def mcop_build(poset, marking, chain_part, order_part):
     # linearization of (P,<), and each chain is checked as soon as its last
     # coordinate is set
     n = poset.n
-    ranges, chains = _mcop_inequalities(poset, values, marked_mask | o_mask, c_mask)
+    ranges, chains = _mcop_inequalities(poset, structure.marking, marked_mask | o_mask, c_mask)
     order = mask_bits(marked_mask) + [i for i in first_linearization(poset)
                                       if not marked_mask >> i & 1]
     position = {i: k for k, i in enumerate(order)}
@@ -614,7 +610,7 @@ def mcop_build(poset, marking, chain_part, order_part):
         raise TheoremViolation(
             "chain-order inequalities and the MRPP construction disagree"
         )
-    return MarkedPolytope(structure, box_points)
+    return MarkedPolytope(structure, mrpp)
 
 
 def mcop_recognize(structure, target):
@@ -640,7 +636,7 @@ def mcop_recognize(structure, target):
     poset = structure.poset
     n = poset.n
     marked = structure.marked
-    values = {i: structure.marking[i] for i in mask_bits(marked)}
+    values = structure.marking
     count = ehrhart_values(structure, 1)[1]
     points = {
         tuple(x) for x in (target.points if isinstance(target, MarkedPolytope) else target)

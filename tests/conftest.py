@@ -727,7 +727,24 @@ def fundamental_mrpp(structure, k_mask):
     ]
     if not pts:
         raise InternalClosureFailure("fundamental MRPP is empty; K is not an ideal of (P*,<)")
-    return MarkedPolytope(structure, pts)
+    return MarkedPolytope(structure, sorted(pts))
+
+
+def naive_fundamental_decomposition(structure, scale=1):
+    """(terms, shift) of `fundamental_decomposition` by one layer per level
+    of the shifted marking, from its peak down to 1, a run of equal layers
+    merged into one term: a loop as long as the largest value."""
+    values = {i: scale * structure.marking[i] for i in mask_bits(structure.marked)}
+    shift = -min(0, min(values.values()))
+    shifted = {i: v + shift for i, v in values.items()}
+    terms = []
+    for level in range(max(shifted.values()), 0, -1):
+        layer = sum(1 << i for i, v in shifted.items() if v >= level)
+        if terms and terms[-1][0] == layer:
+            terms[-1][1] += 1
+        else:
+            terms.append([layer, 1])
+    return tuple(map(tuple, terms)), shift
 
 
 def naive_mrpp_points(structure, scale=1):

@@ -476,6 +476,42 @@ def test_flag_and_standardized_labels_are_accepted(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ideals"] == ["", "p1.2", "a|b,p1.2"]
 
 
+def test_standardize_refuses_colliding_class_labels(tmp_path, capsys):
+    # a and b merge into a class named "a|b", which another element is called
+    poset = write(tmp_path, "p.json", {
+        "elements": ["a", "b", "a|b", "c"],
+        "covers": [["a", "a|b"], ["b", "a|b"], ["a|b", "c"]],
+        "marked": {"a": 1, "b": 1, "c": 0}})
+    assert main(["validate", poset]) == 0
+    capsys.readouterr()
+    assert main(["standardize", poset]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "validation error: two classes of the quotient are both labelled 'a|b'\n")
+
+
+def test_standardize_time_does_not_grow_with_the_marking(tmp_path, capsys):
+    # one decomposition term per distinct marking value, not one per level:
+    # a loop over 3,000,000 levels took seconds
+    poset = write(tmp_path, "p.json", {
+        "elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]],
+        "marked": {"a": 3000000, "c": 0}})
+    start = time.perf_counter()
+    code, out = run(capsys, ["standardize", poset])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    expected = {
+        "classes": [["a"], ["b"], ["c"]],
+        "hasse": ["a", "  < b", "b", "  < c", "c"],
+        "identity": True,
+        "mu": {"a": 3000000, "c": 0},
+        "quotient_covers": [["a", "b"], ["b", "c"]],
+        "quotient_elements": ["a", "b", "c"],
+    }
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_marking_strings_of_integers_are_accepted(tmp_path, capsys):
     payload = dict(DIAMOND_MARKED, marked={"bot": "2", "top": "-0"})
     code, out = run(capsys, ["validate", write(tmp_path, "p.json", payload)])
@@ -763,10 +799,14 @@ def test_every_command_report_round_trips_through_json(tmp_path, capsys, name, a
     canonical = {key: str((3 - len(key.split(","))) ** 2 if key else 9)
                  for key in cli.jlambda_keys(std)}
     files["flag_weights"] = write(tmp_path, "fw.json", {"weights": canonical})
-    code, out = run(capsys, [arg.format(**files) for arg in argv])
+    args = [arg.format(**files) for arg in argv]
+    code, out = run(capsys, args)
     assert code == 0
     report = json.loads(out)
     assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # the text format renders the library's tuples as the JSON's lists
+    code, text = run(capsys, ["--format", "text", *args])
+    assert code == 0 and text == cli.render_text(report)
     if name in ("polytope-mrpp", "polytope-gt", "polytope-fflv", "flag-polytope"):
         for points in (report["lattice_points"], report.get("vertices", [])):
             assert points == sorted(points)

@@ -18,9 +18,14 @@ from posetdegen import (
     validate_relative_structure,
 )
 from posetdegen import lattice as lattice_module, marked
-from posetdegen.errors import InternalClosureFailure, NotAPartition, NotDominant, TheoremViolation
+from posetdegen.errors import (
+    ConditionViolated,
+    InternalClosureFailure,
+    NotAPartition,
+    TheoremViolation,
+)
 from posetdegen.linalg import extreme_points
-from posetdegen.marked import _mcop_inequalities, mcop_split, mrpp_points
+from posetdegen.marked import _mcop_inequalities, marked_vertices, mcop_split, mrpp_points
 from posetdegen.posets import chain_structure, mask_bits
 from posetdegen.degeneration import canonical_interior_weight
 from posetdegen.polytopes import indicator
@@ -33,6 +38,7 @@ from conftest import (
     marked_corpus_structures,
     max_antichain,
     naive_mcop_box,
+    naive_fundamental_decomposition,
     naive_mcop_recognize,
     naive_mrpp_points,
     random_poset,
@@ -102,6 +108,27 @@ def test_fundamental_decomposition_sum_identity():
                 total[i] += alpha
         for i in mask_bits(marked):
             assert total[i] == values[poset.elements[i]] + fd.shift
+
+
+def test_fundamental_decomposition_matches_the_level_loop():
+    # one term per distinct shifted value agrees with one layer per level,
+    # and the chain of D(lambda) is that of the sorted term ideals
+    rng = random.Random(25)
+    for _ in range(150):
+        poset = random_poset(rng, rng.randint(1, 6))
+        marked_mask = poset.minimals | poset.maximals | rng.getrandbits(poset.n)
+        raw = {i: rng.randint(-4, 6) for i in mask_bits(marked_mask)}
+        # the largest raw value at or above an element keeps the marking dominant
+        marking = {poset.elements[i]: max(v for j, v in raw.items()
+                                          if j == i or poset.above[i] >> j & 1)
+                   for i in raw}
+        s = validate_relative_structure(poset, [], marking)
+        for scale in (1, 3):
+            fd = fundamental_decomposition(s, scale)
+            terms, shift = naive_fundamental_decomposition(s, scale)
+            assert (fd.terms, fd.shift) == (terms, shift)
+            masks = {0, s.marked, *(k for k, _ in terms)}
+            assert fd.chain_masks() == tuple(sorted(masks, key=lambda m: bin(m).count("1")))
 
 
 def test_fundamental_mrpp_extremes():
@@ -445,8 +472,55 @@ def test_mcop_partition_and_dominance_errors():
     poset = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     with pytest.raises(NotAPartition):
         mcop_build(poset, {"a": 1, "c": 0}, ["b"], ["b"])
-    with pytest.raises(NotDominant):
+    # dominance is checked where construction (2) validates its structure
+    with pytest.raises(ConditionViolated, match="condition dominance violated"):
         mcop_build(poset, {"a": 0, "c": 1}, ["b"], [])
+
+
+def test_mcop_build_returns_the_checked_mrpp_points():
+    # the sorted MRPP list itself, not the box search's depth-first order
+    grid = build_poset(["a", "b", "c", "d", "e", "f"], [
+        ("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("c", "e"), ("d", "f"), ("e", "f")])
+    # the elements listed top down: the box sets v before u
+    chain = build_poset(["t", "u", "v", "b"], [("b", "v"), ("v", "u"), ("u", "t")])
+    cases = [(grid, {"a": 2, "f": 0}, ["b", "c"], ["d", "e"]),
+             (grid, {"a": 3, "c": 1, "f": -1}, ["b", "d"], ["e"]),
+             (chain, {"b": 2, "t": 0}, [], ["u", "v"]),
+             (chain, {"b": 2, "t": 0}, ["u"], ["v"])]
+    for n, dims in ((3, (0, 1, 2, 3)), (4, (0, 2, 4))):
+        f = build_flag_poset(n, dims)
+        free = [e for i, e in enumerate(f.poset.elements) if not f.structure("gt").marked >> i & 1]
+        cases += [(f.poset, f.marking, [], free), (f.poset, f.marking, free, [])]
+    for poset, marking, chain_part, order_part in cases:
+        poly = mcop_build(poset, marking, chain_part, order_part)
+        assert poly.points == tuple(mrpp_points(poly.structure))
+
+
+def is_subsequence(items, sequence):
+    rest = iter(sequence)
+    return all(item in rest for item in items)
+
+
+def test_marked_vertices_keep_the_order_of_the_sorted_points():
+    # each path (tight covers, rank of the MCOP rows, Wolfe) returns a
+    # subsequence of its sorted points, so the vertices come out sorted
+    f = build_flag_poset(4, (0, 1, 2, 3, 4))
+    cases = []
+    for mode, c_empty in (("gt", True), ("fflv", False)):
+        s = f.structure(mode)
+        assert (mcop_split(s)[0] == 0) == c_empty
+        cases.append((s, mrpp_points(s)))
+    s = build_flag_poset(5, (0, 2, 5)).structure("fflv")
+    std = standardize(s)
+    fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
+    notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
+    part = max(mrpp_subdivide(std, notmcop).parts, key=lambda p: len(p.points))
+    assert mcop_split(part.structure) is None
+    cases.append((part.structure, part.points))
+    for structure, points in cases:
+        assert list(points) == sorted(set(points))
+        vertices = marked_vertices(structure, points)
+        assert len(vertices) > 1 and is_subsequence(vertices, points)
 
 
 def test_mcop_recognize_order_and_chain():

@@ -63,3 +63,30 @@ def test_bench_spans_resolve_in_the_library():
         module, function = name.split(".")
         assert callable(getattr(import_module(f"posetdegen.{module}"), function, None)), name
     assert {span for required in tables["REQUIRED"].values() for span in required} <= set(spans)
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    # an error class left behind by a deleted check fails here: each class
+    # of errors.py is raised (directly, or handed to a helper that raises
+    # it, as lattice's `fail(HeightDeficient, ...)`) or is a base class
+    package = Path(posetdegen.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    used = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            used |= names(exc)
+        elif isinstance(node, ast.Call):
+            for arg in node.args:
+                if isinstance(arg, ast.Name):
+                    used.add(arg.id)
+        elif isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                used |= names(base)
+    assert [name for name in classes if name not in used] == []
