@@ -11,10 +11,9 @@ from .posets import (
     order_structure,
     validate_relative_structure,
 )
-from .lattice import enumerate_ideals, star, sublattice_to_order
+from .lattice import enumerate_ideals, sublattice_to_order
 from .polytopes import build_polytope, check_normality, ehrhart_values
 from .degeneration import (
-    WeightVector,
     canonical_interior_weight,
     cone_position,
     ideal_presentation,

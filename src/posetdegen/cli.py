@@ -180,7 +180,7 @@ def jlambda_keys(std):
     return [keys[i] for i in std.jlambda]
 
 
-def hasse_lines(elements, covers, indent="  "):
+def hasse_lines(elements, covers):
     """Indented cover list: each element followed by the elements covering it."""
     uppers = {}
     for a, b in covers:
@@ -189,7 +189,7 @@ def hasse_lines(elements, covers, indent="  "):
     for e in elements:
         lines.append(e)
         for b in sorted(uppers.get(e, [])):
-            lines.append(f"{indent}< {b}")
+            lines.append(f"  < {b}")
     return lines
 
 
@@ -449,11 +449,10 @@ def cmd_polytope(args):
         }
         poly = marked.mcop_build(structure.poset, marking, chain_part, order_part)
     else:
-        poly = polytopes.build_polytope(structure, args.kind)
         return {
             "kind": args.kind,
-            "vertices": poly.vertices,
-            "vertex_keys": poly.structure.lattice.keys,
+            "vertices": polytopes.build_polytope(structure, args.kind),
+            "vertex_keys": structure.lattice.keys,
         }
     return {"kind": args.kind, "lattice_points": poly.points, "vertices": poly.vertices}
 
@@ -495,28 +494,27 @@ def cmd_subdivide(args):
     if structure.marked:
         std = marked.standardize(structure)
         w = parse_weights_file(args.weights, jlambda_keys(std), args.default_zero)
-        sub = marked.mrpp_subdivide(std, w)
-        counts = [(len(part.vertices), len(part.points)) for part in sub.parts]
-        return PartsReport(std.quotient, sub.parts, counts)
+        parts = marked.mrpp_subdivide(std, w)
+        counts = [(len(part.vertices), len(part.points)) for part in parts]
+        return PartsReport(std.quotient, parts, counts)
     w = parse_weights_file(args.weights, structure.lattice.keys, args.default_zero)
-    sub = degeneration.subdivide(structure, w)
-    counts = [(len(part.sublattice),) * 2 for part in sub.parts]
-    return PartsReport(structure, sub.parts, counts)
+    parts = degeneration.subdivide(structure, w)
+    counts = [(len(part.sublattice),) * 2 for part in parts]
+    return PartsReport(structure, parts, counts)
 
 
 def cmd_components(args):
     structure = parse_poset_file(args.file)
     keys = structure.lattice.keys
     w = parse_weights_file(args.weights, keys, args.default_zero)
-    _, comps = degeneration.zhu_components(structure, w)
     out = []
-    for comp in comps:
+    for comp in degeneration.zhu_components(structure, w):
         out.append(
             {
                 "vanishing": [keys[i] for i in comp.vanishing],
                 "generators": [
                     [[keys[a], keys[b]], [keys[u], keys[s]]]
-                    for (a, b), (u, s) in comp.presentation.generators
+                    for (a, b), (u, s) in comp.generators
                 ],
                 "order_covers": sorted(comp.part.order.cover_labels()),
             }
@@ -526,11 +524,10 @@ def cmd_components(args):
 
 def cmd_ideal_gens(args):
     structure = parse_poset_file(args.file)
-    pres = degeneration.ideal_presentation(structure, args.kind)
     keys = structure.lattice.keys
     gens = [{"lead": [keys[a], keys[b]]} if rhs is None
             else {"lead": [keys[a], keys[b]], "trail": [keys[rhs[0]], keys[rhs[1]]]}
-            for (a, b), rhs in pres.generators]
+            for (a, b), rhs in degeneration.ideal_presentation(structure, args.kind)]
     return {"kind": args.kind, "generators": gens}
 
 

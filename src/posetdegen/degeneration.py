@@ -24,30 +24,16 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import InternalClosureFailure, KindMismatch, OutsideCone
+from .errors import InternalClosureFailure, OutsideCone, ValidationError
 from .lattice import (IdealLattice, pair_stars, star_closure_failure, star_error,
                       sublattice_to_order)
 from .posets import Poset, linear_extension_indices, mask_bits
 
 
-class WeightVector:
-    """Rational weights, one per ideal, aligned with the lattice positions."""
-
-    def __init__(self, values):
-        self.values = tuple(Fraction(v) for v in values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __neg__(self):
-        return WeightVector(tuple(-v for v in self.values))
-
-
 def as_weight(structure, w):
-    values = tuple(Fraction(v) for v in (w.values if isinstance(w, WeightVector) else w))
+    """The weight w, any sequence of rationals, as a tuple of Fractions, one
+    per lattice position."""
+    values = tuple(map(Fraction, w))
     if len(values) != len(structure.lattice):
         raise ValueError(
             f"weight has {len(values)} entries, lattice has {len(structure.lattice)}"
@@ -55,41 +41,31 @@ def as_weight(structure, w):
     return values
 
 
-class IdealPresentation:
-    """Generators of a Hibi / Hibi-Li / relative / monomial ideal.
+PRESENTATION_KINDS = ("hibi", "hibili", "relative", "monomial")
+
+
+def ideal_presentation(structure, kind):
+    """The generators of the Hibi / Hibi-Li / relative / monomial ideal, as
+    a tuple: one per unordered incomparable pair of ideals, in the order of
+    `pair_stars`, whose one pass gives each pair's union and star; the hibi
+    kind pairs the union with the meet instead.
 
     Each generator is ((a, b), (u, s)) in lattice positions: the binomial
     X_a X_b - X_u X_s, with the second pair None for the monomial kind.
     """
-
-    KINDS = ("hibi", "hibili", "relative", "monomial")
-
-    def __init__(self, kind, generators):
-        self.kind = kind
-        self.generators = tuple(generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-
-def ideal_presentation(structure, kind):
-    """One generator per unordered incomparable pair of ideals, in the order
-    of `pair_stars`, whose one pass gives each pair's union and star; the
-    hibi kind pairs the union with the meet instead."""
-    if kind not in IdealPresentation.KINDS:
-        raise KindMismatch(f"unknown presentation kind {kind!r}")
+    if kind not in PRESENTATION_KINDS:
+        raise ValidationError(f"unknown presentation kind {kind!r}")
     if kind == "hibili" and structure.weak_above != structure.poset.above:
-        raise KindMismatch("hibili presentation requires <' = <")
+        raise ValidationError("hibili presentation requires <' = <")
     pairs = pair_stars(structure)
     if kind == "monomial":
-        gens = [((a, b), None) for a, b, _, _ in pairs]
-    elif kind == "hibi":
+        return tuple(((a, b), None) for a, b, _, _ in pairs)
+    if kind == "hibi":
         masks, position = structure.lattice.masks, structure.lattice.position
-        gens = [((a, b), (union, position[masks[a] & masks[b]]))
-                for a, b, union, _ in pairs]
-    else:  # hibili (with <' = <) and relative both use the structure's star
-        gens = [((a, b), (union, s)) for a, b, union, s in pairs]
-    return IdealPresentation(kind, gens)
+        return tuple(((a, b), (union, position[masks[a] & masks[b]]))
+                     for a, b, union, _ in pairs)
+    # hibili (with <' = <) and relative both use the structure's star
+    return tuple(((a, b), (union, s)) for a, b, union, s in pairs)
 
 
 class ConePosition:
@@ -134,15 +110,14 @@ def cone_position(structure, w):
 
 
 def canonical_interior_weight(structure):
-    """w_J = |P \\ J|^2, strictly inside the cone for every valid structure.
+    """w_J = |P \\ J|^2 as a tuple of ints, one per lattice position,
+    strictly inside the cone for every valid structure.
 
     No command calls it; it stays public as the README's canonical weight,
     the one whose subdivision is the canonical triangulation, for library
     users to build without writing a weights file."""
     n = structure.poset.n
-    return WeightVector(
-        [(n - bin(m).count("1")) ** 2 for m in structure.lattice.masks]
-    )
+    return tuple((n - bin(m).count("1")) ** 2 for m in structure.lattice.masks)
 
 
 class Part:
@@ -196,16 +171,6 @@ def structure_of_part(structure, part):
     masks = structure.lattice.masks
     lattice = IdealLattice(part.order, [masks[i] for i in part.sublattice])
     return structure.with_order(part.order, lattice)
-
-
-class Subdivision:
-    def __init__(self, structure, weight, parts):
-        self.structure = structure
-        self.weight = weight
-        self.parts = tuple(parts)
-
-    def __len__(self):
-        return len(self.parts)
 
 
 def affine_lift_on_chain(structure, extension, values):
@@ -382,7 +347,8 @@ def walk_parts(structure, values, vertex_bits, linearizations):
 
 
 def subdivide(structure, w):
-    """Regular subdivision of R(P,<,<') induced by a weight in the closed cone.
+    """Regular subdivision of R(P,<,<') induced by a weight in the closed
+    cone, as the tuple of its `Part`s.
 
     Raises OutsideCone when neither w nor -w is admissible: -w lies in the
     closed cone exactly when no inequality is strict for w.  When every
@@ -404,8 +370,7 @@ def subdivide(structure, w):
     mask, so it has the smaller position, and the chains compare in the
     order the linearizations were listed.
     """
-    values = as_weight(structure, w)
-    ints, scale = integer_weight(values)
+    ints, scale = integer_weight(as_weight(structure, w))
     pos = cone_position(structure, ints)
     lat = structure.lattice
     pairs = pos.pairs
@@ -428,32 +393,32 @@ def subdivide(structure, w):
         )
     if sum(p.linearization_count for p in parts) != linearizations:
         raise InternalClosureFailure("parts do not account for every linearization")
-    return Subdivision(structure, values, parts)
+    return tuple(parts)
 
 
 class ZhuComponent:
-    """A part together with the presentation of its relative Hibi ideal and
-    the coordinates that vanish on it, both in positions of the base lattice."""
+    """A part together with the generators of its relative Hibi ideal (as
+    `ideal_presentation` gives them) and the coordinates that vanish on it,
+    both in positions of the base lattice."""
 
-    def __init__(self, part, presentation, vanishing):
+    def __init__(self, part, generators, vanishing):
         self.part = part
-        self.presentation = presentation
+        self.generators = tuple(generators)
         self.vanishing = tuple(vanishing)  # lattice positions outside the part
 
 
 def zhu_components(structure, w):
-    """Per part: generators of I_{P,<'',<'} plus the vanishing variables X_J."""
-    subdivision = subdivide(structure, w)
+    """One `ZhuComponent` per part of `subdivide(structure, w)`, in its
+    order, as a list: the part, the generators of I_{P,<'',<'} and the
+    vanishing variables X_J."""
     lat = structure.lattice
     components = []
-    for part in subdivision.parts:
+    for part in subdivide(structure, w):
         to_base = part.sublattice
         part_structure = structure_of_part(structure, part).unmarked()
-        presentation = IdealPresentation("relative", [
-            ((to_base[a], to_base[b]), (to_base[u], to_base[s]))
-            for (a, b), (u, s) in ideal_presentation(part_structure, "relative").generators
-        ])
+        generators = [((to_base[a], to_base[b]), (to_base[u], to_base[s]))
+                      for (a, b), (u, s) in ideal_presentation(part_structure, "relative")]
         inside = set(part.sublattice)
         vanishing = [i for i in range(len(lat)) if i not in inside]
-        components.append(ZhuComponent(part, presentation, vanishing))
-    return subdivision, components
+        components.append(ZhuComponent(part, generators, vanishing))
+    return components

@@ -25,14 +25,6 @@ class ValidationError(PosetDegenError):
     exit_code, prefix = 2, "validation error"
 
 
-class DuplicateLabel(ValidationError):
-    pass
-
-
-class UnknownLabel(ValidationError):
-    pass
-
-
 class CycleDetected(ValidationError):
     def __init__(self, cycle):
         self.cycle = tuple(cycle)
@@ -52,22 +44,6 @@ class InternalClosureFailure(PosetDegenError):
     """Bug trap: a closure property guaranteed by theory failed on actual data."""
 
 
-class NotASublattice(ValidationError):
-    pass
-
-
-class HeightDeficient(ValidationError):
-    pass
-
-
-class InvalidStructure(ValidationError):
-    pass
-
-
-class KindMismatch(ValidationError):
-    pass
-
-
 class OutsideCone(PosetDegenError):
     exit_code, prefix = 3, "outside cone"
 
@@ -76,24 +52,8 @@ class OutsideCone(PosetDegenError):
         super().__init__(f"{message}; violated pairs: {self.witnesses}")
 
 
-class NotAPartition(ValidationError):
-    pass
-
-
 class TheoremViolation(PosetDegenError):
     """Bug trap: two constructions that must agree produced different polytopes."""
-
-
-class ModeDimsMismatch(ValidationError):
-    pass
-
-
-class InvalidIndex(ValidationError):
-    pass
-
-
-class InvalidDims(ValidationError):
-    pass
 
 
 class ParseError(PosetDegenError):

@@ -9,7 +9,7 @@ markings of the increasing chain of marked ideals.
 
 from itertools import combinations
 
-from .errors import InvalidDims, InvalidIndex, InvalidStructure, ModeDimsMismatch
+from .errors import ValidationError
 from .marked import build_mrpp, mrpp_subdivide
 from .posets import Poset, mask_bits, validate_relative_structure
 
@@ -56,7 +56,7 @@ class FlagData:
                 for j in mask_bits(self.poset.above[i])
             ]
         else:
-            raise ModeDimsMismatch(f"unknown mode {mode!r}")
+            raise ValidationError(f"unknown mode {mode!r}")
         return validate_relative_structure(self.poset, weak, self.marking)
 
 
@@ -79,7 +79,7 @@ def build_flag_poset(n, dims):
         or any(a >= b for a, b in zip(dims, dims[1:]))
         or n < 1
     ):
-        raise InvalidDims(f"dims must increase strictly from 0 to n, got {dims}")
+        raise ValidationError(f"dims must increase strictly from 0 to n, got {dims}")
     return FlagData(n, dims)
 
 
@@ -110,7 +110,7 @@ class PlueckerMap:
 
     def __init__(self, flag, mode):
         if mode not in ("O", "C", "GT", "FFLV"):
-            raise ModeDimsMismatch(f"unknown map mode {mode!r}")
+            raise ValidationError(f"unknown map mode {mode!r}")
         self.flag = flag
         self.mode = mode
         self.fflv = mode in ("C", "FFLV")
@@ -119,7 +119,7 @@ class PlueckerMap:
         self.levels, self.corner = flag.dims, 0
         if mode in ("O", "C"):
             if flag.l != 2:
-                raise ModeDimsMismatch("Grassmannian maps require dims of the form {0,k,n}")
+                raise ValidationError("Grassmannian maps require dims of the form {0,k,n}")
             self.levels, self.corner = flag.dims[1:2], self.corners[0]
 
     def _canonical(self, index):
@@ -149,11 +149,11 @@ class PlueckerMap:
         k = len(index)
         flag = self.flag
         if k not in self.levels:
-            raise InvalidIndex(f"tuple length {k} is not one of the dims")
+            raise ValidationError(f"tuple length {k} is not one of the dims")
         if len(set(index)) != k or any(not 1 <= a <= flag.n for a in index):
-            raise InvalidIndex(f"bad Pluecker index {index}")
+            raise ValidationError(f"bad Pluecker index {index}")
         if self._canonical(index) != index:
-            raise InvalidIndex(f"{index} is not in the canonical {self.mode} ordering")
+            raise ValidationError(f"{index} is not in the canonical {self.mode} ordering")
         if self.fflv:
             # generated by the entries beyond k and the level's top corner
             level = flag.dims.index(k)
@@ -173,10 +173,10 @@ class PlueckerMap:
         for label in members:
             mask |= 1 << poset.index(label)
         if self.corner and mask & self.flag.marked_mask:
-            raise InvalidIndex("the given set is not inside the grid P_k")
+            raise ValidationError("the given set is not inside the grid P_k")
         mask |= self.corner
         if not poset.is_ideal(mask):
-            raise InvalidIndex("the given set is not an order ideal")
+            raise ValidationError("the given set is not an order ideal")
         return self._mask_index(mask)
 
     def _mask_index(self, mask):
@@ -195,7 +195,7 @@ class PlueckerMap:
                         if not above[t] & mask and pairs[t][1] > k)
             index = tuple(tops.get(i, i) for i in range(1, k + 1))
             if _reordered_tuple(index, k) != index:
-                raise InvalidIndex("ideal does not correspond to an FFLV variable")
+                raise ValidationError("ideal does not correspond to an FFLV variable")
             return index
         rows = [0] * (k + 1)
         for t in mask_bits(mask):
@@ -226,13 +226,12 @@ def flag_degeneration(flag, mode, std, w):
     """
     quotient = std.quotient
     if quotient.poset != flag.poset:
-        raise InvalidStructure("the standardization is not that of the flag's structure")
-    sub = mrpp_subdivide(std, w)
+        raise ValidationError("the standardization is not that of the flag's structure")
     pmap = PlueckerMap(flag, "GT" if mode == "gt" else "FFLV")
     names = [pmap.variable_name(pmap._mask_index(mask)) for mask in quotient.lattice.masks]
     by_name = sorted(range(len(names)), key=names.__getitem__)
     parts = []
-    for part in sub.parts:
+    for part in mrpp_subdivide(std, w):
         inside = set(part.sublattice)
         parts.append(
             {

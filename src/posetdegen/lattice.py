@@ -7,7 +7,7 @@ canonical key used by weight vectors downstream.
 
 from functools import cached_property
 
-from .errors import HeightDeficient, InternalClosureFailure, NotASublattice
+from .errors import InternalClosureFailure, ValidationError
 from .posets import Poset, mask_bits
 
 
@@ -138,7 +138,12 @@ def enumerate_ideals(poset):
 
 
 def star(pos1, pos2, structure):
-    """Lattice position of J1 * J2; raises if closure fails (validated structures never do)."""
+    """Lattice position of J1 * J2; raises if closure fails (validated structures never do).
+
+    No library code calls it, and it is not exported: the scans of
+    `pair_stars` compute every star.  It stays here as the one-pair
+    reference that the tests check those scans against, and because the
+    benchmark's tracer names the span `lattice.star`."""
     lat = structure.lattice
     tops = structure.weak_maxima
     gens = lat.masks[pos1] & lat.masks[pos2] & (tops[pos1] | tops[pos2])
@@ -326,17 +331,17 @@ def sublattice_to_order(masks, poset):
     """
     members = set(masks)
 
-    def fail(error, message):
+    def fail(message):
         for a in members:
             for b in members:
                 if a | b not in members or a & b not in members:
-                    raise NotASublattice("set is not closed under union/intersection")
-        raise error(message)
+                    raise ValidationError("set is not closed under union/intersection")
+        raise ValidationError(message)
 
     n = poset.n
     sizes = {bin(m).count("1") for m in members}
     if sizes != set(range(n + 1)):
-        fail(HeightDeficient, f"sublattice has height {len(sizes)}, expected {n + 1}")
+        fail(f"sublattice has height {len(sizes)}, expected {n + 1}")
     above = [0] * n
     for q in range(n):
         meet = poset.full
@@ -347,7 +352,7 @@ def sublattice_to_order(masks, poset):
             above[p] |= 1 << q
     stronger = Poset(poset.elements, above)
     if not poset.is_weaker_than(stronger):
-        fail(NotASublattice, "recovered order is not stronger than the base order")
+        fail("recovered order is not stronger than the base order")
     if set(enumerate_ideals(stronger).masks) != members:
-        fail(NotASublattice, "recovered order does not reproduce the sublattice")
+        fail("recovered order does not reproduce the sublattice")
     return stronger

@@ -7,14 +7,8 @@ from itertools import compress
 from operator import add, eq, le, lt, sub
 
 from . import linalg
-from .degeneration import Part, Subdivision, first_linearization, structure_of_part, subdivide
-from .errors import (
-    DuplicateLabel,
-    InternalClosureFailure,
-    InvalidStructure,
-    NotAPartition,
-    TheoremViolation,
-)
+from .degeneration import Part, first_linearization, structure_of_part, subdivide
+from .errors import InternalClosureFailure, TheoremViolation, ValidationError
 from .posets import (
     Poset,
     RelativeStructure,
@@ -59,7 +53,7 @@ def fundamental_decomposition(structure, scale=1):
     shifted value hi, with the next smaller one lo (0 at the floor), gives
     the layer of the values >= hi with multiplicity hi - lo."""
     if structure.marked == 0:
-        raise InvalidStructure("structure carries no marking")
+        raise ValidationError("structure carries no marking")
     marked = structure.marked
     values = {i: scale * structure.marking[i] for i in mask_bits(marked)}
     shift = -min(0, min(values.values()))
@@ -111,9 +105,9 @@ def mrpp_points(structure, scale=1):
     return sorted(points)
 
 
-def build_mrpp(structure, scale=1):
+def build_mrpp(structure):
     """The marked relative poset polytope of the structure's marking."""
-    return MarkedPolytope(structure, mrpp_points(structure, scale))
+    return MarkedPolytope(structure, mrpp_points(structure))
 
 
 class StandardizedStructure:
@@ -147,7 +141,7 @@ class StandardizedStructure:
 def standardize(structure):
     """Collapse elements indistinguishable by J_lambda; returns the quotient data."""
     if structure.marked == 0:
-        raise InvalidStructure("structure carries no marking")
+        raise ValidationError("structure carries no marking")
     poset = structure.poset
     lat = structure.lattice
     n = poset.n
@@ -176,7 +170,7 @@ def standardize(structure):
     if len(set(labels)) < q:
         seen = set()
         label = next(x for x in labels if x in seen or seen.add(x))
-        raise DuplicateLabel(f"two classes of the quotient are both labelled {label!r}")
+        raise ValidationError(f"two classes of the quotient are both labelled {label!r}")
     above = [0] * q
     for a in range(q):
         for b in range(q):
@@ -272,9 +266,8 @@ def restricted_affine(structure, affine):
 
 def mrpp_subdivide(std, w):
     """Subdivide the MRPP of a standardized structure (`standardize`) under
-    a weight over J_lambda, a sequence of rationals; returns the
-    `Subdivision` of the quotient, with its weight over the quotient's
-    lattice and `MarkedPart`s.
+    a weight over J_lambda, a sequence of rationals; returns the tuple of
+    `MarkedPart`s of the quotient's subdivision, in the order of `subdivide`.
 
     The non-marked relative polytope of the quotient is subdivided with the
     transported weights, and each part is intersected with the marked
@@ -310,7 +303,7 @@ def mrpp_subdivide(std, w):
     parts = []
     seen_affines = set()
     covered = set()
-    for part in big.parts:
+    for part in big:
         section_structure = structure_of_part(quotient, part)
         pts = mrpp_points(section_structure)
         if marked_dimension(section_structure, pts) != whole.dimension:
@@ -323,7 +316,7 @@ def mrpp_subdivide(std, w):
         parts.append(MarkedPart(part, section_structure, pts))
     if covered != set(whole.points):
         raise InternalClosureFailure("section parts do not cover the marked polytope")
-    return Subdivision(quotient, big.weight, parts)
+    return tuple(parts)
 
 
 def _mcop_chains(poset, anchors, middle):
@@ -565,7 +558,7 @@ def mcop_build(poset, marking, chain_part, order_part):
         o_mask |= 1 << poset.index(x)
     free = poset.full & ~marked_mask
     if c_mask & o_mask or (c_mask | o_mask) != free:
-        raise NotAPartition("C and O must partition the unmarked elements")
+        raise ValidationError("C and O must partition the unmarked elements")
 
     # construction (2): the MRPP of the order weakened away from P* u O
     weak_pairs = [
@@ -632,7 +625,7 @@ def mcop_recognize(structure, target):
     raises TheoremViolation.
     """
     if structure.marked == 0:
-        raise InvalidStructure("structure carries no marking")
+        raise ValidationError("structure carries no marking")
     poset = structure.poset
     n = poset.n
     marked = structure.marked

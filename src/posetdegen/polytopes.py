@@ -18,7 +18,7 @@ that a code decodes with `int.to_bytes`.
 
 from itertools import combinations_with_replacement
 
-from .errors import InternalClosureFailure, InvalidStructure, TheoremViolation
+from .errors import InternalClosureFailure, TheoremViolation, ValidationError
 from .posets import RelativeStructure, mask_bits
 
 PACK_BITS = 8  # bits per coordinate below 256 steps
@@ -51,7 +51,7 @@ def weak_rows_for_kind(structure, kind):
         return structure.poset.above
     if kind == "relative":
         return structure.weak_above
-    raise InvalidStructure(f"unknown polytope kind {kind!r}")
+    raise ValidationError(f"unknown polytope kind {kind!r}")
 
 
 def structure_for_kind(structure, kind):
@@ -62,23 +62,16 @@ def structure_for_kind(structure, kind):
     return out.with_order(structure.poset, structure.lattice)  # J(P) depends on < alone
 
 
-class LatticePolytope:
-    """Vertex presentation of an order/chain/relative poset polytope."""
-
-    def __init__(self, structure, kind, vertices):
-        self.structure = structure
-        self.kind = kind
-        self.vertices = tuple(vertices)  # in lattice order: vertex i is that of ideal i
-
-
 def build_polytope(structure, kind="relative"):
-    """Vertices {1_{max_<' J}} over the ideal lattice, for the requested kind."""
+    """The vertices 1_{max_<' J} of the polytope of the requested kind, as a
+    tuple in lattice order: vertex i is that of ideal i of the structure's
+    lattice, which every kind shares (`structure_for_kind`)."""
     s = structure_for_kind(structure, kind)
     n = s.poset.n
-    vertices = [indicator(top, n) for top in s.weak_maxima]
+    vertices = tuple(indicator(top, n) for top in s.weak_maxima)
     if len(set(vertices)) != len(vertices):
         raise InternalClosureFailure("vertex map J -> 1_{max' J} is not injective")
-    return LatticePolytope(s, kind, vertices)
+    return vertices
 
 
 def packed_multichains(structure, marked, reqs):

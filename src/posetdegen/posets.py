@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import ConditionViolated, CycleDetected, DuplicateLabel, UnknownLabel
+from .errors import ConditionViolated, CycleDetected, ValidationError
 
 
 def transitive_closure(above, n):
@@ -53,7 +53,7 @@ class Poset:
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownLabel(f"unknown element {label!r}") from None
+            raise ValidationError(f"unknown element {label!r}") from None
 
     def less(self, i, j):
         return bool(self.above[i] >> j & 1)
@@ -159,7 +159,7 @@ def build_poset(elements, covers):
     seen = set()
     for e in elements:
         if e in seen:
-            raise DuplicateLabel(f"duplicate element {e!r}")
+            raise ValidationError(f"duplicate element {e!r}")
         seen.add(e)
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
@@ -167,9 +167,9 @@ def build_poset(elements, covers):
     edge_list = []
     for a, b in covers:
         if a not in index:
-            raise UnknownLabel(f"unknown element {a!r} in cover ({a!r}, {b!r})")
+            raise ValidationError(f"unknown element {a!r} in cover ({a!r}, {b!r})")
         if b not in index:
-            raise UnknownLabel(f"unknown element {b!r} in cover ({a!r}, {b!r})")
+            raise ValidationError(f"unknown element {b!r} in cover ({a!r}, {b!r})")
         if a == b:
             raise CycleDetected([a])
         above[index[a]] |= 1 << index[b]

@@ -12,13 +12,7 @@ from itertools import permutations, product
 
 import pytest
 
-from posetdegen.degeneration import (
-    Part,
-    WeightVector,
-    as_weight,
-    canonical_interior_weight,
-    subdivide,
-)
+from posetdegen.degeneration import Part, as_weight, canonical_interior_weight, subdivide
 from posetdegen.posets import (
     Poset,
     RelativeStructure,
@@ -36,7 +30,7 @@ from posetdegen.marked import (
     standardize,
 )
 from posetdegen import marked, polytopes
-from posetdegen.errors import InternalClosureFailure, InvalidStructure
+from posetdegen.errors import InternalClosureFailure, ValidationError
 from posetdegen.linalg import solve
 from posetdegen.polytopes import indicator, unpack
 
@@ -351,14 +345,13 @@ def naive_subdivide_dict(structure, values):
     ideal."""
     if structure.marked:
         std = standardize(structure)
-        sub = mrpp_subdivide(std, values)
         quotient = std.quotient
         qlat = quotient.lattice
         parts = [
             naive_part_report(quotient, part, len(part.vertices), len(part.points),
                               [qlat.label_key(i) for i in range(len(qlat))
                                if i not in part.sublattice])
-            for part in sub.parts
+            for part in mrpp_subdivide(std, values)
         ]
         return {"parts": parts, "dropped_lower_dimensional": 0}
     lat = structure.lattice
@@ -366,7 +359,7 @@ def naive_subdivide_dict(structure, values):
         naive_part_report(structure, part, len(part.sublattice), len(part.sublattice),
                           [lat.label_key(i) for i in range(len(lat))
                            if i not in part.sublattice])
-        for part in subdivide(structure, values).parts
+        for part in subdivide(structure, values)
     ]
     return {"parts": parts}
 
@@ -403,12 +396,9 @@ def eager_subdivide(subdivide):
     replaced = []
 
     def run(structure, w):
-        sub = subdivide(structure, w)
-        fine = [p for p in sub.parts if p.linearization is not None]
-        replaced.extend(fine)
-        sub.parts = tuple(p if p.linearization is None else eager_chain_part(p)
-                          for p in sub.parts)
-        return sub
+        parts = subdivide(structure, w)
+        replaced.extend(p for p in parts if p.linearization is not None)
+        return tuple(p if p.linearization is None else eager_chain_part(p) for p in parts)
 
     return run, replaced
 
@@ -671,7 +661,7 @@ def decompose_point(point, m, structure):
 def minimal_cone_shift(structure, values):
     """Smallest integer t with values + t * canonical inside the closed cone."""
     lat = structure.lattice
-    canonical = as_weight(structure, canonical_interior_weight(structure))
+    canonical = canonical_interior_weight(structure)
     t = 0
     for a, b in incomparable_pairs(lat):
         union = lat.position[lat.masks[a] | lat.masks[b]]
@@ -708,16 +698,16 @@ def sample_cone_weight(structure, rng, spread=9):
     lat = structure.lattice
     raw = [Fraction(rng.randint(-spread, spread)) for _ in lat.masks]
     t = minimal_cone_shift(structure, raw)
-    canonical = as_weight(structure, canonical_interior_weight(structure))
-    return WeightVector([r + t * c for r, c in zip(raw, canonical)])
+    canonical = canonical_interior_weight(structure)
+    return tuple(r + t * c for r, c in zip(raw, canonical))
 
 
 def fundamental_mrpp(structure, k_mask):
     """Face of R(P,<,<') cut by the fundamental marking of the ideal K of (P*,<)."""
     if structure.marked == 0:
-        raise InvalidStructure("structure carries no marking")
+        raise ValidationError("structure carries no marking")
     if k_mask & ~structure.marked:
-        raise InvalidStructure("K is not a subset of the marked set")
+        raise ValidationError("K is not a subset of the marked set")
     lat = structure.lattice
     n = structure.poset.n
     pts = [

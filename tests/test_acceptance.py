@@ -197,15 +197,15 @@ def test_criterion_5_subdivision_soundness():
         lat = s.lattice
         extensions = len(linear_extension_indices(s.poset))
         zero = subdivide(s, [0] * len(lat))
-        assert len(zero.parts) == 1 and zero.parts[0].order == s.poset
+        assert len(zero) == 1 and zero[0].order == s.poset
         canonical = subdivide(s, canonical_interior_weight(s))
-        assert len(canonical.parts) == extensions
+        assert len(canonical) == extensions
         for _ in range(100):
             w = sample_cone_weight(s, rng)
             assert cone_position(s, w).position in ("interior", "boundary")
             sub = subdivide(s, w)
-            assert sum(p.linearization_count for p in sub.parts) == extensions
-            for part in sub.parts:
+            assert sum(p.linearization_count for p in sub) == extensions
+            for part in sub:
                 # closure under union/intersection/star and full height are
                 # re-verified inside subdivide; check order containment and
                 # the height profile here as the stated acceptance conditions
@@ -227,9 +227,9 @@ def test_criterion_6_notmcop_exact_reproduction():
         for pos in std.jlambda
     ]
     sub = mrpp_subdivide(std, w)
-    assert len(sub.parts) == 2
-    big = max(sub.parts, key=lambda p: len(p.vertices))
-    small = min(sub.parts, key=lambda p: len(p.vertices))
+    assert len(sub) == 2
+    big = max(sub, key=lambda p: len(p.vertices))
+    small = min(sub, key=lambda p: len(p.vertices))
     assert len(big.vertices) == 9
     assert big.added_covers(std.quotient.poset) == [("p2.3", "p1.5")]
     assert len(small.vertices) == affine_dimension(small.vertices) + 1  # a simplex

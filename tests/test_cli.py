@@ -202,7 +202,7 @@ def test_part_report_reads_the_carried_covers(monkeypatch):
     calls = []
     real = Poset.covers
     monkeypatch.setattr(Poset, "covers", lambda self: calls.append(self) or real(self))
-    chunks = cli.parts_json(cli.PartsReport(s, sub.parts, [(6, 6)]))
+    chunks = cli.parts_json(cli.PartsReport(s, sub, [(6, 6)]))
     assert calls == []
     (part,) = json.loads("".join(chunks))["parts"]
     assert part["order_covers"] == [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]
@@ -213,8 +213,8 @@ def test_part_report_of_an_interior_subdivision_builds_no_order():
     s = order_structure(build_poset(
         ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]))
     sub = degeneration.subdivide(s, degeneration.canonical_interior_weight(s))
-    chunks = cli.parts_json(cli.PartsReport(s, sub.parts, [(5, 5)] * 2))
-    assert all(vars(part).keys().isdisjoint({"order", "covers"}) for part in sub.parts)
+    chunks = cli.parts_json(cli.PartsReport(s, sub, [(5, 5)] * 2))
+    assert all(vars(part).keys().isdisjoint({"order", "covers"}) for part in sub)
     parts = json.loads("".join(chunks))["parts"]
     assert [part["order_covers"] for part in parts] == [
         [["a", "b"], ["b", "c"], ["c", "d"]], [["a", "c"], ["b", "d"], ["c", "b"]]]
@@ -313,9 +313,9 @@ def test_subdivide_report_bytes_match_the_old_report_path(tmp_path, capsysbinary
     least_shift[three.lattice.position[0b011]] = 2
     flag = build_flag_poset(5, (0, 2, 5)).structure("fflv")
     std = marked.standardize(flag)
-    canonical = degeneration.canonical_interior_weight(std.quotient).values
+    canonical = degeneration.canonical_interior_weight(std.quotient)
     notmcop = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
-    interior = degeneration.canonical_interior_weight(order).values
+    interior = degeneration.canonical_interior_weight(order)
     escaped = order_structure(build_poset(
         ['q"', "b\\", "\u00e9", "c\x01", "\u2028"], [('q"', "b\\"), ("\u00e9", "c\x01")]))
     cases = [
@@ -323,12 +323,12 @@ def test_subdivide_report_bytes_match_the_old_report_path(tmp_path, capsysbinary
         (order, [-v for v in interior]),
         (order, [0] * len(order.lattice)),
         (chain, [0] * len(chain.lattice)),
-        (escaped, degeneration.canonical_interior_weight(escaped).values),
-        (chain, sample_cone_weight(chain, rng).values),
+        (escaped, degeneration.canonical_interior_weight(escaped)),
+        (chain, sample_cone_weight(chain, rng)),
         (three, [size(m & 0b011) ** 2 for m in three.lattice.masks]),
         (three, least_shift),
         (flag, [int(flag.lattice.label_key(pos) == notmcop) for pos in std.jlambda]),
-        (flag, [canonical[q] / 2 for q in std.lattice_map]),
+        (flag, [Fraction(canonical[q], 2) for q in std.lattice_map]),
     ]
     for structure, values in cases:
         poset = structure_file(tmp_path, structure)
@@ -369,7 +369,7 @@ def test_interior_components_and_flag_degenerations_keep_their_bytes(
     runs = []
     for structure in (order_structure(grid), chain_structure(grid)):
         poset = structure_file(tmp_path, structure)
-        values = degeneration.canonical_interior_weight(structure).values
+        values = degeneration.canonical_interior_weight(structure)
         for signed in (values, [-v for v in values]):
             weights = write(tmp_path, f"w{len(runs)}.json", {"weights": {
                 k: str(v) for k, v in zip(structure.lattice.keys, signed)}})
@@ -377,7 +377,7 @@ def test_interior_components_and_flag_degenerations_keep_their_bytes(
     for mode in ("gt", "fflv"):
         flag = build_flag_poset(4, (0, 1, 3, 4))
         std = marked.standardize(flag.structure(mode))
-        canonical = degeneration.canonical_interior_weight(std.quotient).values
+        canonical = degeneration.canonical_interior_weight(std.quotient)
         keys = cli.jlambda_keys(std)
         weights = write(tmp_path, f"w{len(runs)}.json", {"weights": {
             k: str(canonical[q]) for k, q in zip(keys, std.lattice_map)}})
@@ -404,11 +404,11 @@ def test_subdivide_text_format_renders_the_dict_report(tmp_path, capsys, payload
     if parsed.marked:
         std = marked.standardize(parsed)
         keys = cli.jlambda_keys(std)
-        canonical = degeneration.canonical_interior_weight(std.quotient).values
+        canonical = degeneration.canonical_interior_weight(std.quotient)
         values = [canonical[q] for q in std.lattice_map]
     else:
         keys = parsed.lattice.keys
-        values = degeneration.canonical_interior_weight(parsed).values
+        values = degeneration.canonical_interior_weight(parsed)
     weights = write(tmp_path, "w.json", {"weights": {k: str(v) for k, v in zip(keys, values)}})
     code, out = run(capsys, ["--format", "text", "subdivide", poset, "--weights", weights])
     assert code == 0
@@ -901,7 +901,7 @@ def test_lower_dimensional_section_exits_5(tmp_path, capsys, monkeypatch):
     poset = write(tmp_path, "p.json", DIAMOND_MARKED)
     parsed = cli.parse_poset_file(poset)
     std = marked.standardize(parsed)
-    canonical = degeneration.canonical_interior_weight(std.quotient).values
+    canonical = degeneration.canonical_interior_weight(std.quotient)
     weights = write(tmp_path, "w.json", {"weights": {
         k: str(canonical[q]) for k, q in zip(cli.jlambda_keys(std), std.lattice_map)}})
     shorten_part_sections(monkeypatch, std.quotient)

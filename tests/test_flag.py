@@ -11,7 +11,7 @@ from posetdegen import (
     flag_polytope,
     mcop_recognize,
 )
-from posetdegen.errors import InvalidDims, InvalidStructure, ModeDimsMismatch
+from posetdegen.errors import ValidationError
 from posetdegen.flag import PlueckerMap
 from posetdegen.marked import build_mrpp, mrpp_points, standardize, mrpp_subdivide
 
@@ -65,13 +65,13 @@ def test_flag_poset_examples():
 
 def test_invalid_dims():
     for dims in ((0, 2), (1, 2, 4), (0, 3, 2, 4), (0,)):
-        with pytest.raises(InvalidDims):
+        with pytest.raises(ValidationError, match="dims must increase strictly from 0 to n"):
             build_flag_poset(4, dims)
 
 
 def test_grass_maps_require_grassmannian_dims():
     f = build_flag_poset(5, (0, 2, 4, 5))
-    with pytest.raises(ModeDimsMismatch):
+    with pytest.raises(ValidationError, match="Grassmannian maps require dims"):
         PlueckerMap(f, "O").variables()
 
 
@@ -232,9 +232,9 @@ def test_notmcop_example_full_reproduction():
     s = f.structure("fflv")
     std, w = notmcop_weight(s)
     sub = mrpp_subdivide(std, w)
-    assert len(sub.parts) == 2
-    big = max(sub.parts, key=lambda p: len(p.vertices))
-    small = min(sub.parts, key=lambda p: len(p.vertices))
+    assert len(sub) == 2
+    big = max(sub, key=lambda p: len(p.vertices))
+    small = min(sub, key=lambda p: len(p.vertices))
     assert len(big.vertices) == 9
     assert big.added_covers(std.quotient.poset) == [("p2.3", "p1.5")]
     # the other part is a simplex: dim + 1 affinely independent vertices
@@ -259,7 +259,7 @@ def test_flag_degeneration_zero_weight():
     assert parts[0]["vanishing_variables"] == []
     # the names are read off masks of P_d, so another flag's quotient is refused
     other = standardize(build_flag_poset(4, (0, 1, 3, 4)).structure("fflv"))
-    with pytest.raises(InvalidStructure, match="not that of the flag's structure"):
+    with pytest.raises(ValidationError, match="not that of the flag's structure"):
         flag_degeneration(f, "fflv", other, [0] * len(other.jlambda))
 
 
@@ -282,7 +282,7 @@ def test_flag_degeneration_canonical_components_are_chains():
     s = f.structure("gt")
     std = standardize(s)
     w = canonical_interior_weight(std.quotient)
-    parts = flag_degeneration(f, "gt", std, [w.values[q] for q in std.lattice_map])
+    parts = flag_degeneration(f, "gt", std, [w[q] for q in std.lattice_map])
     # every component is a section of a linearization simplex
     for part in parts:
         assert part["vertices"] == part["lattice_points"]
@@ -303,7 +303,7 @@ def test_mcop_recognize_matches_bit_order_oracle_on_flags():
                     assert mcop_recognize(s, target) == split
     s = build_flag_poset(5, (0, 2, 5)).structure("fflv")
     std, w = notmcop_weight(s)
-    big = max(mrpp_subdivide(std, w).parts, key=lambda p: len(p.vertices))
+    big = max(mrpp_subdivide(std, w), key=lambda p: len(p.vertices))
     part_structure = std.quotient.with_order(big.order)
     target = build_mrpp(part_structure)
     assert naive_mcop_recognize(part_structure, target) is None

@@ -326,7 +326,7 @@ def test_tight_cover_dimension_matches_rank_on_every_section(monkeypatch):
     monkeypatch.setattr(marked, "marked_dimension", checked)
     for s in marked_corpus_structures():
         std = standardize(s)
-        canonical = canonical_interior_weight(std.quotient).values
+        canonical = canonical_interior_weight(std.quotient)
         for w in ([0] * len(std.jlambda), [canonical[q] for q in std.lattice_map]):
             mrpp_subdivide(std, w)
     assert sum(seen) > 100 and not all(seen)

@@ -21,8 +21,8 @@ from posetdegen import lattice as lattice_module, marked
 from posetdegen.errors import (
     ConditionViolated,
     InternalClosureFailure,
-    NotAPartition,
     TheoremViolation,
+    ValidationError,
 )
 from posetdegen.linalg import extreme_points
 from posetdegen.marked import _mcop_inequalities, marked_vertices, mcop_split, mrpp_points
@@ -338,7 +338,7 @@ def test_mrpp_subdivide_enumerates_each_order_once(monkeypatch):
     std = standardize(s)
     fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
     notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
-    canonical = canonical_interior_weight(std.quotient).values
+    canonical = canonical_interior_weight(std.quotient)
     interior = [canonical[q] for q in std.lattice_map]
     real = lattice_module.enumerate_ideals
     calls = []
@@ -346,7 +346,7 @@ def test_mrpp_subdivide_enumerates_each_order_once(monkeypatch):
                         lambda poset: calls.append(poset) or real(poset))
     for w, parts, enumerations in ((notmcop, 2, 3), (interior, 5, 1)):
         calls.clear()
-        assert len(mrpp_subdivide(standardize(s), w).parts) == parts
+        assert len(mrpp_subdivide(standardize(s), w)) == parts
         assert len(calls) == len(set(calls)) == enumerations
 
 
@@ -360,14 +360,14 @@ def test_mcop_split_of_sections_and_mixed_rows():
     std = standardize(s)
     fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
     notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
-    parts = mrpp_subdivide(std, notmcop).parts
+    parts = mrpp_subdivide(std, notmcop)
     assert len(parts) == 2 and all(mcop_split(part.structure) is None for part in parts)
     s = build_flag_poset(4, (0, 1, 2, 3, 4)).structure("gt")
     std = standardize(s)
-    canonical = canonical_interior_weight(std.quotient).values
+    canonical = canonical_interior_weight(std.quotient)
     free = std.quotient.poset.full & ~std.quotient.marked
     for w, count in (([canonical[q] for q in std.lattice_map], 12), ([0] * len(std.jlambda), 1)):
-        parts = mrpp_subdivide(std, w).parts
+        parts = mrpp_subdivide(std, w)
         assert len(parts) == count
         for part in parts:
             assert mcop_split(part.structure) == (0, free)
@@ -385,18 +385,18 @@ def test_mrpp_subdivide_zero_single_part():
     s = marked_diamond_chain()
     std = standardize(s)
     sub = mrpp_subdivide(std, [0] * len(std.jlambda))
-    assert len(sub.parts) == 1
-    assert set(sub.parts[0].points) == set(build_mrpp(std.quotient).points)
+    assert len(sub) == 1
+    assert set(sub[0].points) == set(build_mrpp(std.quotient).points)
 
 
 def test_mrpp_subdivide_canonical_counts_sections():
     s = marked_diamond_chain()
     std = standardize(s)
     w = canonical_interior_weight(std.quotient)
-    sub = mrpp_subdivide(std, [w.values[q] for q in std.lattice_map])
-    assert len(sub.parts) == 2  # two linearizations of the diamond, both full-dimensional
+    sub = mrpp_subdivide(std, [w[q] for q in std.lattice_map])
+    assert len(sub) == 2  # two linearizations of the diamond, both full-dimensional
     covered = set()
-    for part in sub.parts:
+    for part in sub:
         covered.update(part.points)
     assert covered == set(build_mrpp(std.quotient).points)
 
@@ -408,7 +408,7 @@ def test_mrpp_subdivide_lower_dimensional_section_raises(monkeypatch):
     w = canonical_interior_weight(std.quotient)
     shorten_part_sections(monkeypatch, std.quotient)
     with pytest.raises(TheoremViolation, match="lower dimension"):
-        mrpp_subdivide(std, [w.values[q] for q in std.lattice_map])
+        mrpp_subdivide(std, [w[q] for q in std.lattice_map])
 
 
 def test_mrpp_subdivide_parts_sharing_a_restricted_lift_raise(monkeypatch):
@@ -420,15 +420,15 @@ def test_mrpp_subdivide_parts_sharing_a_restricted_lift_raise(monkeypatch):
     real = marked.subdivide
 
     def shared(structure, weights):
-        sub = real(structure, weights)
-        a, b = sub.parts[0].lift
-        sub.parts[1].lift = (a[:bot] + (a[bot] + 1,) + a[bot + 1:], b - 2)
-        return sub
+        parts = real(structure, weights)
+        a, b = parts[0].lift
+        parts[1].lift = (a[:bot] + (a[bot] + 1,) + a[bot + 1:], b - 2)
+        return parts
 
     monkeypatch.setattr(marked, "subdivide", shared)
     w = canonical_interior_weight(std.quotient)
     with pytest.raises(InternalClosureFailure, match="share an affine lift"):
-        mrpp_subdivide(std, [w.values[q] for q in std.lattice_map])
+        mrpp_subdivide(std, [w[q] for q in std.lattice_map])
 
 
 def test_mcop_marked_order_polytope_inequalities():
@@ -470,7 +470,7 @@ def test_mcop_fundamental_vertices_formula():
 
 def test_mcop_partition_and_dominance_errors():
     poset = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    with pytest.raises(NotAPartition):
+    with pytest.raises(ValidationError, match="C and O must partition the unmarked elements"):
         mcop_build(poset, {"a": 1, "c": 0}, ["b"], ["b"])
     # dominance is checked where construction (2) validates its structure
     with pytest.raises(ConditionViolated, match="condition dominance violated"):
@@ -514,7 +514,7 @@ def test_marked_vertices_keep_the_order_of_the_sorted_points():
     std = standardize(s)
     fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
     notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
-    part = max(mrpp_subdivide(std, notmcop).parts, key=lambda p: len(p.points))
+    part = max(mrpp_subdivide(std, notmcop), key=lambda p: len(p.points))
     assert mcop_split(part.structure) is None
     cases.append((part.structure, part.points))
     for structure, points in cases:

@@ -10,7 +10,7 @@ from posetdegen import (
     order_structure,
     validate_relative_structure,
 )
-from posetdegen.errors import ConditionViolated, CycleDetected, DuplicateLabel, UnknownLabel
+from posetdegen.errors import ConditionViolated, CycleDetected, ValidationError
 from posetdegen.posets import linear_extension_indices, mask_bits
 
 from conftest import (
@@ -54,12 +54,12 @@ def test_build_transitive_closure():
 
 
 def test_duplicate_label():
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(ValidationError, match="duplicate element 'a'"):
         build_poset(["a", "a"], [])
 
 
 def test_unknown_label():
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(ValidationError, match="unknown element 'b' in cover"):
         build_poset(["a"], [("a", "b")])
 
 
