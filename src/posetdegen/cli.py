@@ -495,7 +495,7 @@ def cmd_subdivide(args):
         std = marked.standardize(structure)
         w = parse_weights_file(args.weights, jlambda_keys(std), args.default_zero)
         parts = marked.mrpp_subdivide(std, w)
-        counts = [(len(part.vertices), len(part.points)) for part in parts]
+        counts = [(part.vertex_count, part.point_count) for part in parts]
         return PartsReport(std.quotient, parts, counts)
     w = parse_weights_file(args.weights, structure.lattice.keys, args.default_zero)
     parts = degeneration.subdivide(structure, w)

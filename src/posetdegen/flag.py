@@ -236,8 +236,8 @@ def flag_degeneration(flag, mode, std, w):
         parts.append(
             {
                 "added_covers": sorted(part.added_covers(quotient.poset)),
-                "vertices": len(part.vertices),
-                "lattice_points": len(part.points),
+                "vertices": part.vertex_count,
+                "lattice_points": part.point_count,
                 "vanishing_variables": [names[pos] for pos in by_name if pos not in inside],
             }
         )

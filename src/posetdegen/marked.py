@@ -2,8 +2,10 @@
 standardization to quotient structures, MRPP subdivisions and the
 chain-order polytope comparison."""
 
+from collections import Counter
 from functools import cached_property
-from itertools import compress
+from itertools import combinations, compress
+from math import comb, factorial, prod
 from operator import add, eq, le, lt, sub
 
 from . import linalg
@@ -78,16 +80,9 @@ class MarkedPolytope:
         self.structure = structure
         self.points = tuple(points)
 
-    def __len__(self):
-        return len(self.points)
-
     @cached_property
     def vertices(self):
         return marked_vertices(self.structure, self.points)
-
-    @cached_property
-    def dimension(self):
-        return marked_dimension(self.structure, self.points)
 
 
 def mrpp_points(structure, scale=1):
@@ -134,9 +129,6 @@ class StandardizedStructure:
             len(self.jlambda) == len(self.base.lattice)
         )
 
-    def theta(self, point):
-        return tuple(point[i] for i in self.theta_src)
-
 
 def standardize(structure):
     """Collapse elements indistinguishable by J_lambda; returns the quotient data."""
@@ -151,8 +143,7 @@ def standardize(structure):
 
     signatures = [0] * n
     for k, pos in enumerate(jlambda):
-        m = lat.masks[pos]
-        for p in mask_bits(m):
+        for p in mask_bits(lat.masks[pos]):
             signatures[p] |= 1 << k
 
     by_sig = {}
@@ -160,10 +151,7 @@ def standardize(structure):
         by_sig.setdefault(signatures[p], []).append(p)
     classes = list(by_sig.values())  # by least member, as p ascends
     class_masks = [sum(1 << p for p in members) for members in classes]
-    class_of = {}
-    for c, members in enumerate(classes):
-        for p in members:
-            class_of[p] = c
+    class_of = {p: c for c, members in enumerate(classes) for p in members}
 
     labels = ["|".join(poset.elements[p] for p in members) for members in classes]
     q = len(classes)
@@ -171,11 +159,8 @@ def standardize(structure):
         seen = set()
         label = next(x for x in labels if x in seen or seen.add(x))
         raise ValidationError(f"two classes of the quotient are both labelled {label!r}")
-    above = [0] * q
-    for a in range(q):
-        for b in range(q):
-            if a != b and signatures[classes[b][0]] & ~signatures[classes[a][0]] == 0:
-                above[a] |= 1 << b
+    sig = [signatures[members[0]] for members in classes]
+    above = [sum(1 << b for b in range(q) if b != a and sig[b] & ~sig[a] == 0) for a in range(q)]
     qposet = Poset(labels, tuple(above))
 
     weak_pairs = set()
@@ -185,11 +170,8 @@ def standardize(structure):
             if c1 != c2 and not class_masks[c1] & structure.marked:
                 weak_pairs.add((labels[c1], labels[c2]))
 
-    mu = {}
-    for c, members in enumerate(classes):
-        marked_members = class_masks[c] & structure.marked
-        if marked_members:
-            mu[labels[c]] = structure.marking[mask_bits(marked_members)[0]]
+    mu = {labels[c]: structure.marking[mask_bits(m & structure.marked)[0]]
+          for c, m in enumerate(class_masks) if m & structure.marked}
     quotient = validate_relative_structure(qposet, sorted(weak_pairs), mu)
 
     # theta copies a marked representative for marked classes, the single
@@ -208,10 +190,9 @@ def standardize(structure):
     qlat = quotient.lattice
     lattice_map = []
     for pos in jlambda:
-        m = lat.masks[pos]
         qmask = 0
         for c in range(q):
-            inside = class_masks[c] & m
+            inside = class_masks[c] & lat.masks[pos]
             if inside == class_masks[c]:
                 qmask |= 1 << c
             elif inside:
@@ -220,33 +201,45 @@ def standardize(structure):
     if len(set(lattice_map)) != len(qlat):
         raise InternalClosureFailure("projection is not a lattice bijection")
 
-    marked_classes = mask_bits(quotient.marked)
-    for a in marked_classes:
-        for b in marked_classes:
-            if a != b and not (quotient.poset.less(a, b) or quotient.poset.less(b, a)):
-                raise InternalClosureFailure("quotient marked set is not a chain")
-    qfd = fundamental_decomposition(quotient)
-    if len(qfd.chain_masks()) != bin(quotient.marked).count("1") + 1:
+    for a, b in combinations(mask_bits(quotient.marked), 2):
+        if not (quotient.poset.less(a, b) or quotient.poset.less(b, a)):
+            raise InternalClosureFailure("quotient marked set is not a chain")
+    qchain = fundamental_decomposition(quotient).chain_masks()
+    if len(qchain) != bin(quotient.marked).count("1") + 1:
         raise InternalClosureFailure("standardized structure is not standard")
     return StandardizedStructure(
         structure, quotient, class_masks, theta_src, jlambda, lattice_map
     )
 
 
-class MarkedPart(Part):
+class MarkedPart(Part, MarkedPolytope):
     """A part of the quotient's subdivision, at the standardized level, with
-    the lattice points (sorted and distinct) and the structure of its marked
-    section."""
+    the `vertex_count` and `point_count` of its marked section.  A fine part
+    is given its counts; as a `MarkedPolytope`, its section's `structure`,
+    lattice `points` and `vertices` are built on first access, and so are a
+    walked part's, whose counts are read off them."""
 
-    def __init__(self, part, structure, points):
-        super().__init__(part.sublattice, part.lift, part.scale, part.linearization_count,
-                         part.elements, part.linearization, part.order, part.covers)
-        self.structure = structure
-        self.points = tuple(points)
+    def __init__(self, part, quotient, counts=None):
+        vars(self).update(vars(part))  # the part's order and covers only if it has them
+        self.quotient = quotient
+        if counts is not None:
+            self.vertex_count, self.point_count = counts
 
     @cached_property
-    def vertices(self):
-        return marked_vertices(self.structure, self.points)
+    def structure(self):
+        return structure_of_part(self.quotient, self)
+
+    @cached_property
+    def points(self):
+        return tuple(mrpp_points(self.structure))
+
+    @cached_property
+    def vertex_count(self):
+        return len(self.vertices)
+
+    @cached_property
+    def point_count(self):
+        return len(self.points)
 
 
 def restricted_affine(structure, affine):
@@ -255,13 +248,17 @@ def restricted_affine(structure, affine):
     subdivision share one scale, so their integer lifts compare as their
     affine functions do."""
     a, b = affine
-    free = tuple(
-        a[i] for i in range(structure.poset.n) if not structure.marked >> i & 1
-    )
-    const = b + sum(
-        a[i] * structure.marking[i] for i in mask_bits(structure.marked)
-    )
-    return free, const
+    free = tuple(a[i] for i in mask_bits(structure.poset.full & ~structure.marked))
+    return free, b + sum(a[i] * structure.marking[i] for i in mask_bits(structure.marked))
+
+
+def _section_runs(quotient, terms, chain):
+    """The runs of a chain of ideals of the quotient, given by lattice
+    positions, as pairs (d_r, k_r) = (|L_r| - 1, terms[r]): the ideals J
+    grouped by r = J & Q*, over the r that `terms`, a dict of the
+    fundamental terms, holds (k_r > 0)."""
+    runs = Counter(quotient.lattice.masks[pos] & quotient.marked for pos in chain)
+    return [(length - 1, terms[r]) for r, length in runs.items() if r in terms]
 
 
 def mrpp_subdivide(std, w):
@@ -290,6 +287,39 @@ def mrpp_subdivide(std, w):
     O(Q,<'',lambda) has dimension |Q minus Q*|, and so has the
     Ehrhart-equivalent section MRPP(Q,<'',<<',lambda).  The case <'' = <<
     gives the same dimension for the whole MRPP.
+
+    Fine sections are counted, not built.  Under a weight strictly inside
+    the cone every part carries a linearization p_1, ..., p_n; its lattice
+    is the chain J_0 < ... < J_n with J_k = {p_1, ..., p_k}, whose vertices
+    1_{max' J_k} span a unimodular simplex (`check_normality`).  The
+    section's lattice points are the sums over the multichains that take,
+    for each term (r, k_r) of the fundamental decomposition, k_r ideals of
+    the run L_r = {J_k : J_k & Q* = r}.  J_k & Q* only grows along the
+    chain, so each run is consecutive and every such choice is a multichain:
+    up to the shift, the section is the Minkowski sum of the k_r*F_r, where
+    F_r is the face of the simplex spanned by the vertices of L_r.  These
+    faces have disjoint vertex sets, so their edge vectors together are part
+    of a lattice basis, and the sum is lattice-equivalent to the product of
+    the dilated simplices k_r*Delta_{d_r}, d_r = |L_r| - 1, over the runs
+    with k_r > 0.  So the section has prod |L_r| vertices (the vertices of a
+    product are the products of vertices: Ziegler, Lectures on Polytopes,
+    section 0), prod C(|L_r| + k_r - 1, k_r) lattice points (a multiset of
+    k_r ideals of each run), dimension sum d_r, which must be |Q minus Q*|,
+    and normalized volume (sum d_r)!/prod d_r! * prod k_r^{d_r}.
+
+    The cover is certified by volume.  The sections lie in the MRPP, and no
+    two overlap in an open set of the section: there both parts' lifts
+    would equal the piecewise-affine function the weight induces, so they
+    would agree on the section, and parts that share a `restricted_affine`
+    lift raise first.  So their normalized volumes add up to the MRPP's
+    exactly when they cover it: what they leave uncovered is open in the
+    section, so of positive volume if it is not empty.  The MRPP's
+    normalized volume is d! times the leading coefficient of its Ehrhart
+    polynomial, of degree d = |Q minus Q*|: the d-th finite difference at 0
+    of `ehrhart_values(quotient, d)`.  A sum that differs raises
+    InternalClosureFailure.  A walked (coarse) part's section is built, its
+    dimension is `marked_dimension` of its points, and the sections' points
+    must cover the MRPP's.
     """
     quotient = std.quotient
     if len(w) != len(std.jlambda):
@@ -298,24 +328,33 @@ def mrpp_subdivide(std, w):
     for qpos, value in zip(std.lattice_map, w):
         wq[qpos] = value
     big = subdivide(quotient, wq)
-
-    whole = MarkedPolytope(quotient, mrpp_points(quotient))
+    free = quotient.poset.n - bin(quotient.marked).count("1")
+    if len({restricted_affine(quotient, part.lift) for part in big}) != len(big):
+        raise InternalClosureFailure("two section parts share an affine lift")
+    if big[0].linearization is None:
+        parts = tuple(MarkedPart(part, quotient) for part in big)
+        for part in parts:
+            if marked_dimension(part.structure, part.points) != free:
+                raise TheoremViolation("a part meets the marked section in lower dimension")
+        if set().union(*(part.points for part in parts)) != set(mrpp_points(quotient)):
+            raise InternalClosureFailure("section parts do not cover the marked polytope")
+        return parts
+    terms = dict(fundamental_decomposition(quotient).terms)
     parts = []
-    seen_affines = set()
-    covered = set()
+    volume = 0
     for part in big:
-        section_structure = structure_of_part(quotient, part)
-        pts = mrpp_points(section_structure)
-        if marked_dimension(section_structure, pts) != whole.dimension:
+        runs = _section_runs(quotient, terms, part.sublattice)
+        if sum(d for d, _ in runs) != free:
             raise TheoremViolation("a part meets the marked section in lower dimension")
-        raff = restricted_affine(quotient, part.lift)
-        if raff in seen_affines:
-            raise InternalClosureFailure("two section parts share an affine lift")
-        seen_affines.add(raff)
-        covered.update(pts)
-        parts.append(MarkedPart(part, section_structure, pts))
-    if covered != set(whole.points):
-        raise InternalClosureFailure("section parts do not cover the marked polytope")
+        volume += factorial(free) // prod(factorial(d) for d, _ in runs) * prod(
+            k ** d for d, k in runs)
+        parts.append(MarkedPart(part, quotient, (prod(d + 1 for d, _ in runs),
+                                                 prod(comb(d + k, k) for d, k in runs))))
+    whole = sum((-1) ** (free - m) * comb(free, m) * count
+                for m, count in enumerate(ehrhart_values(quotient, free)))
+    if volume != whole:
+        raise InternalClosureFailure(f"section parts of normalized volume {volume} do not"
+                                     f" cover the marked polytope of normalized volume {whole}")
     return tuple(parts)
 
 

@@ -12,7 +12,8 @@ from itertools import permutations, product
 
 import pytest
 
-from posetdegen.degeneration import Part, as_weight, canonical_interior_weight, subdivide
+from posetdegen.degeneration import (Part, as_weight, canonical_interior_weight, structure_of_part,
+                                     subdivide)
 from posetdegen.posets import (
     Poset,
     RelativeStructure,
@@ -26,6 +27,7 @@ from posetdegen.marked import (
     MarkedPolytope,
     fundamental_decomposition,
     mcop_build,
+    mrpp_points,
     mrpp_subdivide,
     standardize,
 )
@@ -48,12 +50,43 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-def shorten_part_sections(monkeypatch, quotient):
-    """Patch marked.marked_dimension so that the marked section of every part
-    whose order is not the quotient's reads one dimension short."""
-    real = marked.marked_dimension
-    monkeypatch.setattr(marked, "marked_dimension",
-                        lambda s, points: real(s, points) - (s.poset != quotient.poset))
+def shorten_part_sections(monkeypatch):
+    """Patch marked._section_runs so that the first run of every fine part's
+    chain reads one ideal short, and so its marked section one dimension."""
+    real = marked._section_runs
+
+    def short(quotient, terms, chain):
+        (d, k), *rest = real(quotient, terms, chain)
+        return [(d - 1, k), *rest]
+
+    monkeypatch.setattr(marked, "_section_runs", short)
+
+
+def naive_section_counts(quotient, part):
+    """(vertices, lattice points, dimension) of a part's marked section read
+    off its built point set: the section's structure (`structure_of_part`),
+    its points (`mrpp_points`), then `marked_vertices` and `marked_dimension`
+    of them, both looked up on the module at the call, so that a test can
+    wrap them."""
+    structure = structure_of_part(quotient, part)
+    points = mrpp_points(structure)
+    return (len(marked.marked_vertices(structure, points)), len(points),
+            marked.marked_dimension(structure, points))
+
+
+def theta(std, point):
+    """The unimodular projection of a standardization (`standardize`): the
+    point's coordinates at `std.theta_src`, one per element of the quotient."""
+    return tuple(point[i] for i in std.theta_src)
+
+
+def scaled_structure(structure, scale):
+    """The structure with its marking multiplied by `scale`, validated anew."""
+    poset = structure.poset
+    weak = [(poset.elements[i], poset.elements[j])
+            for i in range(poset.n) for j in mask_bits(structure.weak_above[i])]
+    marking = {poset.elements[i]: scale * v for i, v in structure.marking.items()}
+    return validate_relative_structure(poset, weak, marking)
 
 
 def naive_mask_bits(mask):
@@ -348,7 +381,7 @@ def naive_subdivide_dict(structure, values):
         quotient = std.quotient
         qlat = quotient.lattice
         parts = [
-            naive_part_report(quotient, part, len(part.vertices), len(part.points),
+            naive_part_report(quotient, part, *naive_section_counts(quotient, part)[:2],
                               [qlat.label_key(i) for i in range(len(qlat))
                                if i not in part.sublattice])
             for part in mrpp_subdivide(std, values)

@@ -45,6 +45,7 @@ from conftest import (
     random_poset,
     sample_cone_weight,
     small_poset_corpus,
+    theta,
     valid_weak_structures,
     weyl_dimension,
 )
@@ -295,7 +296,7 @@ def test_criterion_9_standardization():
         built += 1
         for m in (1, 2, 3):
             pts = mrpp_points(s, m)
-            image = sorted(std.theta(p) for p in pts)
+            image = sorted(theta(std, p) for p in pts)
             assert len(set(image)) == len(pts)
             assert image == sorted(mrpp_points(std.quotient, m))
 
@@ -314,7 +315,7 @@ def test_criterion_9_standardization():
     )
     assert projected == sorted(lattice_points(sq, 1))
     std = standardize(sp)
-    assert sorted(std.theta(p) for p in build_mrpp(sp).points) == sorted(
+    assert sorted(theta(std, p) for p in build_mrpp(sp).points) == sorted(
         build_mrpp(std.quotient).points
     )
     print("PASS criterion 9: theta bijections and fundexample reproduction")

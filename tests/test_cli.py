@@ -904,11 +904,28 @@ def test_lower_dimensional_section_exits_5(tmp_path, capsys, monkeypatch):
     canonical = degeneration.canonical_interior_weight(std.quotient)
     weights = write(tmp_path, "w.json", {"weights": {
         k: str(canonical[q]) for k, q in zip(cli.jlambda_keys(std), std.lattice_map)}})
-    shorten_part_sections(monkeypatch, std.quotient)
+    shorten_part_sections(monkeypatch)
     assert main(["subdivide", poset, "--weights", weights]) == 5
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("internal error: TheoremViolation:")
     assert err.count("\n") == 1
+
+
+def test_section_volume_mismatch_exits_5(tmp_path, capsys, monkeypatch):
+    # a marked subdivide whose MRPP reads one normalized volume larger than
+    # its fine sections add up to
+    poset = write(tmp_path, "p.json", DIAMOND_MARKED)
+    std = marked.standardize(cli.parse_poset_file(poset))
+    canonical = degeneration.canonical_interior_weight(std.quotient)
+    weights = write(tmp_path, "w.json", {"weights": {
+        k: str(canonical[q]) for k, q in zip(cli.jlambda_keys(std), std.lattice_map)}})
+    real = marked.ehrhart_values
+    monkeypatch.setattr(marked, "ehrhart_values",
+                        lambda structure, m: real(structure, m)[:-1] + [real(structure, m)[-1] + 1])
+    assert main(["subdivide", poset, "--weights", weights]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: InternalClosureFailure:")
+    assert "do not cover the marked polytope" in err and err.count("\n") == 1
 
 
 def test_normality_certificate_failure_exits_5(tmp_path, capsys, monkeypatch):
@@ -1013,6 +1030,29 @@ def test_full_n5_flag_vertex_counts_well_under_a_second(capsys, kind, vertices):
     assert code == 0
     report = json.loads(out)
     assert len(report["lattice_points"]) == 1024 and len(report["vertices"]) == vertices
+
+
+@pytest.mark.parametrize("mode,size,digest", [
+    ("gt", 207858, "339e7c5336f9900500e38030f2bbe2891e5f3afab046c8a79ab0ae1c522ea694"),
+    ("fflv", 207860, "01a6029e5bc4cae889c74d6dcc7783c2105afa2f47becd9d55a536a3caa318bc"),
+])
+def test_full_n5_flag_degeneration_keeps_its_bytes_well_under_a_second(
+        tmp_path, capsysbinary, mode, size, digest):
+    # 286 parts under the canonical weight of the quotient; building every
+    # FFLV section and its vertices by Wolfe's test took about a minute, and
+    # these are the bytes that path printed
+    flag = build_flag_poset(5, (0, 1, 2, 3, 4, 5))
+    std = marked.standardize(flag.structure(mode))
+    canonical = degeneration.canonical_interior_weight(std.quotient)
+    weights = write(tmp_path, "w.json", {"weights": {
+        k: str(canonical[q]) for k, q in zip(cli.jlambda_keys(std), std.lattice_map)}})
+    start = time.perf_counter()
+    code = main(["flag", "--n", "5", "--dims", "0,1,2,3,4,5", "--mode", mode,
+                 "--action", "degenerate", "--weights", weights])
+    assert time.perf_counter() - start < 1
+    out, err = capsysbinary.readouterr()
+    assert code == 0 and err == b"" and len(json.loads(out)["parts"]) == 286
+    assert len(out) == size and hashlib.sha256(out).hexdigest() == digest
 
 
 def test_flag_command(tmp_path, capsys):

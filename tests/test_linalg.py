@@ -26,6 +26,7 @@ from conftest import (
     marked_corpus_structures,
     naive_affine_dimension,
     naive_in_convex_hull,
+    naive_section_counts,
 )
 
 
@@ -308,11 +309,13 @@ def test_forced_free_element_lowers_the_dimension():
 
 
 def test_tight_cover_dimension_matches_rank_on_every_section(monkeypatch):
-    # every section mrpp_subdivide builds for the marked corpus, under the
-    # zero weight and the canonical interior weight of the quotient (none of
-    # these sections is lower-dimensional, nor any of 20,464 subdivisions of
-    # criterion 7's splits under canonical and random cone weights; the
-    # hypothesis test above covers lower-dimensional point sets)
+    # every section of the parts mrpp_subdivide returns for the marked
+    # corpus, under the zero weight (walked, built by mrpp_subdivide) and the
+    # canonical interior weight of the quotient (fine, counted there, so
+    # built here by the oracle); none of these sections is
+    # lower-dimensional, nor any of 20,464 subdivisions of criterion 7's
+    # splits under canonical and random cone weights; the hypothesis test
+    # above covers lower-dimensional point sets
     real = marked.marked_dimension
     seen = []
 
@@ -327,8 +330,9 @@ def test_tight_cover_dimension_matches_rank_on_every_section(monkeypatch):
     for s in marked_corpus_structures():
         std = standardize(s)
         canonical = canonical_interior_weight(std.quotient)
-        for w in ([0] * len(std.jlambda), [canonical[q] for q in std.lattice_map]):
-            mrpp_subdivide(std, w)
+        mrpp_subdivide(std, [0] * len(std.jlambda))
+        for part in mrpp_subdivide(std, [canonical[q] for q in std.lattice_map]):
+            naive_section_counts(std.quotient, part)
     assert sum(seen) > 100 and not all(seen)
 
 

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetdegen import (
     antichain_poset,
@@ -26,23 +27,29 @@ from posetdegen.errors import (
 )
 from posetdegen.linalg import extreme_points
 from posetdegen.marked import _mcop_inequalities, marked_vertices, mcop_split, mrpp_points
-from posetdegen.posets import chain_structure, mask_bits
+from posetdegen.posets import chain_structure, mask_bits, transitive_closure
 from posetdegen.degeneration import canonical_interior_weight
 from posetdegen.polytopes import indicator
 
 from conftest import (
+    counted,
     criterion_7_markings,
     fundamental_mrpp,
     gt_pattern_count,
     lattice_points,
+    make_poset,
     marked_corpus_structures,
     max_antichain,
-    naive_mcop_box,
     naive_fundamental_decomposition,
+    naive_mcop_box,
     naive_mcop_recognize,
     naive_mrpp_points,
+    naive_section_counts,
     random_poset,
+    sample_cone_weight,
+    scaled_structure,
     shorten_part_sections,
+    theta,
 )
 
 
@@ -295,7 +302,7 @@ def test_standardize_theta_bijection_random():
         for m in (1, 2, 3):
             pts = mrpp_points(s, m)
             qpts = mrpp_points(std.quotient, m)
-            image = sorted(std.theta(p) for p in pts)
+            image = sorted(theta(std, p) for p in pts)
             assert image == sorted(qpts)
             assert len(set(image)) == len(pts)
 
@@ -324,7 +331,7 @@ def test_fundexample_embedding_and_collapse():
     std = standardize(sp)
     assert std.is_identity
     mp = build_mrpp(sp)
-    assert sorted(std.theta(p) for p in mp.points) == sorted(
+    assert sorted(theta(std, p) for p in mp.points) == sorted(
         build_mrpp(std.quotient).points
     )
 
@@ -406,9 +413,154 @@ def test_mrpp_subdivide_lower_dimensional_section_raises(monkeypatch):
     s = marked_diamond_chain()
     std = standardize(s)
     w = canonical_interior_weight(std.quotient)
-    shorten_part_sections(monkeypatch, std.quotient)
+    shorten_part_sections(monkeypatch)
     with pytest.raises(TheoremViolation, match="lower dimension"):
         mrpp_subdivide(std, [w[q] for q in std.lattice_map])
+
+
+def test_mrpp_subdivide_lower_dimensional_walked_section_raises(monkeypatch):
+    # walked parts are still built: their dimension is marked_dimension's
+    f = build_flag_poset(5, (0, 2, 5))
+    s = f.structure("fflv")
+    std = standardize(s)
+    fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
+    notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
+    real = marked.marked_dimension
+    monkeypatch.setattr(marked, "marked_dimension", lambda st, points: real(st, points) - 1)
+    with pytest.raises(TheoremViolation, match="lower dimension"):
+        mrpp_subdivide(std, notmcop)
+
+
+def doubled_first_multiplicity(monkeypatch):
+    # every fine section's first run counted twice as often: the dimension
+    # stays, the volume grows
+    real = marked._section_runs
+
+    def doubled(quotient, terms, chain):
+        (d, k), *rest = real(quotient, terms, chain)
+        return [(d, 2 * k), *rest]
+
+    monkeypatch.setattr(marked, "_section_runs", doubled)
+
+
+def whole_volume_off_by_one(monkeypatch):
+    # the MRPP's Ehrhart count at dilation d one too large: its d-th
+    # difference, the normalized volume, grows by one
+    real = marked.ehrhart_values
+    monkeypatch.setattr(marked, "ehrhart_values",
+                        lambda structure, m: real(structure, m)[:-1] + [real(structure, m)[-1] + 1])
+
+
+@pytest.mark.parametrize("inject", [doubled_first_multiplicity, whole_volume_off_by_one])
+def test_mrpp_subdivide_volume_mismatch_raises(monkeypatch, inject):
+    s = marked_diamond_chain()
+    std = standardize(s)
+    w = canonical_interior_weight(std.quotient)
+    inject(monkeypatch)
+    with pytest.raises(InternalClosureFailure, match="do not cover the marked polytope"):
+        mrpp_subdivide(std, [w[q] for q in std.lattice_map])
+
+
+def interior_sections(structure, rng=None):
+    """The standardization of a marked structure and the parts of its
+    quotient's subdivision under the canonical interior weight, or, with
+    `rng`, under a sampled cone weight plus the canonical one, which is
+    interior too."""
+    std = standardize(structure)
+    canonical = canonical_interior_weight(std.quotient)
+    w = canonical
+    if rng is not None:
+        w = [x + c for x, c in zip(sample_cone_weight(std.quotient, rng), canonical)]
+    return std, mrpp_subdivide(std, [w[q] for q in std.lattice_map])
+
+
+def assert_counts_match_the_oracle(std, parts):
+    """Each fine part's counts and run dimension equal those of its built
+    section; returns how many parts have fewer vertices than points."""
+    terms = dict(fundamental_decomposition(std.quotient).terms)
+    fewer = 0
+    for part in parts:
+        assert part.linearization is not None
+        runs = marked._section_runs(std.quotient, terms, part.sublattice)
+        counts = (part.vertex_count, part.point_count, sum(d for d, _ in runs))
+        assert counts == naive_section_counts(std.quotient, part)
+        fewer += part.vertex_count < part.point_count
+    return fewer
+
+
+FLAG_CASES = [(n, tuple(range(n + 1)), mode) for n in (3, 4) for mode in ("gt", "fflv")] + [
+    (4, (0, 2, 4), "gt"), (4, (0, 2, 4), "fflv"), (4, (0, 1, 3, 4), "gt"), (5, (0, 2, 5), "fflv")]
+
+
+@pytest.mark.parametrize("n, dims, mode", FLAG_CASES)
+def test_fine_section_counts_match_the_point_set_oracle_on_flags(n, dims, mode):
+    # at marking scale 1 the full flags' runs all have k_r = 1, so vertices
+    # and points agree; scales 2 and 3 give k_r > 1
+    s = build_flag_poset(n, dims).structure(mode)
+    for scale in (1, 2, 3):
+        std, parts = interior_sections(scaled_structure(s, scale))
+        fewer = assert_counts_match_the_oracle(std, parts)
+        assert fewer == (0 if scale == 1 else len(parts))
+
+
+def test_fine_section_counts_match_the_point_set_oracle_on_the_marked_corpus():
+    checked = fewer = 0
+    for s in marked_corpus_structures():
+        for scale in (1, 2, 3):
+            std, parts = interior_sections(scaled_structure(s, scale))
+            fewer += assert_counts_match_the_oracle(std, parts)
+            checked += len(parts)
+    assert checked > 1000 and fewer > 100
+
+
+@st.composite
+def marked_structures(draw):
+    """A poset on at most 6 elements with its extremal elements marked and
+    others at random, a dominant marking (values fall with the number of
+    elements below), a chain/order choice of <' for each free element and a
+    marking scale in 1..3."""
+    n = draw(st.integers(1, 6))
+    above = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                above[i] |= 1 << j
+    poset = make_poset(n, transitive_closure(above, n))
+    marked_mask = poset.minimals | poset.maximals
+    for i in range(n):
+        if draw(st.booleans()):
+            marked_mask |= 1 << i
+    height = [bin(poset.below[i]).count("1") for i in range(n)]
+    marking = {poset.elements[i]: max(0, 4 - height[i] - draw(st.integers(0, 1)))
+               for i in mask_bits(marked_mask)}
+    weak = [(poset.elements[i], poset.elements[j])
+            for i in mask_bits(poset.full & ~marked_mask) if draw(st.booleans())
+            for j in mask_bits(poset.above[i])]
+    structure = validate_relative_structure(poset, weak, marking)
+    return scaled_structure(structure, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure=marked_structures(), seed=st.integers(0, 2**16))
+def test_fine_section_counts_match_the_point_set_oracle_on_random_structures(structure, seed):
+    assert_counts_match_the_oracle(*interior_sections(structure))
+    assert_counts_match_the_oracle(*interior_sections(structure, random.Random(seed)))
+
+
+def test_fine_sections_build_no_point_set(monkeypatch):
+    # the counts come from the chain; the whole MRPP is certified by its
+    # Ehrhart counts, so no point set, vertex list or section structure is
+    # made, and each is built on first access for a caller that asks
+    s = build_flag_poset(4, (0, 1, 2, 3, 4)).structure("fflv")
+    calls = [counted(monkeypatch, marked, name)
+             for name in ("mrpp_points", "marked_vertices", "marked_dimension",
+                          "structure_of_part")]
+    std, parts = interior_sections(s)
+    assert [len(c) for c in calls] == [0, 0, 0, 0]
+    part = parts[0]
+    assert len(part.points) == part.point_count and len(part.vertices) == part.vertex_count
+    assert part.structure.poset == part.order
+    assert [len(c) for c in calls] == [1, 1, 0, 1]
 
 
 def test_mrpp_subdivide_parts_sharing_a_restricted_lift_raise(monkeypatch):
