@@ -5,10 +5,12 @@ Exit codes: 0 success, 2 validation failure, 3 weight outside the cone,
 library fired); each error class in `errors` carries its code and its one
 line on stderr.  All rationals are serialized exactly ("p/q", plain integers
 without the denominator); a report holds only strings, integers, booleans
-and None in dicts and lists, and its writer (`jsontext.report_json`)
+and None in dicts and lists, and their writer, `jsontext.report_json`,
 refuses anything else, floats included.  A `subdivide` report, one block
-per part, is written from text encoded once per lattice, one chunk per
-part, with the same bytes.
+per part, is written here (`parts_json`) from text encoded once per
+lattice, one chunk per part, with the same bytes, so an unmarked
+`subdivide` never loads `jsontext`, nor the other lazily loaded modules
+(see the package docstring).
 """
 
 import argparse
@@ -24,9 +26,8 @@ from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
-from . import degeneration, flag as flagmod, marked, polytopes
+from . import degeneration, flag as flagmod, jsontext, marked, polytopes
 from .errors import ParseError, PosetDegenError
-from .jsontext import report_json
 from .posets import build_poset, mask_bits, validate_relative_structure
 
 INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
@@ -342,7 +343,7 @@ def emit_report(report, fmt="json", out=None):
         else:
             data = (encode_text(render_text(json.loads("".join(chunks)))),)
     elif fmt == "json":
-        data = (report_json(report).encode("utf-8"), b"\n")
+        data = (jsontext.report_json(report).encode("utf-8"), b"\n")
     else:
         data = (encode_text(render_text(report)),)
     if out:

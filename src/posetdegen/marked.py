@@ -319,7 +319,8 @@ def mrpp_subdivide(std, w):
     of `ehrhart_values(quotient, d)`.  A sum that differs raises
     InternalClosureFailure.  A walked (coarse) part's section is built, its
     dimension is `marked_dimension` of its points, and the sections' points
-    must cover the MRPP's.
+    must cover the MRPP's; a part whose lattice is the quotient's (the one
+    part of the zero weight) is the MRPP and takes its points, built once.
     """
     quotient = std.quotient
     if len(w) != len(std.jlambda):
@@ -332,11 +333,14 @@ def mrpp_subdivide(std, w):
     if len({restricted_affine(quotient, part.lift) for part in big}) != len(big):
         raise InternalClosureFailure("two section parts share an affine lift")
     if big[0].linearization is None:
+        whole = tuple(mrpp_points(quotient))
         parts = tuple(MarkedPart(part, quotient) for part in big)
         for part in parts:
+            if len(part.sublattice) == len(quotient.lattice):
+                part.points = whole  # the part is the MRPP: its order is <<
             if marked_dimension(part.structure, part.points) != free:
                 raise TheoremViolation("a part meets the marked section in lower dimension")
-        if set().union(*(part.points for part in parts)) != set(mrpp_points(quotient)):
+        if set().union(*(part.points for part in parts)) != set(whole):
             raise InternalClosureFailure("section parts do not cover the marked polytope")
         return parts
     terms = dict(fundamental_decomposition(quotient).terms)
@@ -610,8 +614,11 @@ def mcop_build(poset, marking, chain_part, order_part):
 
     # construction (1): box enumeration against the chain-order inequalities;
     # the fixed marked coordinates are set first, then the free ones along a
-    # linearization of (P,<), and each chain is checked as soon as its last
-    # coordinate is set
+    # linearization of (P,<).  The mids of a chain are elements of C, whose
+    # ranges start at 0 (`_mcop_inequalities`), so a sum over the mids set so
+    # far that passes x[a] - x[b] cannot be mended: each chain is checked
+    # once both its anchors are set, and again at each later mid, on the
+    # mids set by then
     n = poset.n
     ranges, chains = _mcop_inequalities(poset, structure.marking, marked_mask | o_mask, c_mask)
     order = mask_bits(marked_mask) + [i for i in first_linearization(poset)
@@ -619,7 +626,9 @@ def mcop_build(poset, marking, chain_part, order_part):
     position = {i: k for k, i in enumerate(order)}
     checks = [[] for _ in range(n)]
     for a, mids, b in chains:
-        checks[max(position[i] for i in (a, b, *mids))].append((a, mids, b))
+        start = max(position[a], position[b])
+        for k in {start, *(position[p] for p in mids if position[p] > start)}:
+            checks[k].append((a, tuple(p for p in mids if position[p] <= k), b))
 
     box_points = []
     point = [0] * n

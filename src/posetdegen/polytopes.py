@@ -18,6 +18,7 @@ that a code decodes with `int.to_bytes`.
 
 from itertools import combinations_with_replacement
 
+from . import marked
 from .errors import InternalClosureFailure, TheoremViolation, ValidationError
 from .posets import RelativeStructure, mask_bits
 
@@ -142,10 +143,8 @@ def ehrhart_values(structure, m_max):
     check_peeling(structure)
     lat = structure.lattice
     if structure.marked:
-        from .marked import fundamental_decomposition  # marked builds on this module
-
         count = lat.prescribed_multichain_count
-        return [count(structure.marked, fundamental_decomposition(structure, m).steps())
+        return [count(structure.marked, marked.fundamental_decomposition(structure, m).steps())
                 for m in range(m_max + 1)]
     values = []
     counts = [1] * len(lat.masks)

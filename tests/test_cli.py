@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from posetdegen import build_flag_poset, cli, degeneration, errors, marked, polytopes
+from posetdegen import build_flag_poset, cli, degeneration, errors, jsontext, marked, polytopes
 from posetdegen import flag as flag_module, lattice as lattice_module
 from posetdegen.cli import main
 from posetdegen.errors import TheoremViolation
@@ -268,7 +268,7 @@ def uniform_lists(draw):
 @example(report={"x": [[i, -i, 10 ** 30] for i in range(200)]})
 @example(report=[{"k%": ["a%d"] * (i % 3 + 1), "j": ("\ud800",)} for i in range(150)])
 def test_report_writer_equals_json_dumps(report):
-    assert cli.report_json(report) == json.dumps(report, sort_keys=True, indent=2)
+    assert jsontext.report_json(report) == json.dumps(report, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("report", [
@@ -281,7 +281,7 @@ def test_report_writer_refuses_other_types(report):
     # json.dumps would render a float, a non-str key or nothing at all; a
     # bad row after good rows is refused too
     with pytest.raises(TypeError):
-        cli.report_json(report)
+        jsontext.report_json(report)
 
 
 def structure_file(tmp_path, structure):
@@ -1081,6 +1081,25 @@ def test_flag_degenerate_command(tmp_path, capsys):
     assert code == 0
     parts = json.loads(out)["parts"]
     assert len(parts) == 1 and parts[0]["vanishing_variables"] == []
+
+
+@pytest.mark.parametrize("n,digest", [
+    (4, "b7ab03d142dd18bc5e5191e1633227e55396f50edde958ed00b17a5a9d77a36b"),
+    (5, "5da929d05d8a433283471ee15d19abcca8c64605371d13d90063c20a52fe3b99"),
+], ids=["n4", "n5"])
+def test_zero_weight_flag_degeneration_builds_the_mrpp_once(tmp_path, capsysbinary,
+                                                             monkeypatch, n, digest):
+    # the one part of the zero weight is the whole MRPP: it takes the points
+    # the cover check builds, with the bytes of the reports printed when the
+    # part built its own
+    calls = counted(monkeypatch, marked, "mrpp_points")
+    weights = write(tmp_path, "w.json", {"weights": {}})
+    code = main(["flag", "--n", str(n), "--dims", ",".join(map(str, range(n + 1))),
+                 "--mode", "gt", "--action", "degenerate", "--weights", weights,
+                 "--default-zero"])
+    out, err = capsysbinary.readouterr()
+    assert code == 0 and err == b"" and hashlib.sha256(out).hexdigest() == digest
+    assert len(calls) == 1
 
 
 def test_normality_command(tmp_path, capsys):

@@ -777,6 +777,26 @@ def test_mcop_recognize_matches_bit_order_oracle_on_shuffled_flags():
                 assert found == naive_mcop_recognize(built.structure, built)
 
 
+def test_mcop_recognize_on_the_shuffled_full_n5_fflv_flag():
+    # every chain of the FFLV split has both anchors marked, so the box search
+    # prunes on the sums over the mids set so far; the split and the 1024
+    # points are those found when each chain was checked only once complete
+    f = build_flag_poset(5, range(6))
+    poset, weak = f.poset, f.structure("fflv").weak_above
+    pairs = lambda rows: [(poset.elements[i], poset.elements[j])
+                          for i in range(poset.n) for j in mask_bits(rows[i])]
+    labels = list(poset.elements)
+    random.Random(1).shuffle(labels)
+    s = validate_relative_structure(build_poset(labels, pairs(poset.above)), pairs(weak),
+                                    f.marking)
+    target = build_mrpp(s)
+    found = mcop_recognize(s, target)
+    free = tuple(sorted(x for x in labels if x not in f.marking))
+    assert found == (free, ()) and len(free) == 10
+    built = mcop_build(s.poset, f.marking, *found)
+    assert built.points == target.points and len(built.points) == 1024
+
+
 def test_mcop_inequalities_are_the_chains_of_covers():
     # the system of all chains has 40 (GT) and 70 (FFLV) rows for n = 4,
     # 90 and 480 for n = 5
@@ -787,9 +807,11 @@ def test_mcop_inequalities_are_the_chains_of_covers():
             s = f.structure(mode)
             c_mask, o_mask = mcop_split(s)
             values = {i: s.marking[i] for i in mask_bits(s.marked)}
-            _, chains = _mcop_inequalities(f.poset, values, s.marked | o_mask, c_mask)
+            ranges, chains = _mcop_inequalities(f.poset, values, s.marked | o_mask, c_mask)
             assert len(chains) == count
             for a, mids, b in chains:
+                # the box search prunes on partial sums of mids, all >= 0
+                assert all(ranges[p][0] >= 0 for p in mids)
                 steps = (a, *mids, b)
                 assert all(pair in covers for pair in zip(steps, steps[1:]))
 

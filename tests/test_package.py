@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -48,16 +52,33 @@ def test_public_api_only_shrinks():
     assert set(posetdegen.__all__) <= PUBLIC_NAMES
 
 
-def test_bench_spans_resolve_in_the_library():
-    # the traced benchmark wraps each span by name and fails on one that a
-    # refactor renamed away; its tables are read as literals, not imported
+def test_public_names_are_the_explicit_list():
+    # the lazily loaded modules' names resolve through the package's
+    # __getattr__, so dir() lists and a star import binds every one of them
+    assert posetdegen.__all__ == sorted(PUBLIC_NAMES)
+    assert set(posetdegen.__all__) <= set(dir(posetdegen))
+    namespace = {}
+    exec("from posetdegen import *", namespace)
+    assert set(posetdegen.__all__) <= namespace.keys()
+    assert namespace["mcop_build"] is posetdegen.marked.mcop_build
+
+
+def tracer_tables():
+    """The SPANS and REQUIRED tables of the bench tracer, read as literals,
+    not imported."""
     tracer = Path(__file__).parents[1] / "bench" / "tracer.py"
-    tables = {
+    return {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in ast.parse(tracer.read_text(encoding="utf-8")).body
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
         and node.targets[0].id in ("SPANS", "REQUIRED")
     }
+
+
+def test_bench_spans_resolve_in_the_library():
+    # the traced benchmark wraps each span by name and fails on one that a
+    # refactor renamed away
+    tables = tracer_tables()
     spans = tables["SPANS"]
     for name in spans:
         module, function = name.split(".")
@@ -109,3 +130,59 @@ def test_no_validation_error_subclass_only_renames_its_base():
                    for stmt in node.body)
 
     assert [name for name, node in classes.items() if validation(name) and empty(node)] == []
+
+
+LAZY_MODULES = ("flag", "jsontext", "linalg", "marked", "polytopes")
+
+# Prints the lazy modules that have not run, after the import and after each
+# command; reads no attribute of them, which would run them.
+UNRUN_PROBE = """
+import json, sys, types
+import posetdegen.cli as cli
+
+def unrun():
+    return [name for name in {lazy!r}
+            if type(sys.modules["posetdegen." + name]) is not types.ModuleType]
+
+print(json.dumps(unrun()))
+for argv in {commands!r}:
+    if cli.main(argv) != 0:
+        sys.exit(f"{{argv}} failed")
+    print(json.dumps(unrun()))
+for span in {spans!r}:
+    module, function = span.split(".")
+    if not callable(getattr(sys.modules["posetdegen." + module], function, None)):
+        sys.exit(f"span {{span}} does not resolve")
+"""
+
+
+def unrun_after(tmp_path, commands):
+    """The lazy modules that have not run in a fresh process, after
+    `import posetdegen.cli` and after each command; then, in the same
+    process, every span of the bench tracer must resolve as its install
+    looks it up."""
+    probe = UNRUN_PROBE.format(lazy=LAZY_MODULES, commands=commands,
+                               spans=tracer_tables()["SPANS"])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    return list(map(json.loads, proc.stdout.splitlines()))
+
+
+def test_unmarked_subdivide_runs_no_lazy_module(tmp_path):
+    # the marked, flag, linear-algebra, polytope and writer modules are not
+    # even compiled by an unmarked subdivide, walked or fine
+    (tmp_path / "p.json").write_text('{"elements": ["a", "b"], "covers": []}')
+    (tmp_path / "w.json").write_text('{"weights": {"": 0, "a": 0, "b": 0, "a,b": 1}}')
+    (tmp_path / "z.json").write_text('{"weights": {}}')
+    subdivide = ["--out", "r.json", "subdivide", "p.json", "--weights"]
+    after = unrun_after(tmp_path, [subdivide + ["w.json"],
+                                   subdivide + ["z.json", "--default-zero"]])
+    assert after == [list(LAZY_MODULES)] * 3
+
+
+def test_validate_runs_no_marked_flag_or_linalg_module(tmp_path):
+    (tmp_path / "p.json").write_text('{"elements": ["a", "b"], "covers": [["a", "b"]]}')
+    after = unrun_after(tmp_path, [["--out", "r.json", "validate", "p.json"]])
+    assert {"flag", "linalg", "marked"} <= set(after[-1])
