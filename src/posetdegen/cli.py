@@ -195,11 +195,11 @@ def hasse_lines(elements, covers):
 
 
 def render_text(report):
-    """The text format of a report: dicts by sorted key, lists and tuples
-    alike as "-" items, nested ones indented; a "hasse" entry's lines
-    first."""
+    """The text format of a report, parsed from its JSON text: dicts by
+    sorted key, lists as "-" items, nested ones indented; a "hasse" entry's
+    lines first."""
     out = []
-    nested = (dict, list, tuple)
+    nested = (dict, list)
 
     def walk(obj, depth):
         pad = "  " * depth
@@ -211,7 +211,7 @@ def render_text(report):
                     walk(value, depth + 1)
                 else:
                     out.append(f"{pad}{key}: {value}")
-        elif isinstance(obj, (list, tuple)):
+        elif isinstance(obj, list):
             for value in obj:
                 if isinstance(value, nested):
                     out.append(f"{pad}-")
@@ -328,24 +328,21 @@ def encode_text(text):
 
 
 def emit_report(report, fmt="json", out=None):
-    """Write a report.  A `PartsReport` is rendered here, all its chunks
-    before the first byte is written, so an error while rendering leaves no
-    partial report; each chunk is ASCII, encoded only as it is written, and
-    the text format renders the parsed JSON text.  Any other JSON report's
-    final newline is written after its text, not appended to it, which
-    would copy the text once more.  Output to stdout is flushed here, so a
-    reader that closed the pipe is noticed in `main`; an `out` path is
-    written by `write_out`."""
+    """Write a report.  Its JSON text is built first, all before the first
+    byte is written, so an error while rendering leaves no partial report:
+    `parts_json`'s chunks for a `PartsReport`, each ASCII and encoded only
+    as it is written, or `jsontext.report_json` of any other, encoded at
+    once so that the text is not held beside its bytes, with the final
+    newline written after it, not appended, which would copy it once more.
+    The text format renders the parsed JSON text.  Output to stdout is
+    flushed here, so a reader that closed the pipe is noticed in `main`; an
+    `out` path is written by `write_out`."""
     if isinstance(report, PartsReport):
-        chunks = parts_json(report)
-        if fmt == "json":
-            data = map(str.encode, chunks)
-        else:
-            data = (encode_text(render_text(json.loads("".join(chunks)))),)
-    elif fmt == "json":
-        data = (jsontext.report_json(report).encode("utf-8"), b"\n")
+        data = map(str.encode, parts_json(report))
     else:
-        data = (encode_text(render_text(report)),)
+        data = (jsontext.report_json(report).encode("utf-8"), b"\n")
+    if fmt == "text":
+        data = (encode_text(render_text(json.loads(b"".join(data)))),)
     if out:
         write_out(out, data)
     else:
@@ -426,8 +423,24 @@ def cmd_ideals(args):
     return {"ideals": structure.lattice.keys}
 
 
+def refuse_unused(args, used_by, names):
+    """A ParseError for the first of `names`, argparse destinations, that
+    was given though `used_by`, the kind or action chosen, does not use it:
+    a value other than None or False (the defaults)."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            given = "poset file" if name == "file" else "--" + name.replace("_", "-")
+            raise ParseError(f"{used_by} takes no {given}")
+
+
 def cmd_polytope(args):
-    if args.kind in ("gt", "fflv"):
+    flag_kind = args.kind in ("gt", "fflv")
+    unused = ["file"] if flag_kind else ["n", "dims"]
+    if args.kind != "mcop":
+        unused += ["chain_set", "order_set"]
+    refuse_unused(args, f"--kind {args.kind}", unused)
+    if flag_kind:
         if args.n is None or args.dims is None:
             raise ParseError(f"--kind {args.kind} requires --n and --dims")
         data = flagmod.build_flag_poset(args.n, parse_dims(args.dims))
@@ -568,6 +581,8 @@ def parse_dims(text):
 
 
 def cmd_flag(args):
+    if args.action != "degenerate":
+        refuse_unused(args, f"--action {args.action}", ("weights", "default_zero"))
     data = flagmod.build_flag_poset(args.n, parse_dims(args.dims))
     if args.action == "ideals":
         return {"ideals": data.structure(args.mode).lattice.keys}
@@ -626,8 +641,8 @@ def build_parser():
     p.add_argument("file", nargs="?")
     p.add_argument("--kind", required=True,
                    choices=("order", "chain", "relative", "mrpp", "gt", "fflv", "mcop"))
-    p.add_argument("--chain-set", default="")
-    p.add_argument("--order-set", default="")
+    p.add_argument("--chain-set")
+    p.add_argument("--order-set")
     p.add_argument("--n", type=int)
     p.add_argument("--dims")
     p = add("ehrhart")

@@ -13,7 +13,12 @@ from .errors import TheoremViolation
 
 def affine_dimension(points):
     """Dimension of the affine hull of a point set (-1 for the empty set): the
-    rank of the differences to the first point, scaled to integers once."""
+    rank of the differences to the first point, scaled to integers once.
+
+    No library code calls it: `mrpp_subdivide` reads every section's
+    dimension off the runs of a chain.  It stays here as the rank oracle
+    that the tests check those runs against, and because the benchmark's
+    tracer names the span `linalg.affine_dimension`."""
     pts = list(points)
     if not pts:
         return -1

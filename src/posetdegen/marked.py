@@ -4,9 +4,9 @@ chain-order polytope comparison."""
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress
 from math import comb, factorial, prod
-from operator import add, eq, le, lt, sub
+from operator import add, eq, le, lt, or_, sub
 
 from . import linalg
 from .degeneration import Part, first_linearization, structure_of_part, subdivide
@@ -317,10 +317,14 @@ def mrpp_subdivide(std, w):
     normalized volume is d! times the leading coefficient of its Ehrhart
     polynomial, of degree d = |Q minus Q*|: the d-th finite difference at 0
     of `ehrhart_values(quotient, d)`.  A sum that differs raises
-    InternalClosureFailure.  A walked (coarse) part's section is built, its
-    dimension is `marked_dimension` of its points, and the sections' points
-    must cover the MRPP's; a part whose lattice is the quotient's (the one
-    part of the zero weight) is the MRPP and takes its points, built once.
+    InternalClosureFailure.  A walked (coarse) part is triangulated by the
+    simplices of its own linearizations, so the section of the simplex of
+    one, the chain of prefix ideals of `first_linearization` of its order,
+    lies in the part's: the part's dimension is checked as a fine part's is,
+    on the runs of that chain.  A walked part's section is built, and the
+    sections' points must cover the MRPP's; a part whose lattice is the
+    quotient's (the one part of the zero weight) is the MRPP and takes its
+    points, built once.
     """
     quotient = std.quotient
     if len(w) != len(std.jlambda):
@@ -332,34 +336,37 @@ def mrpp_subdivide(std, w):
     free = quotient.poset.n - bin(quotient.marked).count("1")
     if len({restricted_affine(quotient, part.lift) for part in big}) != len(big):
         raise InternalClosureFailure("two section parts share an affine lift")
+    terms = dict(fundamental_decomposition(quotient).terms)
+    position = quotient.lattice.position
+    sections = []
+    for part in big:
+        chain = part.sublattice
+        if part.linearization is None:
+            chain = [position[mask] for mask in accumulate(
+                (1 << p for p in first_linearization(part.order)), or_, initial=0)]
+        runs = _section_runs(quotient, terms, chain)
+        if sum(d for d, _ in runs) != free:
+            raise TheoremViolation("a part meets the marked section in lower dimension")
+        sections.append(runs)
     if big[0].linearization is None:
         whole = tuple(mrpp_points(quotient))
         parts = tuple(MarkedPart(part, quotient) for part in big)
         for part in parts:
             if len(part.sublattice) == len(quotient.lattice):
                 part.points = whole  # the part is the MRPP: its order is <<
-            if marked_dimension(part.structure, part.points) != free:
-                raise TheoremViolation("a part meets the marked section in lower dimension")
         if set().union(*(part.points for part in parts)) != set(whole):
             raise InternalClosureFailure("section parts do not cover the marked polytope")
         return parts
-    terms = dict(fundamental_decomposition(quotient).terms)
-    parts = []
-    volume = 0
-    for part in big:
-        runs = _section_runs(quotient, terms, part.sublattice)
-        if sum(d for d, _ in runs) != free:
-            raise TheoremViolation("a part meets the marked section in lower dimension")
-        volume += factorial(free) // prod(factorial(d) for d, _ in runs) * prod(
-            k ** d for d, k in runs)
-        parts.append(MarkedPart(part, quotient, (prod(d + 1 for d, _ in runs),
-                                                 prod(comb(d + k, k) for d, k in runs))))
+    volume = sum(factorial(free) // prod(factorial(d) for d, _ in runs)
+                 * prod(k ** d for d, k in runs) for runs in sections)
     whole = sum((-1) ** (free - m) * comb(free, m) * count
                 for m, count in enumerate(ehrhart_values(quotient, free)))
     if volume != whole:
         raise InternalClosureFailure(f"section parts of normalized volume {volume} do not"
                                      f" cover the marked polytope of normalized volume {whole}")
-    return tuple(parts)
+    return tuple(MarkedPart(part, quotient, (prod(d + 1 for d, _ in runs),
+                                             prod(comb(d + k, k) for d, k in runs)))
+                 for part, runs in zip(big, sections))
 
 
 def _mcop_chains(poset, anchors, middle):
@@ -434,43 +441,25 @@ def mcop_split(structure):
     return c_mask, o_mask
 
 
-def _free_blocks(n, marked, tight):
-    """The free blocks of the partition of the n elements that the pairs
-    `tight` generate, by union-find: the blocks holding no element of the
-    mask `marked`.
-
-    This is the face structure of a marked order polytope
-    O = {x : x_q <= x_p for p ⋖ q, x_a = lambda_a for a in P*} (Pegel 2018).
-    At a point x of O, take as `tight` its tight covers, those with
-    x_p = x_q; their blocks form the tight-cover partition.  A vector v
-    is in the kernel of the rows tight at x exactly when v_p = v_q on each
-    tight cover and v_a = 0 on P*: when v is constant on each block and 0
-    on each block holding a marked element.  So the kernel has one
-    dimension per free block, and the tight rows have rank n minus their
-    number.  The smallest face F of O through x has that kernel as its
-    direction space: F satisfies the tight rows with equality, and for v in
-    the kernel x ± εv stays in O for small ε > 0, as the other rows have
-    slack at x, so it lies in F.  Hence dim F is the number of free blocks,
-    and x is a vertex exactly when there is none.
-    """
-    parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for p, q in tight:
-        parent[root(p)] = root(q)
-    return len({root(i) for i in range(n)} - {root(i) for i in mask_bits(marked)})
-
-
 def _order_vertices(structure, points):
     """The vertices of conv(points), the sorted distinct lattice points of a
     marked order polytope (`mcop_split` gives C = 0): the points whose
-    tight-cover partition has no free block (`_free_blocks`), that is, at
-    which every element reaches a marked one along tight covers.
+    tight-cover partition has no free block, that is, at which every element
+    reaches a marked one along tight covers.
+
+    This is the face structure of a marked order polytope
+    O = {x : x_q <= x_p for p ⋖ q, x_a = lambda_a for a in P*} (Pegel 2018).
+    At a point x of O, its tight covers, those with x_p = x_q, generate a
+    partition of the elements, the tight-cover partition; a free block is
+    one that holds no marked element.  A vector v is in the kernel of the
+    rows tight at x exactly when v_p = v_q on each tight cover and v_a = 0
+    on P*: when v is constant on each block and 0 on each block holding a
+    marked element.  So the kernel has one dimension per free block.  The
+    smallest face F of O through x has that kernel as its direction space:
+    F satisfies the tight rows with equality, and for v in the kernel
+    x ± εv stays in O for small ε > 0, as the other rows have slack at x,
+    so it lies in F.  Hence dim F is the number of free blocks, and x is a
+    vertex exactly when there is none.
 
     The cover rows and x_a = lambda_a on P* define the polytope, with the
     marking read off the first point; a point that breaks a cover or moves
@@ -560,26 +549,6 @@ def _mcop_rows(structure, split, point):
         row[a] = -1
         rows.append((row, 0))
     return rows
-
-
-def marked_dimension(structure, points):
-    """The dimension of conv(points), the lattice points of the structure's
-    MRPP for the marking on their marked coordinates.
-
-    For a marked order polytope (`mcop_split` gives C = 0, see
-    `marked_vertices`) it is the number of free blocks (`_free_blocks`) at
-    the sum of all points.  That sum is len(points) times their centroid,
-    which weighs every point, so every vertex, positively and so lies in
-    the relative interior of conv(points), where the smallest face is the
-    polytope itself; the covers tight at the sum are those tight at the
-    centroid.  Other shapes take the rank of `linalg.affine_dimension`.
-    """
-    split = mcop_split(structure)
-    if split is None or split[0] or not points:
-        return linalg.affine_dimension(points)
-    total = list(map(sum, zip(*points)))
-    tight = [(p, q) for p, q in structure.poset.covers() if total[p] == total[q]]
-    return _free_blocks(structure.poset.n, structure.marked, tight)
 
 
 def mcop_build(poset, marking, chain_part, order_part):

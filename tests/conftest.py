@@ -33,7 +33,7 @@ from posetdegen.marked import (
 )
 from posetdegen import marked, polytopes
 from posetdegen.errors import InternalClosureFailure, ValidationError
-from posetdegen.linalg import solve
+from posetdegen.linalg import affine_dimension, solve
 from posetdegen.polytopes import indicator, unpack
 
 
@@ -51,8 +51,9 @@ def counted(monkeypatch, module, name):
 
 
 def shorten_part_sections(monkeypatch):
-    """Patch marked._section_runs so that the first run of every fine part's
-    chain reads one ideal short, and so its marked section one dimension."""
+    """Patch marked._section_runs so that the first run of every part's
+    chain, a fine part's lattice or a walked part's linearization, reads one
+    ideal short, and so its marked section one dimension."""
     real = marked._section_runs
 
     def short(quotient, terms, chain):
@@ -65,13 +66,13 @@ def shorten_part_sections(monkeypatch):
 def naive_section_counts(quotient, part):
     """(vertices, lattice points, dimension) of a part's marked section read
     off its built point set: the section's structure (`structure_of_part`),
-    its points (`mrpp_points`), then `marked_vertices` and `marked_dimension`
-    of them, both looked up on the module at the call, so that a test can
-    wrap them."""
+    its points (`mrpp_points`), then `marked_vertices`, looked up on the
+    module at the call so that a test can wrap it, and the rank
+    `linalg.affine_dimension` of them."""
     structure = structure_of_part(quotient, part)
     points = mrpp_points(structure)
     return (len(marked.marked_vertices(structure, points)), len(points),
-            marked.marked_dimension(structure, points))
+            affine_dimension(points))
 
 
 def theta(std, point):

@@ -1445,6 +1445,36 @@ def test_option_valued_two_dashes_is_one_parse_error_line(tmp_path, capsys, argv
     assert captured.err == f"parse error: argument {option}: expected one argument\n"
 
 
+IGNORED_OPTIONS = {
+    "gt-file": (["polytope", "{poset}", "--kind", "gt", "--n", "2", "--dims", "0,2"],
+                "--kind gt takes no poset file"),
+    "fflv-chain-set": (["polytope", "--kind", "fflv", "--n", "2", "--dims", "0,2",
+                        "--chain-set", "x"], "--kind fflv takes no --chain-set"),
+    "mrpp-empty-order-set": (["polytope", "{poset}", "--kind", "mrpp", "--order-set", ""],
+                             "--kind mrpp takes no --order-set"),
+    "order-n-0": (["polytope", "{poset}", "--kind", "order", "--n", "0"],
+                  "--kind order takes no --n"),
+    "mcop-dims": (["polytope", "{poset}", "--kind", "mcop", "--chain-set", "x,y",
+                   "--dims", "0,2"], "--kind mcop takes no --dims"),
+    "flag-polytope-weights": (["flag", "--n", "2", "--dims", "0,2", "--mode", "gt",
+                               "--weights", "{poset}"], "--action polytope takes no --weights"),
+    "flag-ideals-default-zero": (["flag", "--n", "2", "--dims", "0,2", "--mode", "fflv",
+                                  "--action", "ideals", "--default-zero"],
+                                 "--action ideals takes no --default-zero"),
+}
+
+
+@pytest.mark.parametrize("argv, message", IGNORED_OPTIONS.values(), ids=IGNORED_OPTIONS)
+def test_option_the_kind_or_action_ignores_is_one_parse_error_line(tmp_path, capsys, argv,
+                                                                    message):
+    # given or empty, an option the command would not read is refused, not
+    # dropped in silence
+    poset = write(tmp_path, "p.json", DIAMOND_MARKED)
+    assert main([arg.format(poset=poset) for arg in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"parse error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["ehrhart", "-h"]])
 def test_help_prints_usage_and_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as info:

@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from posetdegen import build_flag_poset, chain_poset, mcop_build
 from posetdegen import marked
-from posetdegen.degeneration import canonical_interior_weight
-from posetdegen.errors import TheoremViolation
+from posetdegen.degeneration import first_linearization
+from posetdegen.errors import OutsideCone, TheoremViolation
 from posetdegen.linalg import affine_dimension, extreme_points, in_convex_hull
 from posetdegen.marked import (
     _mcop_rows,
-    marked_dimension,
+    fundamental_decomposition,
     marked_vertices,
     mcop_split,
     mrpp_points,
@@ -26,7 +26,6 @@ from conftest import (
     marked_corpus_structures,
     naive_affine_dimension,
     naive_in_convex_hull,
-    naive_section_counts,
 )
 
 
@@ -259,7 +258,6 @@ def test_tight_cover_vertices_match_rank_path_on_gt_flags():
                 assert vertices == rank_path_vertices(s, points), (n, inner)
                 if len(points) < 100:
                     assert vertices == tuple(sorted(extreme_points(points))), (n, inner)
-                assert marked_dimension(s, points) == affine_dimension(points)
                 flags += 1
     assert flags == 31
 
@@ -295,7 +293,6 @@ def test_tight_cover_vertices_and_dimension_match_the_oracles(structure):
     vertices = marked_vertices(structure, points)
     assert vertices == rank_path_vertices(structure, points)
     assert vertices == tuple(sorted(extreme_points(points)))
-    assert marked_dimension(structure, points) == affine_dimension(points)
 
 
 def test_forced_free_element_lowers_the_dimension():
@@ -304,36 +301,42 @@ def test_forced_free_element_lowers_the_dimension():
         chain_poset(["a", "f", "m", "g", "b"]), [], {"a": 2, "m": 1, "b": 1})
     points = mrpp_points(s)
     assert points == [(2, 1, 1, 1, 1), (2, 2, 1, 1, 1)]
-    assert marked_dimension(s, points) == affine_dimension(points) == 1
+    assert affine_dimension(points) == 1
     assert marked_vertices(s, points) == rank_path_vertices(s, points) == tuple(points)
 
 
-def test_tight_cover_dimension_matches_rank_on_every_section(monkeypatch):
-    # every section of the parts mrpp_subdivide returns for the marked
-    # corpus, under the zero weight (walked, built by mrpp_subdivide) and the
-    # canonical interior weight of the quotient (fine, counted there, so
-    # built here by the oracle); none of these sections is
-    # lower-dimensional, nor any of 20,464 subdivisions of criterion 7's
-    # splits under canonical and random cone weights; the hypothesis test
-    # above covers lower-dimensional point sets
-    real = marked.marked_dimension
-    seen = []
-
-    def checked(structure, points):
-        value = real(structure, points)
-        assert value == affine_dimension(points)
-        split = mcop_split(structure)
-        seen.append(split is not None and not split[0])
-        return value
-
-    monkeypatch.setattr(marked, "marked_dimension", checked)
-    for s in marked_corpus_structures():
+def test_linearization_runs_dimension_matches_rank_on_every_walked_section():
+    # a walked part's dimension is read off the runs of the chain of prefix
+    # ideals of one linearization of its order; on every walked section of
+    # the marked corpus under the zero weight, and of the flags with n <= 4
+    # under the zero weight and each 0/1 weight with one 1 that lies in the
+    # cone, it is the rank of the section's points and |Q minus Q*| (a
+    # quotient that is a chain has one linearization, so a fine part)
+    flags = [build_flag_poset(n, (0, *inner, n)).structure(mode)
+             for n in range(1, 5) for r in range(n) for inner in combinations(range(1, n), r)
+             for mode in ("gt", "fflv")]
+    weighted = [(s, [0] * len(s.lattice)) for s in marked_corpus_structures() + flags]
+    weighted += [(s, [int(pos == one) for pos in range(len(s.lattice))])
+                 for s in flags for one in range(len(s.lattice))]
+    walked = 0
+    for s, w in weighted:
         std = standardize(s)
-        canonical = canonical_interior_weight(std.quotient)
-        mrpp_subdivide(std, [0] * len(std.jlambda))
-        for part in mrpp_subdivide(std, [canonical[q] for q in std.lattice_map]):
-            naive_section_counts(std.quotient, part)
-    assert sum(seen) > 100 and not all(seen)
+        quotient = std.quotient
+        free = quotient.poset.n - bin(quotient.marked).count("1")
+        terms = dict(fundamental_decomposition(quotient).terms)
+        try:
+            parts = mrpp_subdivide(std, [w[pos] for pos in std.jlambda])
+        except OutsideCone:
+            continue
+        for part in (part for part in parts if part.linearization is None):
+            prefix, chain = 0, [quotient.lattice.position[0]]
+            for p in first_linearization(part.order):
+                prefix |= 1 << p
+                chain.append(quotient.lattice.position[prefix])
+            runs = marked._section_runs(quotient, terms, chain)
+            assert sum(d for d, _ in runs) == affine_dimension(part.points) == free
+            walked += 1
+    assert walked > 100
 
 
 @pytest.mark.parametrize("change,message", [

@@ -419,14 +419,14 @@ def test_mrpp_subdivide_lower_dimensional_section_raises(monkeypatch):
 
 
 def test_mrpp_subdivide_lower_dimensional_walked_section_raises(monkeypatch):
-    # walked parts are still built: their dimension is marked_dimension's
+    # a walked part's dimension is read off the runs of one linearization
     f = build_flag_poset(5, (0, 2, 5))
     s = f.structure("fflv")
     std = standardize(s)
     fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
     notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
-    real = marked.marked_dimension
-    monkeypatch.setattr(marked, "marked_dimension", lambda st, points: real(st, points) - 1)
+    assert mrpp_subdivide(std, notmcop)[0].linearization is None
+    shorten_part_sections(monkeypatch)
     with pytest.raises(TheoremViolation, match="lower dimension"):
         mrpp_subdivide(std, notmcop)
 
@@ -553,14 +553,13 @@ def test_fine_sections_build_no_point_set(monkeypatch):
     # made, and each is built on first access for a caller that asks
     s = build_flag_poset(4, (0, 1, 2, 3, 4)).structure("fflv")
     calls = [counted(monkeypatch, marked, name)
-             for name in ("mrpp_points", "marked_vertices", "marked_dimension",
-                          "structure_of_part")]
+             for name in ("mrpp_points", "marked_vertices", "structure_of_part")]
     std, parts = interior_sections(s)
-    assert [len(c) for c in calls] == [0, 0, 0, 0]
+    assert [len(c) for c in calls] == [0, 0, 0]
     part = parts[0]
     assert len(part.points) == part.point_count and len(part.vertices) == part.vertex_count
     assert part.structure.poset == part.order
-    assert [len(c) for c in calls] == [1, 1, 0, 1]
+    assert [len(c) for c in calls] == [1, 1, 1]
 
 
 def test_mrpp_subdivide_parts_sharing_a_restricted_lift_raise(monkeypatch):

@@ -86,6 +86,50 @@ def test_bench_spans_resolve_in_the_library():
     assert {span for required in tables["REQUIRED"].values() for span in required} <= set(spans)
 
 
+# Library functions that no library code calls, each kept on purpose: the
+# paper's bijections between Plücker variables and the ideals of the flag
+# poset, which the acceptance tests round-trip.
+CALLED_ONLY_FROM_OUTSIDE = {"flag.PlueckerMap.variables", "flag.PlueckerMap.to_ideal",
+                            "flag.PlueckerMap.from_ideal"}
+
+
+def test_every_library_function_is_named_in_library_code():
+    # a function or method left in the library for the tests alone fails
+    # here: each is named, as a name or an attribute, somewhere in library
+    # code outside its own body, unless it is exported, a command that
+    # `main` looks up by name, a span of the bench tracer, or listed above
+    package = Path(posetdegen.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    exempt = CALLED_ONLY_FROM_OUTSIDE | set(tracer_tables()["SPANS"])
+    uses = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unnamed = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defs = [((), top)]
+            elif isinstance(top, ast.ClassDef):
+                defs = [((top.name,), node) for node in top.body
+                        if isinstance(node, ast.FunctionDef)]
+            else:
+                continue
+            for owner, node in defs:
+                name = node.name
+                qualified = ".".join((module, *owner, name))
+                if (name.startswith("__") and name.endswith("__")
+                        or not owner and name in posetdegen.__all__
+                        or name.startswith("cmd_") and module == "cli"
+                        or qualified in exempt):
+                    continue
+                if not any(use == name and not (where == module
+                                                 and node.lineno <= line <= node.end_lineno)
+                           for where, line, use in uses):
+                    unnamed.append(qualified)
+    assert unnamed == []
+
+
 def error_class_nodes():
     """The class definitions of errors.py, by name."""
     errors = Path(posetdegen.__file__).parent / "errors.py"
