@@ -37,6 +37,13 @@ EXPONENT_TEXT = re.compile(r"[eE]([+-]?[0-9_]+)")
 MAX_EXPONENT = 1000
 
 
+def digit_limit_error(what):
+    """The ParseError for a number whose text passes Python's limit on
+    integer text."""
+    limit = sys.get_int_max_str_digits()
+    return ParseError(f"{what} passes the {limit}-digit limit on integer text")
+
+
 def fmt_ratio(x, scale):
     """The rational x/scale (scale > 0) as "p/q", or "p" when it is an
     integer; a ParseError when a term passes Python's limit on integer text."""
@@ -46,9 +53,7 @@ def fmt_ratio(x, scale):
         g = gcd(x, scale)
         return str(x // g) if g == scale else f"{x // g}/{scale // g}"
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(f"a rational of the report passes the {limit}-digit limit"
-                         " on integer text") from None
+        raise digit_limit_error("a rational of the report") from None
 
 
 def parse_fraction(value):
@@ -70,7 +75,9 @@ def load_json(path):
     """The JSON value of a file.  A number with a fraction or an exponent is
     kept exactly as a Decimal of its literal text, never made a float;
     `parse_fraction` turns it into a Fraction where a rational is wanted.
-    An object that repeats a key, at any depth, is a ParseError naming it."""
+    An object that repeats a key, at any depth, is a ParseError naming it;
+    so are text that is not UTF-8, an integer literal past Python's limit
+    on integer text and nesting past its recursion limit."""
 
     def unique_keys(pairs):
         table = dict(pairs)
@@ -87,6 +94,12 @@ def load_json(path):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    except ValueError:  # the one other ValueError of json.load: int() of a literal
+        raise digit_limit_error(f"{path}: an integer") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested past the recursion limit") from None
 
 
 def shape_error(path, where, expected, value):
@@ -121,7 +134,10 @@ def parse_marking(path, data):
         if isinstance(value, int) and not isinstance(value, bool):
             out[label] = value
         elif isinstance(value, str) and INTEGER_TEXT.fullmatch(value):
-            out[label] = int(value)
+            try:
+                out[label] = int(value)
+            except ValueError:
+                raise digit_limit_error(f"{path}: marked[{json.dumps(label)}]") from None
         else:
             raise shape_error(path, f"marked[{json.dumps(label)}]", "an integer", value)
     return out
@@ -229,10 +245,11 @@ def render_text(report):
 
 
 class PartsReport:
-    """The report of `subdivide`: the parts of a subdivision of `structure`
-    (for a marked structure, of its standardized quotient), the (vertices,
-    lattice points) count of each.  `emit_report` renders it with
-    `parts_json`."""
+    """The report of `subdivide`: the `Part`s of a subdivision of
+    `structure` and the (vertices, lattice points) count of each.  For a
+    marked structure they are the (parts, counts) of `marked.mrpp_subdivide`
+    over the standardized quotient; an unmarked part counts its lattice
+    twice.  `emit_report` renders it with `parts_json`."""
 
     def __init__(self, structure, parts, counts):
         self.structure = structure
@@ -508,9 +525,7 @@ def cmd_subdivide(args):
     if structure.marked:
         std = marked.standardize(structure)
         w = parse_weights_file(args.weights, jlambda_keys(std), args.default_zero)
-        parts = marked.mrpp_subdivide(std, w)
-        counts = [(part.vertex_count, part.point_count) for part in parts]
-        return PartsReport(std.quotient, parts, counts)
+        return PartsReport(std.quotient, *marked.mrpp_subdivide(std, w))
     w = parse_weights_file(args.weights, structure.lattice.keys, args.default_zero)
     parts = degeneration.subdivide(structure, w)
     counts = [(len(part.sublattice),) * 2 for part in parts]
@@ -566,8 +581,7 @@ def cmd_standardize(args):
 
 def cmd_mcop_recognize(args):
     structure = parse_poset_file(args.file)
-    target = marked.build_mrpp(structure)
-    found = marked.mcop_recognize(structure, target)
+    found = marked.mcop_recognize(structure, marked.mrpp_points(structure))
     if found is None:
         return {"found": False}
     return {"found": True, "chain": found[0], "order": found[1]}

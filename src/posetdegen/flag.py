@@ -231,13 +231,13 @@ def flag_degeneration(flag, mode, std, w):
     names = [pmap.variable_name(pmap._mask_index(mask)) for mask in quotient.lattice.masks]
     by_name = sorted(range(len(names)), key=names.__getitem__)
     parts = []
-    for part in mrpp_subdivide(std, w):
+    for part, (vertices, points) in zip(*mrpp_subdivide(std, w)):
         inside = set(part.sublattice)
         parts.append(
             {
                 "added_covers": sorted(part.added_covers(quotient.poset)),
-                "vertices": part.vertex_count,
-                "lattice_points": part.point_count,
+                "vertices": vertices,
+                "lattice_points": points,
                 "vanishing_variables": [names[pos] for pos in by_name if pos not in inside],
             }
         )

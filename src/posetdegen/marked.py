@@ -9,14 +9,9 @@ from math import comb, factorial, prod
 from operator import add, eq, le, lt, or_, sub
 
 from . import linalg
-from .degeneration import Part, first_linearization, structure_of_part, subdivide
+from .degeneration import first_linearization, structure_of_part, subdivide
 from .errors import InternalClosureFailure, TheoremViolation, ValidationError
-from .posets import (
-    Poset,
-    RelativeStructure,
-    mask_bits,
-    validate_relative_structure,
-)
+from .posets import Poset, mask_bits, validate_relative_structure
 from .polytopes import ehrhart_values, indicator, pack_bits, packed_multichains, unpack
 
 
@@ -212,36 +207,6 @@ def standardize(structure):
     )
 
 
-class MarkedPart(Part, MarkedPolytope):
-    """A part of the quotient's subdivision, at the standardized level, with
-    the `vertex_count` and `point_count` of its marked section.  A fine part
-    is given its counts; as a `MarkedPolytope`, its section's `structure`,
-    lattice `points` and `vertices` are built on first access, and so are a
-    walked part's, whose counts are read off them."""
-
-    def __init__(self, part, quotient, counts=None):
-        vars(self).update(vars(part))  # the part's order and covers only if it has them
-        self.quotient = quotient
-        if counts is not None:
-            self.vertex_count, self.point_count = counts
-
-    @cached_property
-    def structure(self):
-        return structure_of_part(self.quotient, self)
-
-    @cached_property
-    def points(self):
-        return tuple(mrpp_points(self.structure))
-
-    @cached_property
-    def vertex_count(self):
-        return len(self.vertices)
-
-    @cached_property
-    def point_count(self):
-        return len(self.points)
-
-
 def restricted_affine(structure, affine):
     """An affine function (a, b) modulo the fixed marked coordinates: the
     canonical key on the section subspace x_p = lambda_p.  The parts of one
@@ -263,8 +228,9 @@ def _section_runs(quotient, terms, chain):
 
 def mrpp_subdivide(std, w):
     """Subdivide the MRPP of a standardized structure (`standardize`) under
-    a weight over J_lambda, a sequence of rationals; returns the tuple of
-    `MarkedPart`s of the quotient's subdivision, in the order of `subdivide`.
+    a weight over J_lambda, a sequence of rationals; returns (parts,
+    counts): the tuple of `Part`s that `subdivide` gives for the quotient,
+    and the (vertices, lattice points) counts of each part's marked section.
 
     The non-marked relative polytope of the quotient is subdivided with the
     transported weights, and each part is intersected with the marked
@@ -338,7 +304,10 @@ def mrpp_subdivide(std, w):
         raise InternalClosureFailure("two section parts share an affine lift")
     terms = dict(fundamental_decomposition(quotient).terms)
     position = quotient.lattice.position
-    sections = []
+    counts = []
+    mrpp = None
+    covered = set()
+    volume = 0
     for part in big:
         chain = part.sublattice
         if part.linearization is None:
@@ -347,26 +316,29 @@ def mrpp_subdivide(std, w):
         runs = _section_runs(quotient, terms, chain)
         if sum(d for d, _ in runs) != free:
             raise TheoremViolation("a part meets the marked section in lower dimension")
-        sections.append(runs)
-    if big[0].linearization is None:
-        whole = tuple(mrpp_points(quotient))
-        parts = tuple(MarkedPart(part, quotient) for part in big)
-        for part in parts:
-            if len(part.sublattice) == len(quotient.lattice):
-                part.points = whole  # the part is the MRPP: its order is <<
-        if set().union(*(part.points for part in parts)) != set(whole):
-            raise InternalClosureFailure("section parts do not cover the marked polytope")
-        return parts
-    volume = sum(factorial(free) // prod(factorial(d) for d, _ in runs)
-                 * prod(k ** d for d, k in runs) for runs in sections)
-    whole = sum((-1) ** (free - m) * comb(free, m) * count
-                for m, count in enumerate(ehrhart_values(quotient, free)))
-    if volume != whole:
-        raise InternalClosureFailure(f"section parts of normalized volume {volume} do not"
-                                     f" cover the marked polytope of normalized volume {whole}")
-    return tuple(MarkedPart(part, quotient, (prod(d + 1 for d, _ in runs),
-                                             prod(comb(d + k, k) for d, k in runs)))
-                 for part, runs in zip(big, sections))
+        if part.linearization is None:
+            if mrpp is None:
+                mrpp = mrpp_points(quotient)
+            structure = structure_of_part(quotient, part)
+            # the part whose lattice is the quotient's is the MRPP: its order is <<
+            points = (mrpp if len(part.sublattice) == len(quotient.lattice)
+                      else mrpp_points(structure))
+            covered.update(points)
+            counts.append((len(marked_vertices(structure, points)), len(points)))
+        else:
+            volume += (factorial(free) // prod(factorial(d) for d, _ in runs)
+                       * prod(k ** d for d, k in runs))
+            counts.append((prod(d + 1 for d, _ in runs), prod(comb(d + k, k) for d, k in runs)))
+    if mrpp is None:
+        whole = sum((-1) ** (free - m) * comb(free, m) * count
+                    for m, count in enumerate(ehrhart_values(quotient, free)))
+        if volume != whole:
+            raise InternalClosureFailure(f"section parts of normalized volume {volume} do not"
+                                         f" cover the marked polytope of normalized volume"
+                                         f" {whole}")
+    elif covered != set(mrpp):
+        raise InternalClosureFailure("section parts do not cover the marked polytope")
+    return big, counts
 
 
 def _mcop_chains(poset, anchors, middle):
@@ -648,9 +620,7 @@ def mcop_recognize(structure, target):
     marked = structure.marked
     values = structure.marking
     count = ehrhart_values(structure, 1)[1]
-    points = {
-        tuple(x) for x in (target.points if isinstance(target, MarkedPolytope) else target)
-    }
+    points = {tuple(x) for x in target}
     if len(points) != count or any(
         len(x) != n or any(v != int(v) for v in x) for x in points
     ):

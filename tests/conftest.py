@@ -12,8 +12,8 @@ from itertools import permutations, product
 
 import pytest
 
-from posetdegen.degeneration import (Part, as_weight, canonical_interior_weight, structure_of_part,
-                                     subdivide)
+from posetdegen.degeneration import (Part, as_weight, canonical_interior_weight,
+                                     first_linearization, subdivide)
 from posetdegen.posets import (
     Poset,
     RelativeStructure,
@@ -27,7 +27,6 @@ from posetdegen.marked import (
     MarkedPolytope,
     fundamental_decomposition,
     mcop_build,
-    mrpp_points,
     mrpp_subdivide,
     standardize,
 )
@@ -63,16 +62,65 @@ def shorten_part_sections(monkeypatch):
     monkeypatch.setattr(marked, "_section_runs", short)
 
 
+def notmcop_weight(structure):
+    """The standardization of a flag structure and the weight over
+    J_lambda that is 1 on the ideal {p1.2, p1.3, p1.4, p1.5} and 0
+    elsewhere: on the Gr(2,5) FFLV structure, the degeneration with the
+    part that is no marked chain-order polytope."""
+    lat = structure.lattice
+    std = standardize(structure)
+    target = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
+    return std, [
+        Fraction(1) if lat.label_key(pos) == target else Fraction(0)
+        for pos in std.jlambda
+    ]
+
+
+def empty_one_walked_section(monkeypatch, poset):
+    """Patch marked.mrpp_points so that the first structure over an order
+    other than `poset`, the quotient's, that is the first walked section
+    that `mrpp_subdivide` builds, reads no point.  Returns the list of the
+    structures emptied."""
+    real = marked.mrpp_points
+    emptied = []
+
+    def one_empty(structure, scale=1):
+        if structure.poset != poset and not emptied:
+            emptied.append(structure)
+            return []
+        return real(structure, scale)
+
+    monkeypatch.setattr(marked, "mrpp_points", one_empty)
+    return emptied
+
+
+def part_section(quotient, part):
+    """The marked section of a part of `mrpp_subdivide`, built: a
+    `MarkedPolytope` over the part's structure (`structure_of_part`) and its
+    points (`mrpp_points`), whose `vertices` are `marked_vertices`' on first
+    access.  All three are looked up on the module at the call, so that a
+    test can wrap or count them."""
+    structure = marked.structure_of_part(quotient, part)
+    return MarkedPolytope(structure, marked.mrpp_points(structure))
+
+
+def walked_chain(quotient, part):
+    """The chain of prefix ideals of `first_linearization` of a walked
+    part's order, as positions of the quotient's lattice: the chain whose
+    runs give the part's section dimension in `mrpp_subdivide`."""
+    prefix, chain = 0, [quotient.lattice.position[0]]
+    for p in first_linearization(part.order):
+        prefix |= 1 << p
+        chain.append(quotient.lattice.position[prefix])
+    return chain
+
+
 def naive_section_counts(quotient, part):
     """(vertices, lattice points, dimension) of a part's marked section read
-    off its built point set: the section's structure (`structure_of_part`),
-    its points (`mrpp_points`), then `marked_vertices`, looked up on the
-    module at the call so that a test can wrap it, and the rank
-    `linalg.affine_dimension` of them."""
-    structure = structure_of_part(quotient, part)
-    points = mrpp_points(structure)
-    return (len(marked.marked_vertices(structure, points)), len(points),
-            affine_dimension(points))
+    off its built point set (`part_section`) and the rank
+    `linalg.affine_dimension` of it."""
+    section = part_section(quotient, part)
+    return len(section.vertices), len(section.points), affine_dimension(section.points)
 
 
 def theta(std, point):
@@ -385,7 +433,7 @@ def naive_subdivide_dict(structure, values):
             naive_part_report(quotient, part, *naive_section_counts(quotient, part)[:2],
                               [qlat.label_key(i) for i in range(len(qlat))
                                if i not in part.sublattice])
-            for part in mrpp_subdivide(std, values)
+            for part in mrpp_subdivide(std, values)[0]
         ]
         return {"parts": parts, "dropped_lower_dimensional": 0}
     lat = structure.lattice
@@ -844,11 +892,12 @@ def mcop_splits(free):
 def naive_mcop_recognize(structure, target):
     """Bit-order oracle for `mcop_recognize`: build the MCOP of every
     chain/order split in turn and return the first whose point set equals
-    the target's, as (sorted C labels, sorted O labels); None otherwise."""
+    the target, a collection of points, as (sorted C labels, sorted O
+    labels); None otherwise."""
     poset = structure.poset
     marking = {poset.elements[i]: structure.marking[i] for i in mask_bits(structure.marked)}
     free = [poset.elements[i] for i in mask_bits(poset.full & ~structure.marked)]
-    target_points = set(target.points if hasattr(target, "points") else target)
+    target_points = set(target)
     for c_part, o_part in mcop_splits(free):
         if set(mcop_build(poset, marking, c_part, o_part).points) == target_points:
             return tuple(sorted(c_part)), tuple(sorted(o_part))

@@ -42,6 +42,7 @@ from conftest import (
     fundamental_mrpp,
     lattice_points,
     linear_extensions,
+    part_section,
     random_poset,
     sample_cone_weight,
     small_poset_corpus,
@@ -227,15 +228,16 @@ def test_criterion_6_notmcop_exact_reproduction():
         Fraction(1) if lat.label_key(pos) == target_key else Fraction(0)
         for pos in std.jlambda
     ]
-    sub = mrpp_subdivide(std, w)
-    assert len(sub) == 2
-    big = max(sub, key=lambda p: len(p.vertices))
-    small = min(sub, key=lambda p: len(p.vertices))
+    parts, _ = mrpp_subdivide(std, w)
+    assert len(parts) == 2
+    sections = [part_section(std.quotient, part) for part in parts]
+    big_part, big = max(zip(parts, sections), key=lambda ps: len(ps[1].vertices))
+    small = min(sections, key=lambda section: len(section.vertices))
     assert len(big.vertices) == 9
-    assert big.added_covers(std.quotient.poset) == [("p2.3", "p1.5")]
+    assert big_part.added_covers(std.quotient.poset) == [("p2.3", "p1.5")]
     assert len(small.vertices) == affine_dimension(small.vertices) + 1  # a simplex
-    part_structure = std.quotient.with_order(big.order)
-    assert mcop_recognize(part_structure, build_mrpp(part_structure)) is None
+    part_structure = std.quotient.with_order(big_part.order)
+    assert mcop_recognize(part_structure, mrpp_points(part_structure)) is None
     elapsed = time.time() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     print(f"PASS criterion 6: notmcop example reproduced in {elapsed:.2f}s")

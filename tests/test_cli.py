@@ -32,6 +32,7 @@ from posetdegen.posets import (
 from conftest import (
     counted,
     eager_subdivide,
+    empty_one_walked_section,
     incomparable_pairs,
     naive_mcop_recognize,
     naive_subdivide_dict,
@@ -455,6 +456,8 @@ MALFORMED_POSET_FILES = {
     # ideal keys join labels with ',' and the empty ideal's key is ''
     "empty-label": ({"elements": ["", "a"]}, "elements[0]"),
     "comma-label": ({"elements": ["a", "a,b", "b"]}, "elements[1]"),
+    # int() refuses decimal text past Python's limit on integer digits
+    "marking-digits": ({"elements": ["a"], "marked": {"a": "9" * 5000}}, 'marked["a"]'),
 }
 
 
@@ -467,6 +470,36 @@ def test_malformed_poset_file_is_one_parse_error_line(tmp_path, capsys, payload,
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and err.count("\n") == 1
     assert entry in err
+    assert "Traceback" not in err
+
+
+# raw file text that json.dump does not write: an integer literal past
+# Python's limit on integer digits, nesting past the recursion limit, bytes
+# that are not UTF-8; each ended in a traceback
+MALFORMED_JSON_TEXTS = {
+    "poset-digits": ("poset", '{"elements": ["a"], "marked": {"a": ' + "9" * 5000 + "}}"),
+    "poset-nesting": ("poset", "[" * 200000 + "]" * 200000),
+    "poset-bytes": ("poset", b'{"elements": ["\xff"]}'),
+    "weights-digits": ("weights", '{"weights": {"": ' + "1" * 5000 + "}}"),
+}
+
+
+@pytest.mark.parametrize("kind,text", MALFORMED_JSON_TEXTS.values(),
+                         ids=MALFORMED_JSON_TEXTS.keys())
+def test_malformed_json_text_is_one_parse_error_line(tmp_path, capsys, kind, text):
+    bad = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text, encoding="utf-8")
+    if kind == "poset":
+        argv = ["validate", str(bad)]
+    else:
+        poset = write(tmp_path, "p.json", {"elements": ["a"]})
+        argv = ["subdivide", poset, "--weights", str(bad), "--default-zero"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {bad}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -911,6 +944,21 @@ def test_lower_dimensional_section_exits_5(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_walked_sections_that_miss_a_point_exit_5(tmp_path, capsys, monkeypatch):
+    # the Gr(2,5) FFLV degeneration under one fundamental weight has two
+    # walked parts; with one section read empty they do not cover the MRPP
+    weights = write(tmp_path, "w.json", {"weights": {"p1.2,p1.3,p1.4,p1.5": 1}})
+    argv = ["flag", "--n", "5", "--dims", "0,2,5", "--mode", "fflv", "--action", "degenerate",
+            "--weights", weights, "--default-zero"]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["parts"]) == 2
+    empty_one_walked_section(monkeypatch, build_flag_poset(5, (0, 2, 5)).poset)
+    assert main(argv) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("internal error: InternalClosureFailure: section parts do not"
+                                 " cover the marked polytope\n")
+
+
 def test_section_volume_mismatch_exits_5(tmp_path, capsys, monkeypatch):
     # a marked subdivide whose MRPP reads one normalized volume larger than
     # its fine sections add up to
@@ -1153,7 +1201,7 @@ def test_mcop_recognize_reports_no_split(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == {"found": False}
     structure = cli.parse_poset_file(poset)
-    assert naive_mcop_recognize(structure, marked.build_mrpp(structure)) is None
+    assert naive_mcop_recognize(structure, marked.mrpp_points(structure)) is None
 
 
 def test_mcop_polytope_command(tmp_path, capsys):
@@ -1307,7 +1355,7 @@ def test_mcop_recognize_trap_when_the_winning_build_misses_a_point(
     monkeypatch.setattr(marked, "mcop_build", short)
     structure = cli.parse_poset_file(write(tmp_path, "p.json", DIAMOND_MARKED))
     with pytest.raises(TheoremViolation):
-        marked.mcop_recognize(structure, marked.build_mrpp(structure))
+        marked.mcop_recognize(structure, marked.mrpp_points(structure))
     assert main(["mcop-recognize", write(tmp_path, "p.json", DIAMOND_MARKED)]) == 5
     err = capsys.readouterr().err
     assert err.startswith("internal error: TheoremViolation:") and err.count("\n") == 1

@@ -1,5 +1,4 @@
 import time
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -13,13 +12,15 @@ from posetdegen import (
 )
 from posetdegen.errors import ValidationError
 from posetdegen.flag import PlueckerMap
-from posetdegen.marked import build_mrpp, mrpp_points, standardize, mrpp_subdivide
+from posetdegen.marked import mrpp_points, standardize, mrpp_subdivide
 
 from conftest import (
     flag_weight,
     grass_poset,
     lattice_points,
     naive_mcop_recognize,
+    notmcop_weight,
+    part_section,
     weyl_dimension,
 )
 
@@ -197,8 +198,8 @@ def test_mcop_on_flag_poset_gives_gt_and_fflv():
     assert set(mcop_build(f.poset, f.marking, [], free).points) == gt_points
     assert set(mcop_build(f.poset, f.marking, free, []).points) == ff_points
     # and mcop_recognize finds partitions reproducing them
-    assert mcop_recognize(f.structure("gt"), flag_polytope(f, "gt")) is not None
-    assert mcop_recognize(f.structure("fflv"), flag_polytope(f, "fflv")) is not None
+    assert mcop_recognize(f.structure("gt"), flag_polytope(f, "gt").points) is not None
+    assert mcop_recognize(f.structure("fflv"), flag_polytope(f, "fflv").points) is not None
 
 
 def test_grassmannian_vertex_labels_match_grid_ideals():
@@ -216,35 +217,26 @@ def test_grassmannian_vertex_labels_match_grid_ideals():
     assert projected == expected
 
 
-def notmcop_weight(structure):
-    lat = structure.lattice
-    std = standardize(structure)
-    target = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
-    return std, [
-        Fraction(1) if lat.label_key(pos) == target else Fraction(0)
-        for pos in std.jlambda
-    ]
-
-
 def test_notmcop_example_full_reproduction():
     start = time.time()
     f = build_flag_poset(5, (0, 2, 5))
     s = f.structure("fflv")
     std, w = notmcop_weight(s)
-    sub = mrpp_subdivide(std, w)
-    assert len(sub) == 2
-    big = max(sub, key=lambda p: len(p.vertices))
-    small = min(sub, key=lambda p: len(p.vertices))
+    parts, _ = mrpp_subdivide(std, w)
+    assert len(parts) == 2
+    sections = [part_section(std.quotient, part) for part in parts]
+    big_part, big = max(zip(parts, sections), key=lambda ps: len(ps[1].vertices))
+    small = min(sections, key=lambda section: len(section.vertices))
     assert len(big.vertices) == 9
-    assert big.added_covers(std.quotient.poset) == [("p2.3", "p1.5")]
+    assert big_part.added_covers(std.quotient.poset) == [("p2.3", "p1.5")]
     # the other part is a simplex: dim + 1 affinely independent vertices
     from posetdegen.linalg import affine_dimension
 
     assert len(small.vertices) == affine_dimension(small.vertices) + 1
     # the 9-vertex part is not a marked chain-order polytope for any partition
-    part_structure = std.quotient.with_order(big.order)
-    target = build_mrpp(part_structure)
-    assert set(target.points) == set(big.points)
+    part_structure = std.quotient.with_order(big_part.order)
+    target = mrpp_points(part_structure)
+    assert set(target) == set(big.points)
     assert mcop_recognize(part_structure, target) is None
     assert time.time() - start < 1.0
 
@@ -297,14 +289,15 @@ def test_mcop_recognize_matches_bit_order_oracle_on_flags():
             free = tuple(sorted(x for x in f.poset.elements if x not in f.marking))
             for mode, split in (("gt", ((), free)), ("fflv", (free, ()))):
                 s = f.structure(mode)
-                target = build_mrpp(s)
+                target = mrpp_points(s)
                 assert mcop_recognize(s, target) == naive_mcop_recognize(s, target)
                 if n == 4 and len(dims) == 5:
                     assert mcop_recognize(s, target) == split
     s = build_flag_poset(5, (0, 2, 5)).structure("fflv")
     std, w = notmcop_weight(s)
-    big = max(mrpp_subdivide(std, w), key=lambda p: len(p.vertices))
+    parts, _ = mrpp_subdivide(std, w)
+    big = max(parts, key=lambda part: len(part_section(std.quotient, part).vertices))
     part_structure = std.quotient.with_order(big.order)
-    target = build_mrpp(part_structure)
+    target = mrpp_points(part_structure)
     assert naive_mcop_recognize(part_structure, target) is None
     assert mcop_recognize(part_structure, target) is None

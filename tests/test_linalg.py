@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from posetdegen import build_flag_poset, chain_poset, mcop_build
 from posetdegen import marked
-from posetdegen.degeneration import first_linearization
 from posetdegen.errors import OutsideCone, TheoremViolation
 from posetdegen.linalg import affine_dimension, extreme_points, in_convex_hull
 from posetdegen.marked import (
@@ -26,6 +25,8 @@ from conftest import (
     marked_corpus_structures,
     naive_affine_dimension,
     naive_in_convex_hull,
+    part_section,
+    walked_chain,
 )
 
 
@@ -325,16 +326,13 @@ def test_linearization_runs_dimension_matches_rank_on_every_walked_section():
         free = quotient.poset.n - bin(quotient.marked).count("1")
         terms = dict(fundamental_decomposition(quotient).terms)
         try:
-            parts = mrpp_subdivide(std, [w[pos] for pos in std.jlambda])
+            parts, _ = mrpp_subdivide(std, [w[pos] for pos in std.jlambda])
         except OutsideCone:
             continue
         for part in (part for part in parts if part.linearization is None):
-            prefix, chain = 0, [quotient.lattice.position[0]]
-            for p in first_linearization(part.order):
-                prefix |= 1 << p
-                chain.append(quotient.lattice.position[prefix])
-            runs = marked._section_runs(quotient, terms, chain)
-            assert sum(d for d, _ in runs) == affine_dimension(part.points) == free
+            runs = marked._section_runs(quotient, terms, walked_chain(quotient, part))
+            points = part_section(quotient, part).points
+            assert sum(d for d, _ in runs) == affine_dimension(points) == free
             walked += 1
     assert walked > 100
 

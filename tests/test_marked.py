@@ -34,6 +34,7 @@ from posetdegen.polytopes import indicator
 from conftest import (
     counted,
     criterion_7_markings,
+    empty_one_walked_section,
     fundamental_mrpp,
     gt_pattern_count,
     lattice_points,
@@ -45,11 +46,14 @@ from conftest import (
     naive_mcop_recognize,
     naive_mrpp_points,
     naive_section_counts,
+    notmcop_weight,
+    part_section,
     random_poset,
     sample_cone_weight,
     scaled_structure,
     shorten_part_sections,
     theta,
+    walked_chain,
 )
 
 
@@ -340,11 +344,8 @@ def test_mrpp_subdivide_enumerates_each_order_once(monkeypatch):
     # the quotient's ideals once (by standardize's validation), each walked
     # part's once (by subdivide's certificate); the sections reuse those
     # lattices
-    f = build_flag_poset(5, (0, 2, 5))
-    s = f.structure("fflv")
-    std = standardize(s)
-    fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
-    notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
+    s = build_flag_poset(5, (0, 2, 5)).structure("fflv")
+    std, notmcop = notmcop_weight(s)
     canonical = canonical_interior_weight(std.quotient)
     interior = [canonical[q] for q in std.lattice_map]
     real = lattice_module.enumerate_ideals
@@ -353,7 +354,7 @@ def test_mrpp_subdivide_enumerates_each_order_once(monkeypatch):
                         lambda poset: calls.append(poset) or real(poset))
     for w, parts, enumerations in ((notmcop, 2, 3), (interior, 5, 1)):
         calls.clear()
-        assert len(mrpp_subdivide(standardize(s), w)) == parts
+        assert len(mrpp_subdivide(standardize(s), w)[0]) == parts
         assert len(calls) == len(set(calls)) == enumerations
 
 
@@ -362,23 +363,20 @@ def test_mcop_split_of_sections_and_mixed_rows():
     # their vertices come from Wolfe's test; the sections of a GT
     # degeneration are marked order polytopes of <'' (all O), whose vertices
     # come from their tight-cover partitions and agree with Wolfe's test
-    f = build_flag_poset(5, (0, 2, 5))
-    s = f.structure("fflv")
-    std = standardize(s)
-    fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
-    notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
-    parts = mrpp_subdivide(std, notmcop)
-    assert len(parts) == 2 and all(mcop_split(part.structure) is None for part in parts)
+    std, notmcop = notmcop_weight(build_flag_poset(5, (0, 2, 5)).structure("fflv"))
+    parts, _ = mrpp_subdivide(std, notmcop)
+    sections = [part_section(std.quotient, part) for part in parts]
+    assert len(parts) == 2 and all(mcop_split(section.structure) is None for section in sections)
     s = build_flag_poset(4, (0, 1, 2, 3, 4)).structure("gt")
     std = standardize(s)
     canonical = canonical_interior_weight(std.quotient)
     free = std.quotient.poset.full & ~std.quotient.marked
     for w, count in (([canonical[q] for q in std.lattice_map], 12), ([0] * len(std.jlambda), 1)):
-        parts = mrpp_subdivide(std, w)
+        parts, _ = mrpp_subdivide(std, w)
         assert len(parts) == count
-        for part in parts:
-            assert mcop_split(part.structure) == (0, free)
-            assert part.vertices == tuple(sorted(extreme_points(part.points)))
+        for section in (part_section(std.quotient, part) for part in parts):
+            assert mcop_split(section.structure) == (0, free)
+            assert section.vertices == tuple(sorted(extreme_points(section.points)))
     # b's <'-row holds c but not d, above it in <: neither C nor O
     poset = chain_poset(["a", "b", "c", "d"])
     s = validate_relative_structure(poset, [("b", "c")], {"a": 1, "d": 0})
@@ -391,20 +389,22 @@ def test_mcop_split_of_sections_and_mixed_rows():
 def test_mrpp_subdivide_zero_single_part():
     s = marked_diamond_chain()
     std = standardize(s)
-    sub = mrpp_subdivide(std, [0] * len(std.jlambda))
-    assert len(sub) == 1
-    assert set(sub[0].points) == set(build_mrpp(std.quotient).points)
+    parts, counts = mrpp_subdivide(std, [0] * len(std.jlambda))
+    assert len(parts) == 1
+    whole = build_mrpp(std.quotient).points
+    assert set(part_section(std.quotient, parts[0]).points) == set(whole)
+    assert counts[0][1] == len(whole)
 
 
 def test_mrpp_subdivide_canonical_counts_sections():
     s = marked_diamond_chain()
     std = standardize(s)
     w = canonical_interior_weight(std.quotient)
-    sub = mrpp_subdivide(std, [w[q] for q in std.lattice_map])
-    assert len(sub) == 2  # two linearizations of the diamond, both full-dimensional
+    parts, _ = mrpp_subdivide(std, [w[q] for q in std.lattice_map])
+    assert len(parts) == 2  # two linearizations of the diamond, both full-dimensional
     covered = set()
-    for part in sub:
-        covered.update(part.points)
+    for part in parts:
+        covered.update(part_section(std.quotient, part).points)
     assert covered == set(build_mrpp(std.quotient).points)
 
 
@@ -420,15 +420,22 @@ def test_mrpp_subdivide_lower_dimensional_section_raises(monkeypatch):
 
 def test_mrpp_subdivide_lower_dimensional_walked_section_raises(monkeypatch):
     # a walked part's dimension is read off the runs of one linearization
-    f = build_flag_poset(5, (0, 2, 5))
-    s = f.structure("fflv")
-    std = standardize(s)
-    fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
-    notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
-    assert mrpp_subdivide(std, notmcop)[0].linearization is None
+    std, notmcop = notmcop_weight(build_flag_poset(5, (0, 2, 5)).structure("fflv"))
+    assert mrpp_subdivide(std, notmcop)[0][0].linearization is None
     shorten_part_sections(monkeypatch)
     with pytest.raises(TheoremViolation, match="lower dimension"):
         mrpp_subdivide(std, notmcop)
+
+
+def test_mrpp_subdivide_walked_sections_that_miss_a_point_raise(monkeypatch):
+    # the walked sections' points must cover the MRPP's: one section read
+    # empty leaves out the points that only it holds
+    std, notmcop = notmcop_weight(build_flag_poset(5, (0, 2, 5)).structure("fflv"))
+    emptied = empty_one_walked_section(monkeypatch, std.quotient.poset)
+    with pytest.raises(InternalClosureFailure,
+                       match="^section parts do not cover the marked polytope$"):
+        mrpp_subdivide(std, notmcop)
+    assert len(emptied) == 1
 
 
 def doubled_first_multiplicity(monkeypatch):
@@ -474,17 +481,21 @@ def interior_sections(structure, rng=None):
     return std, mrpp_subdivide(std, [w[q] for q in std.lattice_map])
 
 
-def assert_counts_match_the_oracle(std, parts):
-    """Each fine part's counts and run dimension equal those of its built
-    section; returns how many parts have fewer vertices than points."""
+def assert_counts_match_the_oracle(std, subdivision, fine=True):
+    """Each part's counts, and the dimension of the runs of its chain (a
+    fine part's lattice, a walked part's first linearization), equal those
+    of its built section, for the (parts, counts) of `mrpp_subdivide`;
+    every part is fine, or with `fine` False walked.  Returns how many parts
+    have fewer vertices than points."""
     terms = dict(fundamental_decomposition(std.quotient).terms)
     fewer = 0
-    for part in parts:
-        assert part.linearization is not None
-        runs = marked._section_runs(std.quotient, terms, part.sublattice)
-        counts = (part.vertex_count, part.point_count, sum(d for d, _ in runs))
+    for part, (vertices, points) in zip(*subdivision, strict=True):
+        assert (part.linearization is not None) == fine
+        chain = part.sublattice if fine else walked_chain(std.quotient, part)
+        runs = marked._section_runs(std.quotient, terms, chain)
+        counts = (vertices, points, sum(d for d, _ in runs))
         assert counts == naive_section_counts(std.quotient, part)
-        fewer += part.vertex_count < part.point_count
+        fewer += vertices < points
     return fewer
 
 
@@ -498,19 +509,50 @@ def test_fine_section_counts_match_the_point_set_oracle_on_flags(n, dims, mode):
     # and points agree; scales 2 and 3 give k_r > 1
     s = build_flag_poset(n, dims).structure(mode)
     for scale in (1, 2, 3):
-        std, parts = interior_sections(scaled_structure(s, scale))
-        fewer = assert_counts_match_the_oracle(std, parts)
-        assert fewer == (0 if scale == 1 else len(parts))
+        std, subdivision = interior_sections(scaled_structure(s, scale))
+        fewer = assert_counts_match_the_oracle(std, subdivision)
+        assert fewer == (0 if scale == 1 else len(subdivision[0]))
 
 
 def test_fine_section_counts_match_the_point_set_oracle_on_the_marked_corpus():
     checked = fewer = 0
     for s in marked_corpus_structures():
         for scale in (1, 2, 3):
-            std, parts = interior_sections(scaled_structure(s, scale))
-            fewer += assert_counts_match_the_oracle(std, parts)
-            checked += len(parts)
+            std, subdivision = interior_sections(scaled_structure(s, scale))
+            fewer += assert_counts_match_the_oracle(std, subdivision)
+            checked += len(subdivision[0])
     assert checked > 1000 and fewer > 100
+
+
+def test_walked_section_counts_match_the_point_set_oracle():
+    # walked parts, whose sections are built: the Gr(2,5) FFLV degeneration
+    # under one fundamental weight (two parts), the zero weight on the full
+    # n = 3 and n = 4 flags (one part, the whole MRPP), and a sampled weight
+    # on the boundary of the cone for each structure of the marked corpus at
+    # marking scales 1 and 2 (a quotient that is a chain gives fine parts)
+    cases = [notmcop_weight(build_flag_poset(5, (0, 2, 5)).structure("fflv"))]
+    for n in (3, 4):
+        for mode in ("gt", "fflv"):
+            std = standardize(build_flag_poset(n, tuple(range(n + 1))).structure(mode))
+            cases.append((std, [0] * len(std.jlambda)))
+    walked = fewer = 0
+    for std, w in cases:
+        subdivision = mrpp_subdivide(std, w)
+        fewer += assert_counts_match_the_oracle(std, subdivision, fine=False)
+        walked += len(subdivision[0])
+    assert walked == 6
+    rng = random.Random(0)
+    for s in marked_corpus_structures():
+        for scale in (1, 2):
+            std = standardize(scaled_structure(s, scale))
+            w = sample_cone_weight(std.quotient, rng)
+            parts, counts = mrpp_subdivide(std, [w[q] for q in std.lattice_map])
+            fine = parts[0].linearization is not None
+            parts_fewer = assert_counts_match_the_oracle(std, (parts, counts), fine)
+            if not fine:
+                walked += len(parts)
+                fewer += parts_fewer
+    assert walked > 10 and fewer > 5
 
 
 @st.composite
@@ -550,15 +592,16 @@ def test_fine_section_counts_match_the_point_set_oracle_on_random_structures(str
 def test_fine_sections_build_no_point_set(monkeypatch):
     # the counts come from the chain; the whole MRPP is certified by its
     # Ehrhart counts, so no point set, vertex list or section structure is
-    # made, and each is built on first access for a caller that asks
+    # made; a caller that wants the section builds each once (`part_section`)
     s = build_flag_poset(4, (0, 1, 2, 3, 4)).structure("fflv")
     calls = [counted(monkeypatch, marked, name)
              for name in ("mrpp_points", "marked_vertices", "structure_of_part")]
-    std, parts = interior_sections(s)
+    std, (parts, counts) = interior_sections(s)
     assert [len(c) for c in calls] == [0, 0, 0]
-    part = parts[0]
-    assert len(part.points) == part.point_count and len(part.vertices) == part.vertex_count
-    assert part.structure.poset == part.order
+    part, (vertex_count, point_count) = parts[0], counts[0]
+    section = part_section(std.quotient, part)
+    assert len(section.points) == point_count and len(section.vertices) == vertex_count
+    assert section.structure.poset == part.order
     assert [len(c) for c in calls] == [1, 1, 1]
 
 
@@ -661,13 +704,12 @@ def test_marked_vertices_keep_the_order_of_the_sorted_points():
         s = f.structure(mode)
         assert (mcop_split(s)[0] == 0) == c_empty
         cases.append((s, mrpp_points(s)))
-    s = build_flag_poset(5, (0, 2, 5)).structure("fflv")
-    std = standardize(s)
-    fundamental = ",".join(sorted(["p1.2", "p1.3", "p1.4", "p1.5"]))
-    notmcop = [int(s.lattice.label_key(pos) == fundamental) for pos in std.jlambda]
-    part = max(mrpp_subdivide(std, notmcop), key=lambda p: len(p.points))
-    assert mcop_split(part.structure) is None
-    cases.append((part.structure, part.points))
+    std, notmcop = notmcop_weight(build_flag_poset(5, (0, 2, 5)).structure("fflv"))
+    parts, _ = mrpp_subdivide(std, notmcop)
+    section = max((part_section(std.quotient, part) for part in parts),
+                  key=lambda section: len(section.points))
+    assert mcop_split(section.structure) is None
+    cases.append((section.structure, section.points))
     for structure, points in cases:
         assert list(points) == sorted(set(points))
         vertices = marked_vertices(structure, points)
@@ -680,7 +722,7 @@ def test_mcop_recognize_order_and_chain():
     marking = {"a": 2, "d": 0}
     order_poly = mcop_build(poset, marking, [], ["b", "c"])
     s_order = validate_relative_structure(poset, [], marking)
-    assert mcop_recognize(s_order, order_poly) is not None
+    assert mcop_recognize(s_order, order_poly.points) is not None
     chain_pairs = [
         (poset.elements[i], poset.elements[j])
         for i in (poset.index("b"), poset.index("c"))
@@ -688,7 +730,7 @@ def test_mcop_recognize_order_and_chain():
     ]
     s_chain = validate_relative_structure(poset, chain_pairs, marking)
     chain_poly = mcop_build(poset, marking, ["b", "c"], [])
-    assert mcop_recognize(s_chain, chain_poly) is not None
+    assert mcop_recognize(s_chain, chain_poly.points) is not None
 
 
 PARTIAL_FLAGS = ((2, (0, 1, 2)), (3, (0, 1, 3)), (3, (0, 2, 3)), (3, (0, 1, 2, 3)),
@@ -748,9 +790,9 @@ def test_mcop_recognize_matches_bit_order_oracle():
     for poset, marking, splits in criterion_7_markings(4):
         for c_part, o_part in splits:
             built = mcop_build(poset, marking, c_part, o_part)
-            found = mcop_recognize(built.structure, built)
+            found = mcop_recognize(built.structure, built.points)
             assert found is not None
-            assert found == naive_mcop_recognize(built.structure, built)
+            assert found == naive_mcop_recognize(built.structure, built.points)
             points = list(built.points)
             marked = poset.index(next(iter(marking)))
             moved = list(points[-1])
@@ -771,9 +813,9 @@ def test_mcop_recognize_matches_bit_order_oracle_on_shuffled_flags():
             for order_part in combinations(free, r):
                 chain_part = [x for x in free if x not in order_part]
                 built = mcop_build(poset, marking, chain_part, order_part)
-                found = mcop_recognize(built.structure, built)
+                found = mcop_recognize(built.structure, built.points)
                 assert found is not None
-                assert found == naive_mcop_recognize(built.structure, built)
+                assert found == naive_mcop_recognize(built.structure, built.points)
 
 
 def test_mcop_recognize_on_the_shuffled_full_n5_fflv_flag():
@@ -788,12 +830,12 @@ def test_mcop_recognize_on_the_shuffled_full_n5_fflv_flag():
     random.Random(1).shuffle(labels)
     s = validate_relative_structure(build_poset(labels, pairs(poset.above)), pairs(weak),
                                     f.marking)
-    target = build_mrpp(s)
+    target = mrpp_points(s)
     found = mcop_recognize(s, target)
     free = tuple(sorted(x for x in labels if x not in f.marking))
     assert found == (free, ()) and len(free) == 10
     built = mcop_build(s.poset, f.marking, *found)
-    assert built.points == target.points and len(built.points) == 1024
+    assert built.points == tuple(target) and len(built.points) == 1024
 
 
 def test_mcop_inequalities_are_the_chains_of_covers():
