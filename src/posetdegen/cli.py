@@ -22,9 +22,10 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import compress, count
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import ne
 
 from . import degeneration, flag as flagmod, jsontext, marked, polytopes
 from .errors import ParseError, PosetDegenError
@@ -35,6 +36,7 @@ EXPONENT_TEXT = re.compile(r"[eE]([+-]?[0-9_]+)")
 # bounds the digits of each weight; a report's rationals, over the lcm of
 # several denominators, can still pass Python's limit on integer text
 MAX_EXPONENT = 1000
+MAX_SHOWN = 40  # the longest weight text that a parse error repeats
 
 
 def digit_limit_error(what):
@@ -56,19 +58,32 @@ def fmt_ratio(x, scale):
         raise digit_limit_error("a rational of the report") from None
 
 
-def parse_fraction(value):
+def parse_fraction(value, path, key):
     """The exact rational of a weight: a JSON integer, a Decimal read from a
     JSON number, or a string such as "-3/2" or "1e-3".  An exponent beyond
     ±MAX_EXPONENT in str(value) (for a Decimal, its normalized exponent) is
-    refused before Fraction expands it."""
+    refused before Fraction expands it.  A ParseError names the weights
+    file `path` and the ideal key, and repeats the weight's text only up to
+    MAX_SHOWN characters, giving the length of a longer one."""
     text = str(value)
+    exponent = EXPONENT_TEXT.search(text)
     try:
-        exponent = EXPONENT_TEXT.search(text)
         if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
-            raise ValueError(f"exponent beyond ±{MAX_EXPONENT}")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+            reason = f"exponent beyond ±{MAX_EXPONENT}"
+        else:
+            return Fraction(text)
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except ValueError:
+        # text that int() or Fraction cannot read, or an integer past
+        # Python's limit on integer text, which then has that many digits
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < sum(map(str.isdigit, text)):
+            reason = f"passes the {limit}-digit limit on integer text"
+        else:
+            reason = "not an integer, a decimal or p/q"
+    shown = repr(text) if len(text) <= MAX_SHOWN else f"of {len(text)} characters"
+    raise ParseError(f"{path}: weight of ideal key {key!r}: bad rational {shown}: {reason}")
 
 
 def load_json(path):
@@ -178,7 +193,7 @@ def parse_weights_file(path, keys, default_zero=False):
     values = []
     for key in keys:
         if key in table:
-            values.append(parse_fraction(table[key]))
+            values.append(parse_fraction(table[key], path, key))
         elif default_zero:
             values.append(Fraction(0))
         else:
@@ -257,11 +272,10 @@ class PartsReport:
         self.counts = counts
 
 
-def joined_list(items, pad):
+def joined_list(text, pad):
     """The indent=2 JSON text of a list, its opening bracket `pad` spaces
-    in, from items that each begin with their separator: "," and a new line
-    `pad` + 2 spaces in."""
-    text = "".join(items)
+    in, from the joined text of its items, each of which begins with its
+    separator: "," and a new line `pad` + 2 spaces in."""
     return f"[{text[1:]}\n{' ' * pad}]" if text else "[]"
 
 
@@ -276,10 +290,20 @@ def parts_json(report):
     the ideals outside it, sorted; "vertices", "lattice_points": its counts}.
     Each element label, ideal key, cover pair and rational is encoded once
     per report, with the separator that precedes it in a list, and a part's
-    chunk is joined from those pieces and its counts.  A part with a
-    linearization gives its consecutive pairs as its covers, sorted here
-    by label and never built as a poset; any other gives the covers it
-    carries.  Every part has the scale of the first."""
+    chunk is joined from those pieces and its counts.  Every part has the
+    scale of the first.
+
+    A walked part (no linearization) sorts the covers it carries and marks
+    the keys of its ideals.  A part with a linearization keeps slots that
+    carry over from the last such part: one cover slot per element, at the
+    label rank of the cover's lower element (unique in a chain, and the
+    covers' sort order), and one key slot per ideal, by key rank, blank on
+    the chain.  If the two chains first differ at chain position k, the
+    linearizations agree on their first k - 1 elements, so only the covers
+    from position k - 2 on change, over the same lower elements, and only
+    the chain positions from k on change their key slots.  That holds for
+    parts in any order, and the depth-first order of `subdivide` keeps k
+    near the end of the chain."""
     structure = report.structure
     poset, lat = structure.poset, structure.lattice
     labels = [encode_basestring_ascii(e) for e in poset.elements]
@@ -296,10 +320,12 @@ def parts_json(report):
 
     @cache
     def cover(pair):
-        """(sort rank, text, whether the base order lacks it) of a cover pair."""
+        """(sort rank, text, text if the base order lacks it else "") of a
+        cover pair."""
         i, j = pair
         text = f",\n        [\n          {labels[i]},\n          {labels[j]}\n        ]"
-        return label_rank[i] * poset.n + label_rank[j], text, not poset.above[i] >> j & 1
+        added = "" if poset.above[i] >> j & 1 else text
+        return label_rank[i] * poset.n + label_rank[j], text, added
 
     normal_sep = ",\n" + " " * 10
 
@@ -308,6 +334,10 @@ def parts_json(report):
         # a rational's text is digits, '-' and '/': nothing to escape
         return f'{normal_sep}"{fmt_ratio(x, scale)}"'
 
+    order_slots = [""] * poset.n
+    added_slots = [""] * poset.n
+    key_slots = key_texts[:]
+    prev = ()  # the chain of the last part with a linearization
     head = "{\n"
     if structure.marked:  # no section is lower-dimensional (mrpp_subdivide)
         head += '  "dropped_lower_dimensional": 0,\n'
@@ -315,21 +345,42 @@ def parts_json(report):
     sep = "\n"
     for part, (vertices, points) in zip(report.parts, report.counts):
         ext = part.linearization
-        rows = sorted(map(cover, part.covers if ext is None else zip(ext, ext[1:])))
-        outside = bytearray(every_key)
-        for r in map(key_rank.__getitem__, part.sublattice):
-            outside[r] = 0
+        if ext is None:
+            rows = sorted(map(cover, part.covers))
+            order = "".join([t for _, t, _ in rows])
+            added = "".join([t for _, _, t in rows])
+            outside = bytearray(every_key)
+            for r in map(key_rank.__getitem__, part.sublattice):
+                outside[r] = 0
+            vanishing = "".join(compress(key_texts, outside))
+        else:
+            chain = part.sublattice
+            k = next(compress(count(), map(ne, prev, chain)), len(prev))
+            for r in map(key_rank.__getitem__, prev[k:]):
+                key_slots[r] = key_texts[r]
+            for r in map(key_rank.__getitem__, chain[k:]):
+                key_slots[r] = ""
+            start = max(k - 2, 0)
+            for pair in zip(ext[start:], ext[start + 1:]):
+                r = label_rank[pair[0]]
+                _, order_slots[r], added_slots[r] = cover(pair)
+            if ext:
+                r = label_rank[ext[-1]]
+                order_slots[r] = added_slots[r] = ""
+            prev = chain
+            order, added = "".join(order_slots), "".join(added_slots)
+            vanishing = "".join(key_slots)
         a, b = part.lift
         chunks.append(
             f'{sep}    {{\n'
-            f'      "added_covers": {joined_list([t for _, t, new in rows if new], 6)},\n'
+            f'      "added_covers": {joined_list(added, 6)},\n'
             f'      "affine": {{\n'
             f'        "constant": {normal(b)[len(normal_sep):]},\n'
-            f'        "normal": {joined_list(map(normal, a), 8)}\n'
+            f'        "normal": {joined_list("".join(map(normal, a)), 8)}\n'
             f'      }},\n'
             f'      "lattice_points": {points},\n'
-            f'      "order_covers": {joined_list([t for _, t, _ in rows], 6)},\n'
-            f'      "vanishing_variables": {joined_list(compress(key_texts, outside), 6)},\n'
+            f'      "order_covers": {joined_list(order, 6)},\n'
+            f'      "vanishing_variables": {joined_list(vanishing, 6)},\n'
             f'      "vertices": {vertices}\n'
             f'    }}')
         sep = ",\n"

@@ -199,40 +199,46 @@ def linear_extension_indices(poset):
     """All linearizations as index tuples, built by peeling minimal elements
     depth first, the smallest index first.
 
-    The walk keeps its own stack, so a chain longer than the recursion limit
-    still has its one linearization.  A level holds the mask of the minimal
-    unplaced elements and the mask of those not yet tried; placing i makes
-    minimal only upper covers of i, so a level is built from its parent's.
+    The elements that can come next depend only on the ideal already
+    placed.  So each ideal's level, the mask of its minimal unplaced
+    elements and their indices, is built once, on the ideal's first visit,
+    and kept in a table keyed by the placed mask; a later visit iterates
+    the kept indices.  Placing i makes minimal only upper covers of i, so a
+    level is built from its parent's in as many steps as i has upper
+    covers, never by a scan of all n elements.  The walk keeps its own
+    stack of iterators, so a chain longer than the recursion limit still
+    has its one linearization.
     """
     n = poset.n
     below = poset.below
     upper_covers = [mask_bits(row) for row in poset.upper_covers]
-    out = []
+    start = sum(1 << i for i in range(n) if not below[i])
+    levels = {0: (start, mask_bits(start))}
+    out = [] if n else [()]  # the empty poset has one, empty, linearization
     current = []
     placed = 0
-    start = sum(1 << i for i in range(n) if not below[i])
-    minimal, untried = [start], [start]
-    while untried:
-        if len(current) == n:  # a full level is visited once, then popped
-            out.append(tuple(current))
-        left = untried[-1]
-        if not left:
-            minimal.pop()
-            untried.pop()
+    stack = [iter(levels[0][1])]
+    while stack:
+        i = next(stack[-1], None)
+        if i is None:
+            stack.pop()
             if current:
                 placed ^= 1 << current.pop()
             continue
-        bit = left & -left
-        untried[-1] = left ^ bit
-        i = bit.bit_length() - 1
         current.append(i)
-        placed |= bit
-        level = minimal[-1] ^ bit
-        for j in upper_covers[i]:
-            if below[j] & ~placed == 0:
-                level |= 1 << j
-        minimal.append(level)
-        untried.append(level)
+        if len(current) == n:  # a full ideal has an empty level: record, step back
+            out.append(tuple(current))
+            current.pop()
+            continue
+        placed |= 1 << i
+        level = levels.get(placed)
+        if level is None:
+            mask = levels[placed ^ 1 << i][0] ^ 1 << i
+            for j in upper_covers[i]:
+                if below[j] & ~placed == 0:
+                    mask |= 1 << j
+            level = levels[placed] = (mask, mask_bits(mask))
+        stack.append(iter(level[1]))
     return out
 
 

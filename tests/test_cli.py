@@ -35,6 +35,7 @@ from conftest import (
     empty_one_walked_section,
     incomparable_pairs,
     naive_mcop_recognize,
+    naive_part_report,
     naive_subdivide_dict,
     naive_subdivide_report,
     nth_finite_difference,
@@ -220,6 +221,71 @@ def test_part_report_of_an_interior_subdivision_builds_no_order():
     assert [part["order_covers"] for part in parts] == [
         [["a", "b"], ["b", "c"], ["c", "d"]], [["a", "c"], ["b", "d"], ["c", "b"]]]
     assert [part["added_covers"] for part in parts] == [[["b", "c"]], [["c", "b"]]]
+
+
+def scrambled_grid(rows, cols, seed):
+    """The labels and covers of the rows x cols grid, its cells labelled so
+    that label order is not index order; the top cell is labelled last."""
+    names = [f"v{r:02d}" for r in random.Random(seed).sample(range(rows * cols), rows * cols)]
+    cell = lambda i, j: names[i * cols + j]
+    covers = [(cell(i, j), cell(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    covers += [(cell(i, j), cell(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    return names, covers
+
+
+@pytest.mark.parametrize("make, without_top", [
+    (order_structure, False), (chain_structure, False), (order_structure, True),
+], ids=["order", "chain", "order-two-maxima"])
+def test_part_report_of_fine_parts_in_any_order(make, without_top):
+    # a fine part's cover and key slots carry over from the last fine part
+    # written, whatever it was; a walked part between two fine parts writes
+    # its own covers and keys and leaves the slots alone.  Without its top
+    # cell the grid has two maximal elements, so linearizations end in
+    # different elements
+    names, covers = scrambled_grid(3, 4, 31)
+    if without_top:
+        top = names.pop()
+        covers = [c for c in covers if top not in c]
+    s = make(build_poset(names, covers))
+    lat = s.lattice
+    fine = list(degeneration.subdivide(s, degeneration.canonical_interior_weight(s)))
+    (walked,) = degeneration.subdivide(s, [0] * len(lat))
+    assert len(fine) == 462 and walked.linearization is None
+    naive = {id(part): naive_part_report(
+        s, part, len(part.sublattice), len(part.sublattice),
+        [lat.label_key(i) for i in range(len(lat)) if i not in part.sublattice])
+        for part in fine + [walked]}
+    shuffled = fine[:]
+    random.Random(7).shuffle(shuffled)
+    mixed = fine[:200] + [walked] + fine[200:240] + [walked] + fine[::-1]
+    for parts in (fine[::-1], shuffled, mixed):
+        counts = [(len(part.sublattice),) * 2 for part in parts]
+        text = "".join(cli.parts_json(cli.PartsReport(s, parts, counts)))
+        expected = [naive[id(part)] for part in parts]
+        for k, (got, want) in enumerate(zip(json.loads(text)["parts"], expected)):
+            assert got == want, k  # a short diff, not one of two 1 MB texts
+        assert text == json.dumps({"parts": expected}, sort_keys=True, indent=2) + "\n"
+
+
+def test_subdivide_of_the_4x4_grid_keeps_its_bytes(tmp_path):
+    # 24,024 parts, the largest fine report, pinned by its size and digest;
+    # the file is hashed in blocks rather than read whole
+    cells = [f"p{i}{j}" for i in range(4) for j in range(4)]
+    covers = [[f"p{i}{j}", f"p{i + 1}{j}"] for i in range(3) for j in range(4)]
+    covers += [[f"p{i}{j}", f"p{i}{j + 1}"] for i in range(4) for j in range(3)]
+    poset = write(tmp_path, "p.json", {"elements": cells, "covers": covers})
+    parsed = cli.parse_poset_file(poset)
+    weights = write(tmp_path, "w.json", {"weights": {
+        k: str(v) for k, v in zip(parsed.lattice.keys,
+                                  degeneration.canonical_interior_weight(parsed))}})
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "subdivide", poset, "--weights", weights]) == 0
+    digest = hashlib.sha256()
+    with open(out, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    assert out.stat().st_size == 98258180
+    assert digest.hexdigest() == "d6f05bc2c93f7de1f56e74a2436e9e9d848e38812ebe86a80103577ffab99249"
 
 
 REPORT_VALUES = st.recursive(
@@ -652,6 +718,27 @@ def test_weight_exponents_beyond_a_thousand_are_one_parse_error_line(tmp_path, c
     assert main(["subdivide", poset, "--weights", str(weights)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and err.count("\n") == 1 and "exponent" in err
+
+
+@pytest.mark.parametrize("value, shown, reason", [
+    ("9" * 5000, "of 5000 characters",
+     f"passes the {sys.get_int_max_str_digits()}-digit limit on integer text"),
+    ("1/0", "'1/0'", "zero denominator"),
+    ("1e999999", "'1e999999'", "exponent beyond ±1000"),
+], ids=["5000-digits", "zero-denominator", "exponent"])
+def test_bad_weight_text_is_named_by_file_and_key(tmp_path, capsys, monkeypatch, value, shown,
+                                                   reason):
+    # the one line names the file and the ideal key, and gives a long text
+    # by its length: echoing the 5,000 nines would take 5,171 bytes
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "p.json", SQUARE)
+    write(tmp_path, "w.json", {"weights": {"a,b": value}})
+    assert main(["subdivide", "p.json", "--weights", "w.json", "--default-zero"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"parse error: w.json: weight of ideal key 'a,b': bad rational {shown}: {reason}\n")
+    assert len(captured.err.encode()) < 200
 
 
 ANTICHAIN3 = {"elements": ["a", "b", "c"]}

@@ -89,7 +89,9 @@ def test_linear_extensions_complete_on_corpus():
 
 def test_linear_extensions_keep_the_recursive_depth_first_order():
     rng = random.Random(16)
-    posets = small_poset_corpus(5) + [grid(3, 4), grid(2, 7), antichain_poset([])] + [
+    posets = small_poset_corpus(5) + [
+        grid(3, 4), grid(2, 7), grid(4, 4), antichain_poset([]), antichain_poset(["a"]),
+        antichain_poset(list("abcdefg"))] + [
         random_poset(rng, 8, density) for density in (0.2, 0.35, 0.5) for _ in range(20)]
     for poset in posets:
         assert linear_extension_indices(poset) == recursive_linear_extension_indices(poset)
